@@ -23,7 +23,6 @@ from .signals import (
     Observation,
     SamplingMask,
     SignalSeries,
-    apply_mask,
     generate_mask,
     observation_from_column,
     read_mask_file,
@@ -33,13 +32,11 @@ from .signals import (
     write_signal_csv,
 )
 from .filters import (
+    FILTER_KINDS,
     BandlimitedProjector,
     FilterConfig,
-    FilterState,
     default_bandwidth,
-    glms_step,
-    gsign_step,
-    run_filter,
+    filter_step,
 )
 from .messenger import (
     Freshness,
@@ -66,7 +63,6 @@ from .backends import (
     ReplayMissError,
     RemoteBackend,
     batch_complete,
-    complete,
     make_backend,
     mock_predict,
     prompt_sha256,
@@ -106,12 +102,11 @@ __all__ = [
     "knn_graph", "laplacian", "read_coordinates", "read_edge_list",
     "write_coordinates", "write_edge_list",
     # signals
-    "MaskSpec", "Observation", "SamplingMask", "SignalSeries", "apply_mask",
-    "generate_mask", "observation_from_column", "read_mask_file", "read_signal_csv",
+    "MaskSpec", "Observation", "SamplingMask", "SignalSeries", "generate_mask",
+    "observation_from_column", "read_mask_file", "read_signal_csv",
     "synth_bandlimited", "write_mask_file", "write_signal_csv",
     # filters
-    "BandlimitedProjector", "FilterConfig", "FilterState", "default_bandwidth",
-    "glms_step", "gsign_step", "run_filter",
+    "FILTER_KINDS", "BandlimitedProjector", "FilterConfig", "default_bandwidth", "filter_step",
     # messenger
     "Freshness", "NeighborValue", "NodeTask", "ParsedPrediction", "PromptTemplate",
     "TemplateError", "build_task", "fallback_value", "parse_response", "render_prompt",
@@ -119,7 +114,7 @@ __all__ = [
     "Backend", "BackendConfig", "BackendError", "BackendUnavailableError",
     "BatchFailure", "CompletionRequest", "MockBackend", "RecordingBackend",
     "ReplayBackend", "ReplayMissError", "RemoteBackend", "batch_complete",
-    "complete", "make_backend", "mock_predict", "prompt_sha256", "read_replay_file",
+    "make_backend", "mock_predict", "prompt_sha256", "read_replay_file",
     # harness
     "CausalityError", "CausalSignalView", "ComparisonTable", "EstimateState",
     "FilterPredictor", "MessengerPredictor", "MseReport", "Predictor", "RunResult",

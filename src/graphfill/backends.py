@@ -36,7 +36,6 @@ __all__ = [
     "RecordingBackend",
     "RemoteBackend",
     "make_backend",
-    "complete",
     "batch_complete",
     "mock_predict",
     "prompt_sha256",
@@ -176,17 +175,29 @@ class MockBackend(Backend):
 
 
 def read_replay_file(path: str | Path) -> dict[str, str]:
-    """Load a line-delimited JSON replay file into a prompt-hash -> response map."""
+    """Load a line-delimited JSON replay file into a prompt-hash -> response map.
+
+    A prompt hash may repeat (re-recording appends) only with the same
+    response; two different responses for one prompt are an error.
+    """
     path = Path(path)
     records: dict[str, str] = {}
+    first_seen: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            records[record["prompt_sha256"]] = record["response_text"]
+            key, text = record["prompt_sha256"], record["response_text"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from None
+        if key in records and records[key] != text:
+            raise ValueError(
+                f"{path}: lines {first_seen[key]} and {lineno} record different responses "
+                f"for prompt hash {key[:12]}..."
+            )
+        records[key] = text
+        first_seen.setdefault(key, lineno)
     return records
 
 
@@ -243,18 +254,36 @@ class RecordingBackend(Backend):
         return texts
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
-    import requests
+def _urllib_transport(url: str, headers: dict, payload: dict, timeout: float):
+    """POST ``payload`` as JSON; returns (HTTP status, decoded JSON body or None).
 
+    The HTTP modules are imported here, on first use, because they load ssl:
+    several megabytes that offline runs never need.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+    )
     try:
-        resp = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except (requests.Timeout, requests.ConnectionError) as exc:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, _json_or_none(resp.read())
+    except urllib.error.HTTPError as exc:  # a reply with an error status, not a lost connection
+        with exc:
+            return exc.code, _json_or_none(exc.read())
+    except (OSError, http.client.HTTPException) as exc:
+        # URLError (a refused connection) is an OSError, as are timeouts and
+        # resets while the reply is read.
         raise TransportFailure(str(exc)) from exc
+
+
+def _json_or_none(raw: bytes):
     try:
-        body = resp.json()
+        return json.loads(raw)
     except ValueError:
-        body = None
-    return resp.status_code, body
+        return None
 
 
 Transport = Callable[[str, dict, dict, float], tuple]
@@ -288,7 +317,7 @@ class RemoteBackend(Backend):
             "Authorization": f"Bearer {credential}",
             "Content-Type": "application/json",
         }
-        self._transport = transport or _requests_transport
+        self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._in_flight = threading.BoundedSemaphore(cfg.max_in_flight)
 
@@ -380,16 +409,6 @@ def make_backend(
     if cfg.kind == "replay":
         return ReplayBackend(cfg.replay_path)
     return RemoteBackend(cfg, transport=transport, sleep=sleep)
-
-
-def complete(
-    req: CompletionRequest,
-    cfg: BackendConfig,
-    task: NodeTask | None = None,
-    backend: Backend | None = None,
-) -> str:
-    """One completion through the configured backend (convenience wrapper)."""
-    return (backend or make_backend(cfg)).complete(req, task=task)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ import numpy as np
 
 from . import __version__
 from .backends import (
+    BACKEND_KINDS,
     BackendConfig,
     BackendError,
     RecordingBackend,
     make_backend,
 )
 from .datasets import DatasetError, load_bundle, save_bundle
-from .filters import FilterConfig, default_bandwidth
+from .filters import FILTER_KINDS, FilterConfig, default_bandwidth
 from .graphs import knn_graph
 from .harness import (
     FilterPredictor,
@@ -45,8 +46,7 @@ from .signals import MaskSpec, generate_mask, read_mask_file, synth_bandlimited,
 
 __all__ = ["main", "entrypoint", "UsageError"]
 
-PREDICTOR_KINDS = ("glms", "gsign", "llm", "mock", "zero")
-BACKEND_KINDS = ("mock", "replay", "remote")
+PREDICTOR_KINDS = (*FILTER_KINDS, "llm", "mock", "zero")
 
 
 class UsageError(Exception):
@@ -178,7 +178,7 @@ def _build_backend(args):
 def _build_predictor(args, units: str, prepared=None):
     if args.predictor == "zero":
         return ZeroPredictor()
-    if args.predictor in ("glms", "gsign"):
+    if args.predictor in FILTER_KINDS:
         return FilterPredictor(args.predictor, FilterConfig(mu=args.mu, bandwidth=args.bandwidth))
     backend, cfg, template = prepared
     return MessengerPredictor(
@@ -263,7 +263,7 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _execute_run(args) -> int:
+def cmd_run(args) -> int:
     # Backend and template come first: a missing credential or broken replay
     # file must surface before any data is loaded or decomposed.
     prepared = None
@@ -302,10 +302,6 @@ def _execute_run(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    return _execute_run(args)
-
-
 def cmd_compare(args) -> int:
     results = [RunResult.load(p) for p in args.results]
     table = compare(results)
@@ -322,7 +318,7 @@ def cmd_replay_record(args) -> int:
     if args.predictor == "llm":
         args.backend = "remote"
     args.record = args.replay_out
-    status = _execute_run(args)
+    status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")
     return status
 

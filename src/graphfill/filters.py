@@ -3,24 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .graphs import Graph, SpectralBasis, eigendecompose, laplacian
-from .signals import Observation, SamplingMask
+from .signals import Observation
 
 __all__ = [
     "BandlimitedProjector",
-    "FilterState",
     "FilterConfig",
+    "FILTER_KINDS",
     "default_bandwidth",
-    "glms_step",
-    "gsign_step",
-    "run_filter",
+    "filter_step",
 ]
 
-INIT_MODES = ("zeros", "first-observation-mean")
 FILTER_KINDS = ("glms", "gsign")
 
 
@@ -70,41 +66,20 @@ class BandlimitedProjector:
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Running estimate vector plus the number of update steps applied."""
-
-    estimate: np.ndarray
-    step_count: int = 0
-
-    def __post_init__(self):
-        est = np.asarray(self.estimate, dtype=float)
-        if est.ndim != 1:
-            raise ValueError(f"estimate must be 1-D, got shape {est.shape}")
-        if not np.all(np.isfinite(est)):
-            raise ValueError("estimate contains non-finite entries")
-        est = np.array(est)
-        est.setflags(write=False)
-        object.__setattr__(self, "estimate", est)
-
-
-@dataclass(frozen=True)
 class FilterConfig:
-    """Step size, bandwidth, and initialization for an online filter run.
+    """Step size and bandwidth for an online filter run; the estimate starts at zero.
 
     ``bandwidth=None`` resolves to round(0.3 * N) at run time.
     """
 
     mu: float = 0.5
     bandwidth: int | None = None
-    init: str = "zeros"
 
     def __post_init__(self):
         if not float(self.mu) > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.bandwidth is not None and int(self.bandwidth) < 1:
             raise ValueError(f"bandwidth must be at least 1, got {self.bandwidth}")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}, got {self.init!r}")
 
     def resolve_bandwidth(self, num_nodes: int) -> int:
         if self.bandwidth is not None:
@@ -119,86 +94,31 @@ def default_bandwidth(num_nodes: int) -> int:
     return max(1, int(round(0.3 * num_nodes)))
 
 
-def _masked_error(state: FilterState, obs: Observation, mask: SamplingMask) -> np.ndarray:
-    n = state.estimate.shape[0]
-    if obs.num_nodes != n or mask.num_nodes != n:
-        raise ValueError(
-            f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, mask {mask.num_nodes}"
-        )
-    present = obs.present
-    if not np.array_equal(present, mask.observed):
-        raise ValueError("observation presence does not match the sampling mask")
-    data, _ = obs.dense()
-    return (data - state.estimate) * present
-
-
-def glms_step(
-    state: FilterState,
-    obs: Observation,
-    mask: SamplingMask,
-    proj: BandlimitedProjector,
-    mu: float,
-) -> FilterState:
-    """One least-mean-squares update toward the observed values.
-
-    Absent nodes contribute exactly zero error before the bandlimited
-    projection; the new estimate is ``x + mu * P(masked error)``.
-    """
-    if proj.num_nodes != state.estimate.shape[0]:
-        raise ValueError(f"projector covers {proj.num_nodes} nodes, estimate {state.estimate.shape[0]}")
-    err = _masked_error(state, obs, mask)
-    new_estimate = state.estimate + float(mu) * proj.apply(err)
-    return FilterState(estimate=new_estimate, step_count=state.step_count + 1)
-
-
-def gsign_step(
-    state: FilterState,
-    obs: Observation,
-    mask: SamplingMask,
-    proj: BandlimitedProjector,
-    mu: float,
-) -> FilterState:
-    """Sign-error variant: the update uses only the sign of each observed error.
-
-    sign(0) is 0, so a perfectly matched observation is a fixed point; the
-    step norm is bounded by ``mu * sqrt(#observed)``.
-    """
-    if proj.num_nodes != state.estimate.shape[0]:
-        raise ValueError(f"projector covers {proj.num_nodes} nodes, estimate {state.estimate.shape[0]}")
-    err = _masked_error(state, obs, mask)
-    new_estimate = state.estimate + float(mu) * proj.apply(np.sign(err))
-    return FilterState(estimate=new_estimate, step_count=state.step_count + 1)
-
-
-_STEP_FUNCTIONS = {"glms": glms_step, "gsign": gsign_step}
-
-
-def run_filter(
+def filter_step(
     kind: str,
-    cfg: FilterConfig,
-    g: Graph,
-    obs_stream: Iterable[Observation],
-) -> list[np.ndarray]:
-    """Consume an ordered observation stream and emit one estimate per step.
+    estimate: np.ndarray,
+    obs: Observation,
+    proj: BandlimitedProjector,
+    mu: float,
+) -> np.ndarray:
+    """One online update toward the observed values: ``x + mu * P(e)``.
 
-    The estimate reported for time t is the post-update state, so the filter
-    sees o[t] when producing it but never any later observation.
+    The error ``e`` is zero at absent nodes. ``glms`` (least mean squares)
+    uses it as is. ``gsign`` uses only its sign; sign(0) is 0, so a perfectly
+    matched observation is a fixed point and the step norm is bounded by
+    ``mu * sqrt(#observed)``.
     """
-    if kind not in _STEP_FUNCTIONS:
+    if kind not in FILTER_KINDS:
         raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
-    step_fn = _STEP_FUNCTIONS[kind]
-    proj = BandlimitedProjector.from_graph(g, cfg.resolve_bandwidth(g.num_nodes))
-    state: FilterState | None = None
-    estimates: list[np.ndarray] = []
-    for obs in obs_stream:
-        if state is None:
-            if cfg.init == "first-observation-mean":
-                present = obs.present_values()
-                fill = float(np.mean(present)) if present.size else 0.0
-            else:
-                fill = 0.0
-            state = FilterState(estimate=np.full(g.num_nodes, fill), step_count=0)
-        mask = SamplingMask(obs.present)
-        state = step_fn(state, obs, mask, proj, cfg.mu)
-        estimates.append(np.array(state.estimate))
-    return estimates
+    estimate = np.asarray(estimate, dtype=float)
+    n = estimate.shape[0]
+    if obs.num_nodes != n or proj.num_nodes != n:
+        raise ValueError(
+            f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, projector {proj.num_nodes}"
+        )
+    # Multiply by the presence flags: np.where would turn the -0.0 errors at
+    # absent nodes into +0.0 and change the last bits of the estimates.
+    err = (obs.data - estimate) * obs.present
+    if kind == "gsign":
+        err = np.sign(err)
+    return estimate + float(mu) * proj.apply(err)

@@ -27,10 +27,11 @@ from .backends import (
     CompletionRequest,
     batch_complete,
 )
-from .filters import FilterConfig, FilterState, BandlimitedProjector, glms_step, gsign_step
+from .filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
 from .graphs import Graph
 from .messenger import (
     NEIGHBOR_MODES,
+    NodeTask,
     PromptTemplate,
     build_task,
     fallback_value,
@@ -94,21 +95,31 @@ class CausalSignalView:
 
 
 class EstimateState:
-    """Reconstruction carried across steps: current column plus full history.
+    """Reconstruction carried across steps: an N x T array filled column by column.
 
+    Rows are nodes, so each node's history is one contiguous row prefix.
     ``estimates`` is the latest assembled column (None before the first step);
-    ``history[v]`` lists every prior value for node v, which for observed
+    ``history(v)`` holds every prior value for node v, which for observed
     nodes means their observed values.
     """
 
-    def __init__(self, num_nodes: int):
-        self.num_nodes = int(num_nodes)
-        self.estimates: np.ndarray | None = None
-        self.history: list[list[float]] = [[] for _ in range(self.num_nodes)]
+    def __init__(self, num_nodes: int, num_steps: int):
+        self._values = np.zeros((int(num_nodes), int(num_steps)))
+        self._view = self._values.view()  # what predictors get to read
+        self._view.setflags(write=False)
+        self.steps_completed = 0
 
     @property
-    def steps_completed(self) -> int:
-        return len(self.history[0])
+    def num_nodes(self) -> int:
+        return self._values.shape[0]
+
+    @property
+    def estimates(self) -> np.ndarray | None:
+        t = self.steps_completed
+        return None if t == 0 else self._view[:, t - 1]
+
+    def history(self, v: int) -> np.ndarray:
+        return self._view[v, : self.steps_completed]
 
     def append(self, column: np.ndarray) -> None:
         column = np.asarray(column, dtype=float)
@@ -116,21 +127,23 @@ class EstimateState:
             raise ValueError(f"column shape {column.shape} does not match {self.num_nodes} nodes")
         if not np.all(np.isfinite(column)):
             raise ValueError("assembled estimate contains non-finite entries")
-        self.estimates = np.array(column)
-        for i in range(self.num_nodes):
-            self.history[i].append(float(column[i]))
+        t = self.steps_completed
+        if t == self._values.shape[1]:
+            raise ValueError(f"all {t} time steps are already filled")
+        self._values[:, t] = column
+        self.steps_completed = t + 1
 
     def matrix(self) -> np.ndarray:
         """All appended columns as an N x T array."""
-        return np.array(self.history)
+        return np.array(self._values[:, : self.steps_completed])
 
 
 class Predictor:
     """Per-step proposal source for the missing nodes.
 
     ``reset`` is called once per run with that run's graph and mask;
-    ``predict_missing`` must return a value for every missing node using only
-    the current observation and the state built so far.
+    ``predict_missing`` must return one value per missing node, in ascending
+    node order, using only the current observation and the state built so far.
     """
 
     name = "predictor"
@@ -141,7 +154,7 @@ class Predictor:
         self._run_index = run_index
         self.stats: dict[str, int] = {}
 
-    def predict_missing(self, t: int, obs: Observation, state: EstimateState) -> dict[int, float]:
+    def predict_missing(self, t: int, obs: Observation, state: EstimateState) -> np.ndarray:
         raise NotImplementedError
 
     def config_snapshot(self) -> dict:
@@ -154,48 +167,39 @@ class ZeroPredictor(Predictor):
     name = "zero"
 
     def predict_missing(self, t, obs, state):
-        return {v: 0.0 for v in self._mask.missing_ids}
+        return np.zeros(self._mask.num_missing)
 
 
 class FilterPredictor(Predictor):
     """Adapts the online graph filters to the harness loop.
 
-    The filter keeps its own unclamped recursion state; the harness separately
-    clamps observed nodes in the assembled estimate.
+    The filter keeps its own unclamped recursion state, starting from zero;
+    the harness separately clamps observed nodes in the assembled estimate.
     """
 
     def __init__(self, kind: str, cfg: FilterConfig | None = None):
-        if kind not in ("glms", "gsign"):
-            raise ValueError(f"filter kind must be 'glms' or 'gsign', got {kind!r}")
+        if kind not in FILTER_KINDS:
+            raise ValueError(f"filter kind must be one of {FILTER_KINDS}, got {kind!r}")
         self.kind = kind
         self.name = kind
         self.cfg = cfg or FilterConfig()
-        self._step_fn = glms_step if kind == "glms" else gsign_step
 
     def reset(self, g, mask, run_index=0):
         super().reset(g, mask, run_index)
         self._bandwidth = self.cfg.resolve_bandwidth(g.num_nodes)
         self._proj = BandlimitedProjector.from_graph(g, self._bandwidth)
-        self._state: FilterState | None = None
+        self._estimate = np.zeros(g.num_nodes)
 
     def predict_missing(self, t, obs, state):
-        if self._state is None:
-            if self.cfg.init == "first-observation-mean":
-                present = obs.present_values()
-                fill = float(np.mean(present)) if present.size else 0.0
-            else:
-                fill = 0.0
-            self._state = FilterState(estimate=np.full(self._g.num_nodes, fill), step_count=0)
-        self._state = self._step_fn(self._state, obs, self._mask, self._proj, self.cfg.mu)
-        est = self._state.estimate
-        return {v: float(est[v]) for v in self._mask.missing_ids}
+        self._estimate = filter_step(self.kind, self._estimate, obs, self._proj, self.cfg.mu)
+        return self._estimate[~self._mask.observed]
 
     def config_snapshot(self):
         return {
             "kind": self.kind,
             "mu": float(self.cfg.mu),
             "bandwidth": getattr(self, "_bandwidth", self.cfg.bandwidth),
-            "init": self.cfg.init,
+            "init": "zeros",
         }
 
 
@@ -252,59 +256,56 @@ class MessengerPredictor(Predictor):
     def _fallback(self, v, obs, state, reason_key):
         self.stats[reason_key] += 1
         self.stats["fallback_uses"] += 1
-        return fallback_value(v, state.history, obs, self._g)
+        return fallback_value(v, state.history(v), obs, self._g)
+
+    def _complete_one(self, req, task):
+        try:
+            return self.backend.complete(req, task=task)
+        except BackendError as exc:
+            return BatchFailure(reason=str(exc))
 
     def predict_missing(self, t, obs, state):
         prev = state.estimates
-        proposals: dict[int, float] = {}
-        pending: list[tuple[int, object]] = []
-        requests = []
-        for v in self._mask.missing_ids:
+        missing = self._mask.missing_ids
+        proposals = np.empty(len(missing))
+        pending: list[tuple[int, NodeTask, CompletionRequest]] = []
+        for slot, v in enumerate(missing):
             task = build_task(v, obs, prev, self._g, mode=self.neighbor_mode, units=self.units)
             if not task.is_feasible:
                 # Nothing to put in a prompt; skip the backend entirely so the
                 # fallback tally stays an exact sum of its three causes.
-                proposals[v] = self._fallback(v, obs, state, "infeasible_tasks")
+                proposals[slot] = self._fallback(v, obs, state, "infeasible_tasks")
                 continue
             prompt = render_prompt(task, self.template)
             if self.keep_prompts:
                 self.prompt_log.append({"t": t, "node": v, "prompt": prompt})
-            requests.append(
-                CompletionRequest(
-                    prompt=prompt,
-                    model=self.model,
-                    temperature=self.temperature,
-                    max_tokens=self.max_tokens,
-                    request_id=f"run{self._run_index}-t{t}-node{v}",
-                )
+            request = CompletionRequest(
+                prompt=prompt,
+                model=self.model,
+                temperature=self.temperature,
+                max_tokens=self.max_tokens,
+                request_id=f"run{self._run_index}-t{t}-node{v}",
             )
-            pending.append((v, task))
+            pending.append((slot, task, request))
 
         if self.batch:
-            tasks = [task for _, task in pending]
-            outcomes = batch_complete(requests, self.batch_cfg, backend=self.backend, tasks=tasks)
-            for (v, _), outcome in zip(pending, outcomes):
-                if isinstance(outcome, BatchFailure):
-                    proposals[v] = self._fallback(v, obs, state, "backend_failures")
-                    continue
-                parsed = parse_response(outcome)
-                if parsed.ok:
-                    proposals[v] = parsed.value
-                else:
-                    proposals[v] = self._fallback(v, obs, state, "parse_failures")
-            return proposals
-
-        for (v, task), req in zip(pending, requests):
-            try:
-                text = self.backend.complete(req, task=task)
-            except BackendError:
-                proposals[v] = self._fallback(v, obs, state, "backend_failures")
+            outcomes = batch_complete(
+                [request for _, _, request in pending], self.batch_cfg,
+                backend=self.backend, tasks=[task for _, task, _ in pending],
+            )
+        else:
+            # A generator, so each request is sent only after the previous
+            # reply has been handled.
+            outcomes = (self._complete_one(request, task) for _, task, request in pending)
+        for (slot, task, _), outcome in zip(pending, outcomes):
+            if isinstance(outcome, BatchFailure):
+                proposals[slot] = self._fallback(task.node_id, obs, state, "backend_failures")
                 continue
-            parsed = parse_response(text)
+            parsed = parse_response(outcome)
             if parsed.ok:
-                proposals[v] = parsed.value
+                proposals[slot] = parsed.value
             else:
-                proposals[v] = self._fallback(v, obs, state, "parse_failures")
+                proposals[slot] = self._fallback(task.node_id, obs, state, "parse_failures")
         return proposals
 
     def config_snapshot(self):
@@ -524,16 +525,16 @@ def run_online(
         run_mask = mask.mask_for_run(r, g.num_nodes) if isinstance(mask, MaskSpec) else mask
         predictor.reset(g, run_mask, run_index=r)
         view = CausalSignalView(truth)
-        state = EstimateState(g.num_nodes)
-        observed = run_mask.observed
+        state = EstimateState(g.num_nodes, truth.num_steps)
+        missing = ~run_mask.observed
         for t in range(truth.num_steps):
             view.advance(t)
             obs = observation_from_column(view.column(t), run_mask, t)
             proposals = predictor.predict_missing(t, obs, state)
-            data, _ = obs.dense()
-            column = np.where(observed, data, 0.0)
-            for v in run_mask.missing_ids:
-                column[v] = proposals[v]
+            if np.shape(proposals) != (run_mask.num_missing,):
+                raise ValueError(f"{predictor.name} must propose one value per missing node")
+            column = np.array(obs.data)
+            column[missing] = proposals
             state.append(column)
         estimates.append(state.matrix())
         masks_used.append(run_mask)

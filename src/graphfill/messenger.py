@@ -181,8 +181,8 @@ def build_task(
 
     entries = []
     for u in g.neighbors(v):
-        if obs.values[u] is not None:
-            entries.append(NeighborValue(u, obs.value(u), Freshness.CURRENT_OBSERVED))
+        if obs.present[u]:
+            entries.append(NeighborValue(u, obs.data[u], Freshness.CURRENT_OBSERVED))
         elif mode == "observed-plus-stale" and prev_vec is not None:
             entries.append(NeighborValue(u, float(prev_vec[u]), Freshness.STALE_ESTIMATE))
     prev_estimate = None if prev_vec is None else float(prev_vec[v])
@@ -292,24 +292,25 @@ def parse_response(text: str | None) -> ParsedPrediction:
 
 def fallback_value(
     v: int,
-    history: Sequence[Sequence[float]],
+    history: Sequence[float],
     obs: Observation,
     g: Graph,
 ) -> float:
     """Substitute value when prediction failed or the task was infeasible.
 
-    Fixed cascade: mean of the node's previous estimates and observations;
-    else mean of its currently observed neighbors; else mean of everything
-    observed right now; else 0.0. Always returns a finite number.
+    ``history`` holds node ``v``'s previous estimates and observations. Fixed
+    cascade: their mean; else the mean of the node's currently observed
+    neighbors; else the mean of everything observed right now; else 0.0.
+    Always returns a finite number.
     """
     v = g.check_node(v)
-    own = list(history[v]) if v < len(history) else []
-    if own:
-        return float(np.mean(own))
-    neighbor_now = [obs.value(u) for u in g.neighbors(v) if obs.values[u] is not None]
-    if neighbor_now:
+    if len(history):
+        return float(np.mean(history))
+    neighbors = np.array(g.neighbors(v), dtype=np.intp)
+    neighbor_now = obs.data[neighbors][obs.present[neighbors]]
+    if neighbor_now.size:
         return float(np.mean(neighbor_now))
-    anything = obs.present_values()
+    anything = obs.data[obs.present]
     if anything.size:
         return float(np.mean(anything))
     return 0.0

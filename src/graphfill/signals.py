@@ -19,7 +19,6 @@ __all__ = [
     "Observation",
     "MaskSpec",
     "generate_mask",
-    "apply_mask",
     "observation_from_column",
     "synth_bandlimited",
     "read_signal_csv",
@@ -100,57 +99,34 @@ class SamplingMask:
         return self.num_nodes - self.num_observed
 
 
-@dataclass(frozen=True)
 class Observation:
-    """One time step of masked node values; absent entries are ``None``, never a sentinel number."""
+    """One time step of masked node values, as two read-only arrays.
 
-    time_index: int
-    values: tuple
+    ``present`` marks the observed nodes and is the only marker of absence.
+    ``data`` holds the observed values there and 0.0 at every absent node,
+    so it never carries a hidden value.
+    """
 
-    def __post_init__(self):
-        if int(self.time_index) < 0:
-            raise ValueError(f"time index must be nonnegative, got {self.time_index}")
-        object.__setattr__(self, "time_index", int(self.time_index))
-        cleaned = []
-        for i, v in enumerate(self.values):
-            if v is None:
-                cleaned.append(None)
-                continue
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError(f"observation entry {i} is non-finite")
-            cleaned.append(v)
-        if not cleaned:
-            raise ValueError("observation must cover at least one node")
-        object.__setattr__(self, "values", tuple(cleaned))
+    __slots__ = ("time_index", "data", "present")
+
+    def __init__(self, time_index: int, data: Sequence[float], present: Sequence[bool]):
+        time_index = int(time_index)
+        if time_index < 0:
+            raise ValueError(f"time index must be nonnegative, got {time_index}")
+        data = np.asarray(data, dtype=float)
+        present = _readonly(np.asarray(present, dtype=bool))
+        if data.ndim != 1 or data.shape[0] < 1 or present.shape != data.shape:
+            raise ValueError(f"observation needs matching non-empty 1-D data and presence, "
+                             f"got shapes {data.shape} and {present.shape}")
+        data = np.where(present, data, 0.0)
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"observation entry {int(np.argmin(np.isfinite(data)))} is non-finite")
+        data.setflags(write=False)
+        self.time_index, self.data, self.present = time_index, data, present
 
     @property
     def num_nodes(self) -> int:
-        return len(self.values)
-
-    @property
-    def present(self) -> np.ndarray:
-        """Boolean vector, True where a value is present."""
-        return np.array([v is not None for v in self.values])
-
-    def value(self, i: int) -> float:
-        v = self.values[i]
-        if v is None:
-            raise ValueError(f"node {i} is absent at time {self.time_index}")
-        return v
-
-    def present_values(self) -> np.ndarray:
-        return np.array([v for v in self.values if v is not None])
-
-    def dense(self) -> tuple[np.ndarray, np.ndarray]:
-        """(data, present) arrays with absent entries zeroed in ``data``.
-
-        Intended only for masked arithmetic where ``present`` multiplies the
-        absent entries away; the zeros are not observation values.
-        """
-        present = self.present
-        data = np.array([0.0 if v is None else v for v in self.values])
-        return data, present
+        return self.data.shape[0]
 
 
 def generate_mask(n: int, missing_fraction: float, seed: int) -> SamplingMask:
@@ -203,18 +179,7 @@ class MaskSpec:
 
 def observation_from_column(column: Sequence[float], mask: SamplingMask, time_index: int) -> Observation:
     """Build an observation from one signal column, hiding the masked nodes."""
-    column = np.asarray(column, dtype=float)
-    if column.shape != (mask.num_nodes,):
-        raise ValueError(f"column shape {column.shape} does not match mask size {mask.num_nodes}")
-    values = tuple(float(column[i]) if mask.observed[i] else None for i in range(mask.num_nodes))
-    return Observation(time_index=time_index, values=values)
-
-
-def apply_mask(series: SignalSeries, mask: SamplingMask, t: int) -> Observation:
-    """Observation for time ``t``: series values at observed nodes, absent elsewhere."""
-    if series.num_nodes != mask.num_nodes:
-        raise ValueError(f"series has {series.num_nodes} nodes but mask has {mask.num_nodes}")
-    return observation_from_column(series.column(t), mask, t)
+    return Observation(time_index, column, mask.observed)
 
 
 def synth_bandlimited(

@@ -26,14 +26,7 @@ from graphfill.backends import (
 )
 from graphfill.cli import main as cli_main
 from graphfill.datasets import load_bundle
-from graphfill.filters import (
-    BandlimitedProjector,
-    FilterConfig,
-    FilterState,
-    glms_step,
-    gsign_step,
-    run_filter,
-)
+from graphfill.filters import BandlimitedProjector, FilterConfig, filter_step
 from graphfill.graphs import Graph, knn_graph
 from graphfill.harness import (
     FilterPredictor,
@@ -45,11 +38,10 @@ from graphfill.harness import (
 from graphfill.messenger import parse_response
 from graphfill.signals import (
     MaskSpec,
-    Observation,
     SamplingMask,
     SignalSeries,
-    apply_mask,
     generate_mask,
+    observation_from_column,
     synth_bandlimited,
 )
 
@@ -72,10 +64,6 @@ def criterion(number, title):
 def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return Graph(n, pairs or [(0, 1)])
-
-
-def masked_obs(column, mask, t):
-    return Observation(t, tuple(column[i] if mask.observed[i] else None for i in range(len(column))))
 
 
 def test_criterion_01_table_reproduction_scope():
@@ -101,7 +89,7 @@ def test_criterion_02_filter_steps_match_dense_oracle():
             observed = rng.random(n) < 0.7
             mask = SamplingMask(observed)
             column = rng.standard_normal(n) * 5
-            obs = masked_obs(column, mask, 0)
+            obs = observation_from_column(column, mask, 0)
             estimate = rng.standard_normal(n)
             mu = float(rng.uniform(0.1, 1.5))
 
@@ -110,9 +98,8 @@ def test_criterion_02_filter_steps_match_dense_oracle():
             want_glms = estimate + mu * dense @ err
             want_gsign = estimate + mu * dense @ np.sign(err)
 
-            state = FilterState(estimate=estimate)
-            got_glms = glms_step(state, obs, mask, proj, mu).estimate
-            got_gsign = gsign_step(state, obs, mask, proj, mu).estimate
+            got_glms = filter_step("glms", estimate, obs, proj, mu)
+            got_gsign = filter_step("gsign", estimate, obs, proj, mu)
             assert np.abs(got_glms - want_glms).max() <= 1e-9
             assert np.abs(got_gsign - want_gsign).max() <= 1e-9
         assert time.perf_counter() - started < 1.0
@@ -126,8 +113,13 @@ def test_criterion_03_glms_converges_on_static_signal():
         series = synth_bandlimited(g, bandwidth=10, temporal_rho=1.0, innovation_std=0.0,
                                    t_len=200, seed=11)
         mask = generate_mask(50, 0.3, seed=5)
-        stream = [apply_mask(series, mask, t) for t in range(200)]
-        estimates = run_filter("glms", FilterConfig(mu=0.5, bandwidth=10), g, stream)
+        cfg = FilterConfig(mu=0.5, bandwidth=10)
+        proj = BandlimitedProjector.from_graph(g, cfg.bandwidth)
+        estimate, estimates = np.zeros(50), []  # unclamped, every node scored
+        for t in range(200):
+            obs = observation_from_column(series.column(t), mask, t)
+            estimate = filter_step("glms", estimate, obs, proj, cfg.mu)
+            estimates.append(estimate)
         per_step = [float(np.mean((series.values[:, t] - estimates[t]) ** 2)) for t in range(200)]
         early = np.mean(per_step[:10])
         late = np.mean(per_step[-10:])
@@ -144,15 +136,15 @@ def test_criterion_04_gsign_update_norm_bounded():
             g = random_graph(rng, n)
             proj = BandlimitedProjector.from_graph(g, int(rng.integers(1, n + 1)))
             mask = SamplingMask(rng.random(n) < rng.uniform(0.2, 0.9))
-            state = FilterState(estimate=rng.standard_normal(n) * 3)
+            estimate = rng.standard_normal(n) * 3
             for _ in range(25):
                 column = rng.standard_normal(n) * 10
-                obs = masked_obs(column, mask, 0)
+                obs = observation_from_column(column, mask, 0)
                 mu = float(rng.uniform(0.01, 2.0))
-                new = gsign_step(state, obs, mask, proj, mu)
-                delta = float(np.linalg.norm(new.estimate - state.estimate))
+                new = filter_step("gsign", estimate, obs, proj, mu)
+                delta = float(np.linalg.norm(new - estimate))
                 assert delta <= mu * np.sqrt(mask.num_observed) + 1e-9
-                state = new
+                estimate = new
                 steps += 1
 
 

@@ -2,7 +2,10 @@
 
 import json
 import logging
+import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -17,6 +20,7 @@ from graphfill.backends import (
     ReplayBackend,
     ReplayMissError,
     TransportFailure,
+    _urllib_transport,
     batch_complete,
     make_backend,
     mock_predict,
@@ -111,6 +115,24 @@ def test_read_replay_file_rejects_garbage(tmp_path):
     path = tmp_path / "replay.jsonl"
     path.write_text("not json\n")
     with pytest.raises(ValueError):
+        read_replay_file(path)
+
+
+def replay_line(prompt, text):
+    return json.dumps({"prompt_sha256": prompt_sha256(prompt), "response_text": text,
+                       "model": "m", "temperature": 0.0}) + "\n"
+
+
+def test_read_replay_file_accepts_identical_duplicates(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("a", "1.5") + replay_line("b", "2") + replay_line("a", "1.5"))
+    assert read_replay_file(path) == {prompt_sha256("a"): "1.5", prompt_sha256("b"): "2"}
+
+
+def test_read_replay_file_rejects_conflicting_records(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("a", "1.5") + replay_line("b", "2") + replay_line("a", "7"))
+    with pytest.raises(ValueError, match="lines 1 and 3"):
         read_replay_file(path)
 
 
@@ -251,6 +273,86 @@ def test_remote_malformed_body(monkeypatch):
     backend = remote(transport=lambda *a: (200, {"unexpected": True}))
     with pytest.raises(BackendUnavailableError):
         backend.complete(req())
+
+
+# ---------------------------------------------------------------- live transport
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Loopback endpoint: the request path picks the reply."""
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.seen.append((self.path, payload, self.headers["Authorization"]))
+        if self.path == "/slow":
+            time.sleep(0.5)  # outlasts the client's timeout; no reply follows
+            return
+        status, body = {
+            "/ok": (200, json.dumps(ok_body("4.5")).encode()),
+            "/busy": (429, b'{"error": "slow down"}'),
+            "/broken": (500, b"<html>oops</html>"),
+            "/garbage": (200, b"not json"),
+        }[self.path]
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    for var in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.daemon_threads = True
+    server.seen = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+def test_urllib_transport_statuses_and_bodies(loopback):
+    server, base = loopback
+    headers = {"Authorization": "Bearer sk-test", "Content-Type": "application/json"}
+    payload = {"model": "m", "messages": [{"role": "user", "content": "hi"}]}
+    assert _urllib_transport(base + "/ok", headers, payload, 5.0) == (200, ok_body("4.5"))
+    assert _urllib_transport(base + "/busy", headers, payload, 5.0) == (429, {"error": "slow down"})
+    assert _urllib_transport(base + "/broken", headers, payload, 5.0) == (500, None)
+    assert _urllib_transport(base + "/garbage", headers, payload, 5.0) == (200, None)
+    assert server.seen[0] == ("/ok", payload, "Bearer sk-test")
+
+
+def test_urllib_transport_timeout_is_transport_failure(loopback):
+    _, base = loopback
+    with pytest.raises(TransportFailure):
+        _urllib_transport(base + "/slow", {"Content-Type": "application/json"}, {}, 0.2)
+
+
+def test_urllib_transport_closed_port_is_transport_failure(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    with pytest.raises(TransportFailure):
+        _urllib_transport(f"http://127.0.0.1:{port}/x", {}, {}, 2.0)
+
+
+def test_remote_backend_over_loopback(loopback, monkeypatch):
+    _, base = loopback
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    backend = RemoteBackend(BackendConfig(kind="remote", endpoint=base + "/ok"))
+    assert backend.complete(req("hello")) == "4.5"
+    busy = RemoteBackend(BackendConfig(kind="remote", endpoint=base + "/busy", max_retries=1),
+                         sleep=lambda s: None)
+    with pytest.raises(BackendUnavailableError, match="HTTP 429"):
+        busy.complete(req("hello"))
 
 
 # ---------------------------------------------------------------- batch

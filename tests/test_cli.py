@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, deterministic outputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -165,3 +166,29 @@ def test_runtime_error_replay_without_file(tmp_path, capsys):
     code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
                    "--out", str(tmp_path))
     assert code == 2
+
+
+# ---------------------------------------------------------------- golden outputs
+
+# SHA-256 of what ``graphfill run --manifest fixtures/toy/manifest.txt
+# --predictor P`` writes with default options (5 runs, 30% hidden, seed 0).
+# These predictors do no linear algebra, so the bytes do not depend on BLAS.
+GOLDEN = {
+    "mock": {
+        "mock.json": "72af933dd7ef9882a00e00d8b91c213a8e0c4b273357f47fc734c10397f3a9fd",
+        "mock_per_step.csv": "2845d4d9964b09373c8614fdcf809bdbc0b759b30aca22a293e00a6c6787f25e",
+        "mock_mse_over_time.csv": "ccd28105a9f5ea14dcd1ee82a39623b130053579a182579be3fe15b48fb01940",
+    },
+    "zero": {
+        "zero.json": "7c2bf47a073a6e5ddd069096575a663e3850d1dffbc2cfd5ef5cb870f50ce04b",
+        "zero_per_step.csv": "3680773882dba5934e83b1893d475c42e30cf37cd1187e1ccaaeab8b7b5c7ad3",
+        "zero_mse_over_time.csv": "45cd4348368b1407b5cfd28d0cf4560719ed4412f82bf08b72bd8a31e0f541a5",
+    },
+}
+
+
+@pytest.mark.parametrize("predictor", sorted(GOLDEN))
+def test_toy_run_outputs_match_golden_hashes(tmp_path, predictor):
+    assert run_cli("run", "--manifest", TOY, "--predictor", predictor, "--out", str(tmp_path)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == GOLDEN[predictor]

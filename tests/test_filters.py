@@ -6,14 +6,17 @@ import pytest
 from graphfill.filters import (
     BandlimitedProjector,
     FilterConfig,
-    FilterState,
     default_bandwidth,
-    glms_step,
-    gsign_step,
-    run_filter,
+    filter_step,
 )
 from graphfill.graphs import Graph, eigendecompose, laplacian
-from graphfill.signals import Observation, SamplingMask, apply_mask, generate_mask, synth_bandlimited
+from graphfill.signals import (
+    Observation,
+    SamplingMask,
+    generate_mask,
+    observation_from_column,
+    synth_bandlimited,
+)
 
 
 def path3():
@@ -26,7 +29,9 @@ def random_graph(rng, n):
 
 
 def obs3(values):
-    return Observation(time_index=0, values=tuple(values))
+    """Observation of three nodes; None marks an absent node."""
+    present = [v is not None for v in values]
+    return Observation(0, [0.0 if v is None else v for v in values], present)
 
 
 # ---------------------------------------------------------------- projector
@@ -60,61 +65,45 @@ def test_default_bandwidth_rounding():
 
 
 def test_glms_zero_error_is_fixed_point():
-    state = FilterState(estimate=np.array([1.0, 2.0, 3.0]))
+    estimate = np.array([1.0, 2.0, 3.0])
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, False, True]))
-    obs = obs3([1.0, None, 3.0])
-    out = glms_step(state, obs, mask, proj, mu=0.7)
-    assert np.allclose(out.estimate, state.estimate, atol=1e-12)
-    assert out.step_count == 1
+    out = filter_step("glms", estimate, obs3([1.0, None, 3.0]), proj, mu=0.7)
+    assert np.allclose(out, estimate, atol=1e-12)
 
 
 def test_glms_mu_zero_no_motion():
-    state = FilterState(estimate=np.zeros(3))
+    estimate = np.zeros(3)
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, True, True]))
-    out = glms_step(state, obs3([5.0, -1.0, 2.0]), mask, proj, mu=0.0)
-    assert np.array_equal(out.estimate, state.estimate)
+    out = filter_step("glms", estimate, obs3([5.0, -1.0, 2.0]), proj, mu=0.0)
+    assert np.array_equal(out, estimate)
 
 
 def test_glms_identity_projection_example():
-    state = FilterState(estimate=np.zeros(3))
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, False, True]))
-    out = glms_step(state, obs3([1.0, None, 2.0]), mask, proj, mu=0.5)
-    assert np.allclose(out.estimate, [0.5, 0.0, 1.0], atol=1e-12)
+    out = filter_step("glms", np.zeros(3), obs3([1.0, None, 2.0]), proj, mu=0.5)
+    assert np.allclose(out, [0.5, 0.0, 1.0], atol=1e-12)
 
 
 def test_gsign_zero_error_is_fixed_point():
-    state = FilterState(estimate=np.array([4.0, 0.0, -1.0]))
+    estimate = np.array([4.0, 0.0, -1.0])
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, False, True]))
-    out = gsign_step(state, obs3([4.0, None, -1.0]), mask, proj, mu=0.3)
-    assert np.allclose(out.estimate, state.estimate, atol=1e-12)
+    out = filter_step("gsign", estimate, obs3([4.0, None, -1.0]), proj, mu=0.3)
+    assert np.allclose(out, estimate, atol=1e-12)
 
 
 def test_gsign_identity_projection_example():
-    state = FilterState(estimate=np.zeros(3))
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, False, True]))
-    out = gsign_step(state, obs3([1.0, None, -2.0]), mask, proj, mu=0.1)
-    assert np.allclose(out.estimate, [0.1, 0.0, -0.1], atol=1e-12)
+    out = filter_step("gsign", np.zeros(3), obs3([1.0, None, -2.0]), proj, mu=0.1)
+    assert np.allclose(out, [0.1, 0.0, -0.1], atol=1e-12)
 
 
 def test_step_dimension_mismatch():
-    state = FilterState(estimate=np.zeros(3))
     proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, True]))
+    obs = Observation(0, [1.0, 2.0], [True, True])
     with pytest.raises(ValueError):
-        glms_step(state, Observation(0, (1.0, 2.0)), mask, proj, mu=0.5)
-
-
-def test_step_rejects_mask_presence_mismatch():
-    state = FilterState(estimate=np.zeros(3))
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    mask = SamplingMask(np.array([True, True, True]))
+        filter_step("glms", np.zeros(3), obs, proj, mu=0.5)
     with pytest.raises(ValueError):
-        glms_step(state, obs3([1.0, None, 2.0]), mask, proj, mu=0.5)
+        filter_step("glms", np.zeros(2), obs, proj, mu=0.5)
 
 
 def test_updates_stay_bandlimited_from_zero_init():
@@ -125,12 +114,11 @@ def test_updates_stay_bandlimited_from_zero_init():
     basis = eigendecompose(laplacian(g))
     high = basis.eigenvectors[:, bandwidth:]
     mask = generate_mask(7, 0.3, seed=1)
-    state = FilterState(estimate=np.zeros(7))
+    estimate = np.zeros(7)
     for t in range(20):
-        column = rng.standard_normal(7)
-        obs = Observation(t, tuple(column[i] if mask.observed[i] else None for i in range(7)))
-        state = glms_step(state, obs, mask, proj, mu=0.4)
-        assert np.abs(high.T @ state.estimate).max() < 1e-8
+        obs = observation_from_column(rng.standard_normal(7), mask, t)
+        estimate = filter_step("glms", estimate, obs, proj, mu=0.4)
+        assert np.abs(high.T @ estimate).max() < 1e-8
 
 
 def test_gsign_bounded_update():
@@ -139,26 +127,25 @@ def test_gsign_bounded_update():
     proj = BandlimitedProjector.from_graph(g, 4)
     for _ in range(50):
         mask = generate_mask(6, 0.3, seed=int(rng.integers(1 << 16)))
-        column = rng.standard_normal(6) * 10
-        obs = Observation(0, tuple(column[i] if mask.observed[i] else None for i in range(6)))
-        state = FilterState(estimate=rng.standard_normal(6))
+        obs = observation_from_column(rng.standard_normal(6) * 10, mask, 0)
+        estimate = rng.standard_normal(6)
         mu = float(rng.uniform(0.05, 2.0))
-        out = gsign_step(state, obs, mask, proj, mu)
-        delta = np.linalg.norm(out.estimate - state.estimate)
+        out = filter_step("gsign", estimate, obs, proj, mu)
+        delta = np.linalg.norm(out - estimate)
         assert delta <= mu * np.sqrt(mask.num_observed) + 1e-9
 
 
 # ---------------------------------------------------------------- oracle
 
 
-def dense_oracle_step(kind, estimate, obs, proj, mu):
+def dense_oracle_step(kind, estimate, column, observed, proj, mu):
     """Brute-force matrix form: x + mu * U U^T D e, with e from explicit loops."""
     n = estimate.shape[0]
     mat = proj.matrix()
     err = np.zeros(n)
     for i in range(n):
-        if obs.values[i] is not None:
-            err[i] = obs.values[i] - estimate[i]
+        if observed[i]:
+            err[i] = column[i] - estimate[i]
     if kind == "gsign":
         err = np.sign(err)
     return estimate + mu * mat @ err
@@ -173,30 +160,37 @@ def test_steps_match_dense_oracle():
         proj = BandlimitedProjector.from_graph(g, bandwidth)
         mask = SamplingMask(rng.random(n) < 0.7)
         column = rng.standard_normal(n) * 5
-        obs = Observation(0, tuple(column[i] if mask.observed[i] else None for i in range(n)))
+        obs = observation_from_column(column, mask, 0)
         estimate = rng.standard_normal(n)
         mu = float(rng.uniform(0.1, 1.5))
-        for kind, step in (("glms", glms_step), ("gsign", gsign_step)):
-            got = step(FilterState(estimate=estimate), obs, mask, proj, mu).estimate
-            want = dense_oracle_step(kind, estimate, obs, proj, mu)
+        for kind in ("glms", "gsign"):
+            got = filter_step(kind, estimate, obs, proj, mu)
+            want = dense_oracle_step(kind, estimate, column, mask.observed, proj, mu)
             assert np.abs(got - want).max() <= 1e-9
 
 
 # ---------------------------------------------------------------- runs
 
 
+def run_steps(kind, cfg, g, observations):
+    """Unclamped filter estimates after each observation, from a zero start."""
+    proj = BandlimitedProjector.from_graph(g, cfg.resolve_bandwidth(g.num_nodes))
+    estimate = np.zeros(g.num_nodes)
+    estimates = []
+    for obs in observations:
+        estimate = filter_step(kind, estimate, obs, proj, cfg.mu)
+        estimates.append(estimate)
+    return estimates
+
+
 def test_run_filter_constant_signal_immediate_lock():
     g = path3()
     signal = np.array([2.0, -1.0, 0.5])
     mask = SamplingMask(np.array([True, True, True]))
-    stream = [Observation(t, tuple(signal)) for t in range(4)]
+    stream = [observation_from_column(signal, mask, t) for t in range(4)]
     cfg = FilterConfig(mu=1.0, bandwidth=3)
-    for t, est in enumerate(run_filter("glms", cfg, g, stream)):
+    for t, est in enumerate(run_steps("glms", cfg, g, stream)):
         assert np.allclose(est, signal, atol=1e-12), f"step {t}"
-
-
-def test_run_filter_empty_stream():
-    assert run_filter("glms", FilterConfig(), path3(), []) == []
 
 
 def test_run_filter_converges_on_static_bandlimited():
@@ -205,22 +199,21 @@ def test_run_filter_converges_on_static_bandlimited():
     series = synth_bandlimited(g, bandwidth=5, temporal_rho=1.0, innovation_std=0.0,
                                t_len=120, seed=2)
     mask = generate_mask(20, 0.3, seed=3)
-    stream = [apply_mask(series, mask, t) for t in range(120)]
-    estimates = run_filter("glms", FilterConfig(mu=0.5, bandwidth=5), g, stream)
+    stream = [observation_from_column(series.column(t), mask, t) for t in range(120)]
+    estimates = run_steps("glms", FilterConfig(mu=0.5, bandwidth=5), g, stream)
     first = float(np.mean((series.values[:, 0] - estimates[0]) ** 2))
     last = float(np.mean((series.values[:, -1] - estimates[-1]) ** 2))
     assert last < 0.1 * first
 
 
 def test_run_filter_rejects_unknown_kind():
+    proj = BandlimitedProjector.from_graph(path3(), 3)
     with pytest.raises(ValueError):
-        run_filter("rls", FilterConfig(), path3(), [])
+        filter_step("rls", np.zeros(3), obs3([1.0, 2.0, 3.0]), proj, mu=0.5)
 
 
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(mu=0.0)
-    with pytest.raises(ValueError):
-        FilterConfig(init="ones")
     with pytest.raises(ValueError):
         FilterConfig(bandwidth=5).resolve_bandwidth(3)

@@ -65,21 +65,29 @@ def test_causal_view_blocks_future():
 
 
 def test_estimate_state_history_accumulates():
-    state = EstimateState(2)
+    state = EstimateState(2, 3)
     assert state.estimates is None
+    assert state.history(0).size == 0
     state.append(np.array([1.0, 2.0]))
     state.append(np.array([3.0, 4.0]))
     assert state.steps_completed == 2
-    assert state.history[0] == [1.0, 3.0]
+    assert np.array_equal(state.estimates, [3.0, 4.0])
+    assert np.array_equal(state.history(0), [1.0, 3.0])
     assert np.array_equal(state.matrix(), [[1.0, 3.0], [2.0, 4.0]])
+    with pytest.raises(ValueError):
+        state.history(1)[0] = 9.0  # predictors read the state, never write it
 
 
 def test_estimate_state_rejects_bad_columns():
-    state = EstimateState(2)
+    state = EstimateState(2, 1)
     with pytest.raises(ValueError):
         state.append(np.array([1.0]))
     with pytest.raises(ValueError):
         state.append(np.array([1.0, np.nan]))
+    state.append(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        state.append(np.array([3.0, 4.0]))  # past the last time step
+    assert np.array_equal(state.matrix(), [[1.0], [2.0]])
 
 
 # ---------------------------------------------------------------- run_online
@@ -157,6 +165,17 @@ def test_dimension_mismatches_rejected():
     with pytest.raises(ValueError):
         run_online(ZeroPredictor(), path3(), toy_series(),
                    SamplingMask(np.array([True, False])))
+
+
+class ScalarPredictor(ZeroPredictor):
+    def predict_missing(self, t, obs, state):
+        return np.zeros(1)
+
+
+def test_proposal_count_must_match_missing_nodes():
+    mask = SamplingMask(np.array([True, False, False]))
+    with pytest.raises(ValueError, match="one value per missing node"):
+        run_online(ScalarPredictor(), path3(), toy_series(), mask)
 
 
 def test_runs_must_be_positive():

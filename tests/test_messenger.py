@@ -28,6 +28,11 @@ def path3():
     return Graph(3, [(0, 1), (1, 2)])
 
 
+def obs_of(t, values):
+    """Observation at step ``t``; None marks an absent node."""
+    return Observation(t, [0.0 if v is None else v for v in values], [v is not None for v in values])
+
+
 def star4():
     return Graph(4, [(0, 1), (0, 2), (0, 3)])
 
@@ -37,14 +42,14 @@ def star4():
 
 def test_build_task_cold_start_observed_only():
     # middle node missing, left neighbor observed at 2.0, right neighbor missing
-    obs = Observation(0, (2.0, None, None))
+    obs = obs_of(0, [2.0, None, None])
     task = build_task(1, obs, None, path3(), mode="observed-only")
     assert task.prev_estimate is None
     assert task.neighbor_values == (NeighborValue(0, 2.0, Freshness.CURRENT_OBSERVED),)
 
 
 def test_build_task_stale_estimates_join_later():
-    obs = Observation(1, (2.0, None, None))
+    obs = obs_of(1, [2.0, None, None])
     prev = np.array([9.0, 0.5, 1.5])
     task = build_task(1, obs, prev, path3(), mode="observed-plus-stale")
     assert task.prev_estimate == 0.5
@@ -55,7 +60,7 @@ def test_build_task_stale_estimates_join_later():
 
 
 def test_build_task_observed_only_drops_stale():
-    obs = Observation(1, (2.0, None, None))
+    obs = obs_of(1, [2.0, None, None])
     prev = np.array([9.0, 0.5, 1.5])
     task = build_task(1, obs, prev, path3(), mode="observed-only")
     assert [entry.node_id for entry in task.neighbor_values] == [0]
@@ -63,7 +68,7 @@ def test_build_task_observed_only_drops_stale():
 
 def test_build_task_isolated_node_keeps_prev():
     g = Graph(4, [(0, 1)])
-    obs = Observation(3, (1.0, 2.0, 3.0, None))
+    obs = obs_of(3, [1.0, 2.0, 3.0, None])
     task = build_task(3, obs, np.array([0.0, 0.0, 0.0, 4.2]), g)
     assert task.prev_estimate == 4.2
     assert task.neighbor_values == ()
@@ -72,13 +77,13 @@ def test_build_task_isolated_node_keeps_prev():
 
 def test_build_task_infeasible_when_nothing_known():
     g = Graph(2, [])
-    task = build_task(0, Observation(0, (None, 5.0)), None, g)
+    task = build_task(0, obs_of(0, [None, 5.0]), None, g)
     assert not task.is_feasible
 
 
 def test_build_task_never_includes_non_neighbors_or_self():
     g = star4()
-    obs = Observation(2, (None, 1.0, 2.0, 3.0))
+    obs = obs_of(2, [None, 1.0, 2.0, 3.0])
     task = build_task(0, obs, np.arange(4.0), g)
     ids = {entry.node_id for entry in task.neighbor_values}
     assert 0 not in ids
@@ -87,7 +92,7 @@ def test_build_task_never_includes_non_neighbors_or_self():
 
 def test_build_task_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        build_task(1, Observation(0, (1.0, None, 2.0)), None, path3(), mode="all")
+        build_task(1, obs_of(0, [1.0, None, 2.0]), None, path3(), mode="all")
 
 
 def test_node_task_rejects_self_neighbor():
@@ -220,44 +225,42 @@ def test_parser_corpus_is_committed_and_well_formed():
 
 def test_fallback_mean_of_history():
     g = path3()
-    history = [[], [2.0, 4.0], []]
-    obs = Observation(2, (1.0, None, 1.0))
-    assert fallback_value(1, history, obs, g) == 3.0
+    obs = obs_of(2, [1.0, None, 1.0])
+    assert fallback_value(1, np.array([2.0, 4.0]), obs, g) == 3.0
 
 
 def test_fallback_neighbor_mean_when_no_history():
     g = path3()
-    history = [[], [], []]
-    obs = Observation(0, (5.0, None, 9.0))
+    obs = obs_of(0, [5.0, None, 9.0])
     # node 1's only observed neighbor values are 5.0 and 9.0
-    assert fallback_value(1, history, obs, g) == 7.0
+    assert fallback_value(1, np.array([]), obs, g) == 7.0
 
 
 def test_fallback_single_neighbor():
     g = path3()
-    obs = Observation(0, (5.0, None, None))
-    assert fallback_value(1, [[], [], []], obs, g) == 5.0
+    obs = obs_of(0, [5.0, None, None])
+    assert fallback_value(1, np.array([]), obs, g) == 5.0
 
 
 def test_fallback_global_mean_when_neighbors_dark():
     g = Graph(4, [(0, 1), (2, 3)])
     # node 0's neighbor (1) is absent; nodes 2 and 3 are observed
-    obs = Observation(0, (None, None, 2.0, 6.0))
-    assert fallback_value(0, [[], [], [], []], obs, g) == 4.0
+    obs = obs_of(0, [None, None, 2.0, 6.0])
+    assert fallback_value(0, np.array([]), obs, g) == 4.0
 
 
 def test_fallback_terminal_zero():
     g = Graph(2, [])
-    obs = Observation(0, (None, None))
-    assert fallback_value(0, [[], []], obs, g) == 0.0
+    obs = obs_of(0, [None, None])
+    assert fallback_value(0, np.array([]), obs, g) == 0.0
 
 
 def test_fallback_always_finite():
     rng = np.random.default_rng(3)
     g = star4()
     for _ in range(50):
-        history = [list(rng.standard_normal(rng.integers(0, 4))) for _ in range(4)]
+        history = rng.standard_normal(rng.integers(0, 4))
         present = rng.random(4) < 0.5
-        obs = Observation(0, tuple(float(rng.standard_normal()) if p else None for p in present))
+        obs = Observation(0, rng.standard_normal(4), present)
         value = fallback_value(int(rng.integers(0, 4)), history, obs, g)
         assert np.isfinite(value)

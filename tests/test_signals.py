@@ -9,7 +9,6 @@ from graphfill.signals import (
     Observation,
     SamplingMask,
     SignalSeries,
-    apply_mask,
     generate_mask,
     observation_from_column,
     read_mask_file,
@@ -105,44 +104,54 @@ def test_mask_ids_partition():
 def test_apply_mask_all_observed_equals_column():
     s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]]))
     mask = SamplingMask(np.array([True, True]))
-    obs = apply_mask(s, mask, 1)
-    assert obs.values == (2.0, 4.0)
+    obs = observation_from_column(s.column(1), mask, 1)
+    assert obs.time_index == 1
+    assert np.array_equal(obs.data, [2.0, 4.0])
+    assert np.array_equal(obs.present, [True, True])
 
 
 def test_apply_mask_indexing_example():
     s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     mask = SamplingMask(np.array([True, False, True]))
-    obs = apply_mask(s, mask, 1)
-    assert obs.values == (2.0, None, 6.0)
-    assert obs.value(0) == 2.0
+    obs = observation_from_column(s.column(1), mask, 1)
+    assert np.array_equal(obs.data, [2.0, 0.0, 6.0])
+    assert np.array_equal(obs.present, [True, False, True])
     with pytest.raises(ValueError):
-        obs.value(1)
+        obs.data[1] = 4.0
+    with pytest.raises(ValueError):
+        obs.present[1] = True
 
 
 def test_apply_mask_hides_node_at_every_step():
-    s = SignalSeries(np.arange(8.0).reshape(2, 4))
+    s = SignalSeries(np.arange(8.0).reshape(2, 4) + 1.0)
     mask = SamplingMask(np.array([False, True]))
     for t in range(4):
-        assert apply_mask(s, mask, t).values[0] is None
+        obs = observation_from_column(s.column(t), mask, t)
+        assert not obs.present[0]
+        assert obs.data[0] == 0.0
 
 
 def test_apply_mask_t_out_of_range():
     s = SignalSeries(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        apply_mask(s, SamplingMask(np.array([True, True])), 2)
+        s.column(2)
 
 
 def test_observation_rejects_non_finite_present_value():
     with pytest.raises(ValueError):
-        Observation(time_index=0, values=(1.0, float("inf")))
+        Observation(0, [1.0, float("inf")], [True, True])
+    with pytest.raises(ValueError):
+        Observation(0, [1.0, float("nan")], [True, True])
 
 
 def test_observation_dense_masks_absent():
-    obs = Observation(time_index=0, values=(1.5, None))
-    data, present = obs.dense()
-    assert np.array_equal(data, [1.5, 0.0])
-    assert np.array_equal(present, [True, False])
-    assert np.array_equal(obs.present_values(), [1.5])
+    # an absent node's input value never reaches ``data``, finite or not
+    obs = Observation(0, [1.5, 7.0], [True, False])
+    assert np.array_equal(obs.data, [1.5, 0.0])
+    assert np.array_equal(obs.present, [True, False])
+    assert np.array_equal(Observation(0, [1.5, np.nan], [True, False]).data, [1.5, 0.0])
+    with pytest.raises(ValueError):
+        Observation(-1, [1.5], [True])
 
 
 def test_observation_from_column_checks_shape():
