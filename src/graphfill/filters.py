@@ -15,9 +15,22 @@ __all__ = [
     "FILTER_KINDS",
     "default_bandwidth",
     "filter_step",
+    "graph_spectrum",
 ]
 
 FILTER_KINDS = ("glms", "gsign")
+
+
+def graph_spectrum(g: Graph) -> SpectralBasis:
+    """The spectrum of the Laplacian of ``g``, decomposed on first use and kept on ``g``.
+
+    The basis lives exactly as long as the graph: a graph loaded again is
+    decomposed again.
+    """
+    basis = g._spectrum
+    if basis is None:
+        basis = g._spectrum = eigendecompose(laplacian(g))
+    return basis
 
 
 @dataclass(frozen=True)
@@ -44,7 +57,7 @@ class BandlimitedProjector:
 
     @classmethod
     def from_graph(cls, g: Graph, bandwidth: int) -> "BandlimitedProjector":
-        return cls.from_basis(eigendecompose(laplacian(g)), bandwidth)
+        return cls.from_basis(graph_spectrum(g), bandwidth)
 
     @property
     def num_nodes(self) -> int:

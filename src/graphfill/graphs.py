@@ -31,10 +31,13 @@ class Graph:
 
     Self-loop edges are never stored; every node is implicitly its own closed
     neighbor (see :func:`closed_neighbors`). Instances are immutable once built
-    and safe to share across threads.
+    and safe to share across threads. A graph also holds its Laplacian
+    spectrum once :func:`graphfill.filters.graph_spectrum` has computed it;
+    since the edges never change, that spectrum cannot go stale, and two
+    threads filling it at once only compute the same value twice.
     """
 
-    __slots__ = ("_num_nodes", "_weights", "_adjacency")
+    __slots__ = ("_num_nodes", "_weights", "_adjacency", "_spectrum")
 
     def __init__(self, num_nodes: int, edges: Iterable[Sequence] = ()) -> None:
         num_nodes = int(num_nodes)
@@ -67,6 +70,7 @@ class Graph:
             adjacency[u].append(v)
             adjacency[v].append(u)
         self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        self._spectrum: SpectralBasis | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -201,7 +205,15 @@ def eigendecompose(laplacian_matrix: np.ndarray, symmetry_tol: float = 1e-10) ->
     anchor = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[anchor, np.arange(n)])
     signs[signs == 0] = 1.0
-    return SpectralBasis(eigenvalues=values, eigenvectors=vectors * signs)
+    vectors = vectors * signs
+    # Read-only, since a graph shares its spectrum with every caller.
+    values.setflags(write=False)
+    vectors.setflags(write=False)
+    return SpectralBasis(eigenvalues=values, eigenvectors=vectors)
+
+
+# Largest difference tensor (chunk rows x n x d entries) built at once.
+_KNN_CHUNK_ELEMENTS = 1 << 18
 
 
 def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "unit") -> Graph:
@@ -229,25 +241,39 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     if weight_mode not in ("unit", "gaussian"):
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
 
-    diffs = pts[:, None, :] - pts[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    # Rows are ranked in chunks so the difference tensor stays small. The
+    # stable argsort keeps the tie rule (nearer first, then the lower id),
+    # and each point is dropped from its own ranking by index, because huge
+    # finite coordinates can give inf distances that still tie-break by id.
+    chunk = max(1, _KNN_CHUNK_ELEMENTS // (n * pts.shape[1]))
+    ids = np.arange(n)
+    picked = np.empty((n, k), dtype=np.intp)
+    picked_d2 = np.empty((n, k))
+    for start in range(0, n, chunk):
+        rows = ids[start : start + chunk]
+        diffs = pts[rows, None, :] - pts[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+        order = np.argsort(dist2, axis=1, kind="stable")
+        order = order[order != rows[:, None]].reshape(len(rows), n - 1)[:, :k]
+        picked[rows] = order
+        picked_d2[rows] = np.take_along_axis(dist2, order, axis=1)
 
-    selected: set[tuple[int, int]] = set()
-    picked_dists: list[float] = []
-    for i in range(n):
-        order = sorted((dist2[i, j], j) for j in range(n) if j != i)
-        for d2, j in order[:k]:
-            picked_dists.append(float(np.sqrt(d2)))
-            selected.add((i, j) if i < j else (j, i))
-
+    # One edge per unordered pair, sorted; a pair picked from both ends has
+    # the same squared distance either way.
+    lo = np.minimum(picked, ids[:, None]).ravel()
+    hi = np.maximum(picked, ids[:, None]).ravel()
+    keys, first = np.unique(lo * n + hi, return_index=True)
+    pairs = zip((keys // n).tolist(), (keys % n).tolist(), picked_d2.ravel()[first].tolist())
     if weight_mode == "gaussian":
-        sigma = float(np.mean(picked_dists))
+        # Averaged in row-major n x k order, the order the neighbors were
+        # picked in, so sigma is the same to the last bit.
+        sigma = float(np.mean(np.sqrt(picked_d2.ravel())))
         if sigma > 0:
-            edges = [(u, v, float(np.exp(-dist2[u, v] / sigma**2))) for u, v in sorted(selected)]
+            edges = [(u, v, float(np.exp(-d2 / sigma**2))) for u, v, d2 in pairs]
         else:
-            edges = [(u, v, 1.0) for u, v in sorted(selected)]  # all points coincident
+            edges = [(u, v, 1.0) for u, v, _ in pairs]  # all points coincident
     else:
-        edges = [(u, v, 1.0) for u, v in sorted(selected)]
+        edges = [(u, v, 1.0) for u, v, _ in pairs]
     return Graph(n, edges)
 
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -415,13 +416,14 @@ class RunResult:
     def runs(self) -> int:
         return len(self.estimates)
 
-    def to_json_dict(self) -> dict:
+    def _payload(self) -> dict:
+        """The canonical JSON document, with each run's estimates as an ndarray."""
         per_run = []
         for est, mask, mse, stats in zip(self.estimates, self.masks, self.per_run_mse, self.per_run_stats):
             per_run.append(
                 {
                     "mask_observed": [1 if o else 0 for o in mask.observed],
-                    "estimates": np.asarray(est).tolist(),
+                    "estimates": np.asarray(est),
                     "mse": mse,
                     "stats": stats,
                 }
@@ -436,11 +438,29 @@ class RunResult:
             "fallback_uses": self.fallback_uses,
         }
 
+    def to_json_dict(self) -> dict:
+        payload = self._payload()
+        for run in payload["runs"]:
+            run["estimates"] = run["estimates"].tolist()
+        return payload
+
+    def _write_json(self, fh: TextIO) -> None:
+        """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
+
+        The estimate matrices are streamed row by row instead of being built
+        as one nested list and one string.
+        """
+        _write_json_value(fh, self._payload(), 0)
+        fh.write("\n")
+
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        buf = io.StringIO()
+        self._write_json(buf)
+        return buf.getvalue()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json())
+        with Path(path).open("w") as fh:
+            self._write_json(fh)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RunResult":
@@ -464,20 +484,61 @@ class RunResult:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
     def write_per_step_csv(self, path: str | Path, truth: SignalSeries | None = None) -> None:
-        """Long-form CSV with one row per (run, t, node): truth and estimate."""
+        """Long-form CSV with one row per (run, t, node): truth and estimate.
+
+        Lines end in CRLF, as ``csv.writer`` ends them; no field ever needs
+        quoting, so each step's rows are written as one block of text.
+        """
         truth = truth or self.truth
         if truth is None:
             raise ValueError("ground truth is needed to write the per-step CSV")
+        mats = [np.asarray(est) for est in self.estimates]
+        for r, mat in enumerate(mats):
+            if mat.shape != truth.values.shape:
+                raise ValueError(f"run {r} has shape {mat.shape}, truth has {truth.values.shape}")
+        # "node,truth," per step and node, formatted once for every run.
+        truth_text = [
+            [f"{node},{x!r}," for node, x in enumerate(column)] for column in truth.values.T.tolist()
+        ]
         with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "t", "node", "truth", "estimate"])
-            for r, est in enumerate(self.estimates):
-                mat = np.asarray(est)
-                for t in range(mat.shape[1]):
-                    for node in range(mat.shape[0]):
-                        writer.writerow(
-                            [r, t, node, repr(float(truth.values[node, t])), repr(float(mat[node, t]))]
-                        )
+            fh.write("run,t,node,truth,estimate\r\n")
+            for r, mat in enumerate(mats):
+                for t, prefixes in enumerate(truth_text):
+                    head = f"{r},{t},"
+                    fh.write("".join(
+                        f"{head}{prefix}{x!r}\r\n" for prefix, x in zip(prefixes, mat[:, t].tolist())
+                    ))
+
+
+def _write_json_value(fh: TextIO, value, level: int) -> None:
+    """Write ``value`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out at depth ``level``.
+
+    Dicts and lists are walked here so that a finite float matrix can be
+    written row by row from ``tolist()`` with ``repr``, which is json's own
+    float text; every other value and every key is rendered by ``json.dumps``.
+    """
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, np.ndarray):
+        if value.ndim != 2 or value.dtype != np.float64 or 0 in value.shape or not np.isfinite(value).all():
+            _write_json_value(fh, value.tolist(), level)
+            return
+        cell = inner + "  "
+        for i, row in enumerate(value):
+            text = ("," + cell).join(map(repr, row.tolist()))
+            fh.write(("[" if i == 0 else ",") + inner + "[" + cell + text + inner + "]")
+    elif isinstance(value, dict) and value:
+        for i, key in enumerate(sorted(value)):
+            # json's own text for the key, quoted even when it is not a string
+            fh.write(("{" if i == 0 else ",") + inner + json.dumps({key: 0})[1:-4] + ": ")
+            _write_json_value(fh, value[key], level + 1)
+    elif isinstance(value, (list, tuple)) and value:
+        for i, item in enumerate(value):
+            fh.write(("[" if i == 0 else ",") + inner)
+            _write_json_value(fh, item, level + 1)
+    else:
+        fh.write(json.dumps(value))
+        return
+    fh.write(inner[:-2] + ("}" if isinstance(value, dict) else "]"))
 
 
 def _mask_policy_dict(mask: SamplingMask | MaskSpec) -> dict:

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import graphfill.filters
 from graphfill.filters import (
     BandlimitedProjector,
     FilterConfig,
     default_bandwidth,
     filter_step,
 )
-from graphfill.graphs import Graph, eigendecompose, laplacian
+from graphfill.graphs import Graph, eigendecompose, knn_graph, laplacian
+from graphfill.harness import FilterPredictor, run_online
 from graphfill.signals import (
+    MaskSpec,
     Observation,
     SamplingMask,
     generate_mask,
@@ -217,3 +220,49 @@ def test_filter_config_validation():
         FilterConfig(mu=0.0)
     with pytest.raises(ValueError):
         FilterConfig(bandwidth=5).resolve_bandwidth(3)
+
+
+# ---------------------------------------------------------------- spectrum cache
+
+
+def test_one_eigendecomposition_per_graph(monkeypatch):
+    calls = []
+    real = graphfill.filters.eigendecompose
+
+    def counted(lap):
+        calls.append(lap.shape)
+        return real(lap)
+
+    monkeypatch.setattr(graphfill.filters, "eigendecompose", counted)
+    coords = np.random.default_rng(5).random((30, 2))
+    g = knn_graph(coords, 4)
+    series = synth_bandlimited(g, bandwidth=6, temporal_rho=0.9, innovation_std=0.1,
+                               t_len=12, seed=1)
+    spec = MaskSpec(fraction=0.3, seed=2)
+    predictors = [
+        FilterPredictor("glms"),
+        FilterPredictor("gsign", FilterConfig(mu=0.2, bandwidth=4)),
+        FilterPredictor("gsign", FilterConfig(mu=0.2, bandwidth=9)),
+    ]
+    for predictor in predictors:
+        run_online(predictor, g, series, spec, runs=5)
+    assert calls == [(30, 30)]
+
+    # An equal graph built again holds no spectrum yet: it is decomposed again.
+    again = knn_graph(coords, 4)
+    assert again == g and again is not g
+    run_online(FilterPredictor("glms"), again, series, spec, runs=5)
+    assert len(calls) == 2
+
+    fresh = eigendecompose(laplacian(g)).leading(9)
+    block = BandlimitedProjector.from_graph(g, 9).basis_block
+    assert block.shape == fresh.shape
+    assert block.tobytes() == np.ascontiguousarray(fresh).tobytes()
+
+
+def test_cached_spectrum_is_read_only():
+    basis = graphfill.filters.graph_spectrum(path3())
+    with pytest.raises(ValueError):
+        basis.eigenvectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis.eigenvalues[0] = 1.0

@@ -1,12 +1,20 @@
-"""Property tests: the reply parser round trip, observations, and the online loop's invariants."""
+"""Property tests: the reply parser round trip, observations, the online loop's
+invariants, the kNN build and the result writers against their former code."""
+
+import csv
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphfill import graphs
 from graphfill._format import format_value
-from graphfill.graphs import Graph
-from graphfill.harness import Predictor, run_online
+from graphfill.graphs import Graph, knn_graph
+from graphfill.harness import Predictor, RunResult, run_online
 from graphfill.messenger import parse_response
 from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, observation_from_column
 
@@ -73,3 +81,174 @@ def test_run_online_clamps_observed_entries_and_never_reads_ahead(n, steps, runs
         for t in range(steps):
             assert np.array_equal(est[~observed, t], next(proposals))
         assert log == [(t, t) for t in range(steps)]
+
+
+# ---------------------------------------------------------------- kNN build
+
+
+def knn_graph_oracle(coords, k, weight_mode="unit"):
+    """The former kNN build: the full N x N x d difference tensor and a sorted scan per row."""
+    pts = np.asarray(coords, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    diffs = pts[:, None, :] - pts[None, :, :]
+    dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    selected = set()
+    picked_dists = []
+    for i in range(n):
+        order = sorted((dist2[i, j], j) for j in range(n) if j != i)
+        for d2, j in order[:k]:
+            picked_dists.append(float(np.sqrt(d2)))
+            selected.add((i, j) if i < j else (j, i))
+    if weight_mode == "gaussian":
+        sigma = float(np.mean(picked_dists))
+        if sigma > 0:
+            edges = [(u, v, float(np.exp(-dist2[u, v] / sigma**2))) for u, v in sorted(selected)]
+        else:
+            edges = [(u, v, 1.0) for u, v in sorted(selected)]
+    else:
+        edges = [(u, v, 1.0) for u, v in sorted(selected)]
+    return Graph(n, edges)
+
+
+def assert_same_knn(coords, k, weight_mode):
+    try:
+        with np.errstate(invalid="ignore"):
+            expect = knn_graph_oracle(coords, k, weight_mode)
+    except ValueError:
+        # e.g. inf distances make sigma inf and every Gaussian weight NaN
+        try:
+            knn_graph(coords, k, weight_mode)
+        except ValueError:
+            return
+        raise AssertionError("the former build refused these points, the new one did not")
+    got = knn_graph(coords, k, weight_mode)
+    assert got == expect
+    assert got.canonical_text() == expect.canonical_text()
+
+
+coordinate = st.one_of(
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e200, -1e200]),
+)
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(2, 12))
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=1, max_size=n))
+    # Pad with copies of drawn points, so coincident points and ties are common.
+    while len(rows) < n:
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    order = draw(st.permutations(range(n)))
+    pts = np.array([rows[i] for i in order])
+    if dim == 1 and draw(st.booleans()):
+        pts = pts[:, 0]  # a flat list of 1-D coordinates
+    return pts
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_sets(), st.data(), st.sampled_from(["unit", "gaussian"]), st.integers(1, 64))
+def test_knn_graph_matches_former_build(pts, data, weight_mode, chunk_elements):
+    k = data.draw(st.integers(1, len(pts) - 1))
+    # A small chunk budget splits even a dozen points into several row chunks.
+    with mock.patch.object(graphs, "_KNN_CHUNK_ELEMENTS", chunk_elements):
+        assert_same_knn(pts, k, weight_mode)
+
+
+def test_knn_graph_matches_former_build_on_a_few_hundred_points():
+    coords = np.random.default_rng(0).random((400, 2))
+    for k, weight_mode in ((5, "gaussian"), (3, "unit")):
+        assert_same_knn(coords, k, weight_mode)
+
+
+# ---------------------------------------------------------------- result writers
+
+
+def former_json(result):
+    return json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def former_per_step_csv(result, path, truth):
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "t", "node", "truth", "estimate"])
+        for r, est in enumerate(result.estimates):
+            mat = np.asarray(est)
+            for t in range(mat.shape[1]):
+                for node in range(mat.shape[0]):
+                    writer.writerow(
+                        [r, t, node, repr(float(truth.values[node, t])), repr(float(mat[node, t]))]
+                    )
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, -1e-7, 1e16, -1e16, 123456789.0, -123456789.0,
+               0.1, -2.5, 1.7976931348623157e308]
+edge_value = st.one_of(st.sampled_from(EDGE_VALUES), finite)
+label = st.text(max_size=6)
+leaf = st.one_of(st.none(), st.booleans(), st.integers(-10**6, 10**6), edge_value, label)
+nested = st.recursive(
+    leaf,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(label, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@st.composite
+def run_results(draw):
+    runs = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 4))
+
+    def matrix(values):
+        return np.array(draw(st.lists(values, min_size=n * steps, max_size=n * steps))).reshape(n, steps)
+
+    truth = SignalSeries(matrix(edge_value))
+    # Some estimates hold NaN or inf, which json writes as NaN and Infinity.
+    non_finite = st.one_of(edge_value, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    estimates = [matrix(draw(st.sampled_from([edge_value, non_finite]))) for _ in range(runs)]
+    result = RunResult(
+        name=draw(label),
+        config=draw(st.dictionaries(label, nested, max_size=4)),
+        context=draw(st.dictionaries(label, nested, max_size=4)),
+        estimates=estimates,
+        masks=[SamplingMask(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+               for _ in range(runs)],
+        per_run_mse=[{"all_nodes": draw(edge_value), "missing_only": draw(st.none() | edge_value)}
+                     for _ in range(runs)],
+        mse_all=draw(edge_value),
+        mse_missing=draw(edge_value),
+        fallback_uses=draw(st.integers(0, 10**6)),
+        per_run_stats=[draw(st.dictionaries(label, st.integers(0, 10**6), max_size=3))
+                       for _ in range(runs)],
+        truth=truth,
+    )
+    return result, truth
+
+
+@settings(deadline=None)
+@given(run_results())
+def test_writers_match_former_writers(case):
+    result, truth = case
+    expect_json = former_json(result)
+    assert result.to_json() == expect_json
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        result.save(tmp / "new.json")
+        assert (tmp / "new.json").read_bytes() == expect_json.encode()
+        result.write_per_step_csv(tmp / "new.csv")
+        former_per_step_csv(result, tmp / "old.csv", truth)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_to_json_matches_former_json_for_empty_estimate_matrices():
+    result = RunResult(
+        name="empty", config={}, context={"nested": {"list": []}},
+        estimates=[np.zeros((2, 0)), np.zeros((0, 3))],
+        masks=[SamplingMask([True, False])] * 2,
+        per_run_mse=[{}, {}], mse_all=0.0, mse_missing=0.0, fallback_uses=0,
+        per_run_stats=[{}, {}],
+    )
+    assert result.to_json() == former_json(result)
