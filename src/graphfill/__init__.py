@@ -39,8 +39,6 @@ from .filters import (
     filter_step,
 )
 from .messenger import (
-    Freshness,
-    NeighborValue,
     NodeTask,
     ParsedPrediction,
     PromptTemplate,
@@ -108,8 +106,8 @@ __all__ = [
     # filters
     "FILTER_KINDS", "BandlimitedProjector", "FilterConfig", "default_bandwidth", "filter_step",
     # messenger
-    "Freshness", "NeighborValue", "NodeTask", "ParsedPrediction", "PromptTemplate",
-    "TemplateError", "build_task", "fallback_value", "parse_response", "render_prompt",
+    "NodeTask", "ParsedPrediction", "PromptTemplate", "TemplateError",
+    "build_task", "fallback_value", "parse_response", "render_prompt",
     # backends
     "Backend", "BackendConfig", "BackendError", "BackendUnavailableError",
     "BatchFailure", "CompletionRequest", "MockBackend", "RecordingBackend",

@@ -93,7 +93,6 @@ class BackendConfig:
     max_in_flight: int = 4
     mock_alpha: float = 0.5
     replay_path: str | None = None
-    allow_batch: bool = False
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
@@ -134,9 +133,9 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
     if not has_neighbors:
         value = task.prev_estimate
     elif not has_prev:
-        value = float(np.mean([entry.value for entry in task.neighbor_values]))
+        value = float(np.mean([x for _, x, _ in task.neighbor_values]))
     else:
-        neighbor_mean = float(np.mean([entry.value for entry in task.neighbor_values]))
+        neighbor_mean = float(np.mean([x for _, x, _ in task.neighbor_values]))
         value = alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean
     return format_value(value)
 
@@ -420,22 +419,18 @@ class BatchFailure:
 
 def batch_complete(
     reqs: Sequence[CompletionRequest],
-    cfg: BackendConfig,
-    backend: Backend | None = None,
+    backend: Backend,
     tasks: Sequence[NodeTask] | None = None,
 ) -> list:
-    """Batched completion with the response-count guard.
+    """Batched completion through ``backend`` with the response-count guard.
 
-    Batching must be explicitly enabled in the config. If the backend returns
-    a different number of responses than requests, every item in the batch is
-    marked failed and a diagnostic is logged; responses are never realigned.
+    If the backend returns a different number of responses than requests,
+    every item in the batch is marked failed and a diagnostic is logged;
+    responses are never realigned.
     """
-    if not cfg.allow_batch:
-        raise ValueError("batching is disabled; set allow_batch=True to opt in")
     reqs = list(reqs)
     if not reqs:
         return []
-    backend = backend or make_backend(cfg)
     try:
         texts = backend.complete_batch(reqs, tasks=tasks)
     except BackendError as exc:

@@ -166,13 +166,12 @@ def _build_backend(args):
         credential_env=args.credential_env,
         mock_alpha=args.mock_alpha,
         replay_path=args.replay_file,
-        allow_batch=bool(args.batch),
         **extra,
     )
     backend = make_backend(cfg)
     if args.record:
         backend = RecordingBackend(backend, args.record)
-    return backend, cfg
+    return backend
 
 
 def _build_predictor(args, units: str, prepared=None):
@@ -180,7 +179,7 @@ def _build_predictor(args, units: str, prepared=None):
         return ZeroPredictor()
     if args.predictor in FILTER_KINDS:
         return FilterPredictor(args.predictor, FilterConfig(mu=args.mu, bandwidth=args.bandwidth))
-    backend, cfg, template = prepared
+    backend, template = prepared
     return MessengerPredictor(
         backend,
         template=template,
@@ -190,7 +189,6 @@ def _build_predictor(args, units: str, prepared=None):
         temperature=args.temperature,
         max_tokens=args.max_tokens,
         batch=bool(args.batch),
-        batch_cfg=cfg if args.batch else None,
         name="mock" if args.predictor == "mock" else "llm",
     )
 
@@ -268,9 +266,9 @@ def cmd_run(args) -> int:
     # file must surface before any data is loaded or decomposed.
     prepared = None
     if args.predictor in ("llm", "mock"):
-        backend, cfg = _build_backend(args)
+        backend = _build_backend(args)
         template = PromptTemplate.load(args.template) if args.template else PromptTemplate.default()
-        prepared = (backend, cfg, template)
+        prepared = (backend, template)
 
     g, series, units = load_bundle(args.manifest)
     if args.mask_file:

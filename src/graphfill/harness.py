@@ -22,7 +22,6 @@ import numpy as np
 
 from .backends import (
     Backend,
-    BackendConfig,
     BackendError,
     BatchFailure,
     CompletionRequest,
@@ -210,7 +209,9 @@ class MessengerPredictor(Predictor):
     Any failure along the way (backend error, unparseable or NaN reply,
     infeasible task surfacing as a NaN reply) is replaced through the total
     fallback cascade and counted. Prompts are kept per run so a finished run
-    can be audited for leaks.
+    can be audited for leaks. With ``batch=True`` each step's tasks go to the
+    backend as one batch through :func:`batch_complete`, whose count guard
+    fails every item when the number of replies is wrong.
     """
 
     def __init__(
@@ -223,14 +224,11 @@ class MessengerPredictor(Predictor):
         temperature: float = 0.0,
         max_tokens: int = 16,
         batch: bool = False,
-        batch_cfg: BackendConfig | None = None,
         name: str = "llm",
         keep_prompts: bool = True,
     ):
         if neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}")
-        if batch and batch_cfg is None:
-            raise ValueError("batch mode needs a BackendConfig with allow_batch=True")
         self.backend = backend
         self.template = template or PromptTemplate.default()
         self.neighbor_mode = neighbor_mode
@@ -239,7 +237,6 @@ class MessengerPredictor(Predictor):
         self.temperature = float(temperature)
         self.max_tokens = int(max_tokens)
         self.batch = bool(batch)
-        self.batch_cfg = batch_cfg
         self.name = name
         self.keep_prompts = bool(keep_prompts)
         self.prompt_log: list[dict] = []
@@ -291,8 +288,8 @@ class MessengerPredictor(Predictor):
 
         if self.batch:
             outcomes = batch_complete(
-                [request for _, _, request in pending], self.batch_cfg,
-                backend=self.backend, tasks=[task for _, task, _ in pending],
+                [request for _, _, request in pending], self.backend,
+                tasks=[task for _, task, _ in pending],
             )
         else:
             # A generator, so each request is sent only after the previous
@@ -327,10 +324,14 @@ class MessengerPredictor(Predictor):
 
 
 class MseReport(NamedTuple):
-    """Mean squared error over all nodes, and over the missing nodes only."""
+    """Mean squared error over all nodes, and over the missing nodes only.
+
+    ``per_run`` holds each run's own ``(all_nodes, missing_only)`` pair.
+    """
 
     all_nodes: float
     missing_only: float | None
+    per_run: tuple[tuple[float, float | None], ...]
 
 
 def evaluate_mse(
@@ -343,6 +344,8 @@ def evaluate_mse(
     ``estimates`` holds one N x T matrix per run. The all-nodes figure is
     ``sum of squared errors / (R * N * T)``; the missing-only figure averages
     each run's error over that run's missing rows (None when no masks given).
+    Each run's squared errors are summed once, and ``per_run`` reports the
+    same two figures for every run on its own.
     """
     mats = [np.asarray(e, dtype=float) for e in estimates]
     if not mats:
@@ -352,11 +355,12 @@ def evaluate_mse(
         if m.shape != shape:
             raise ValueError(f"run {i} has shape {m.shape}, truth has {shape}")
     runs = len(mats)
-    total = sum(float(np.sum((truth.values - m) ** 2)) for m in mats)
-    all_nodes = total / (runs * shape[0] * shape[1])
+    sums = [float(np.sum((truth.values - m) ** 2)) for m in mats]
+    all_nodes = sum(sums) / (runs * shape[0] * shape[1])
+    per_run_all = [total / (shape[0] * shape[1]) for total in sums]
 
     if masks is None:
-        return MseReport(all_nodes=all_nodes, missing_only=None)
+        return MseReport(all_nodes, None, tuple((a, None) for a in per_run_all))
     if isinstance(masks, SamplingMask):
         mask_list = [masks] * runs
     else:
@@ -373,7 +377,7 @@ def evaluate_mse(
             continue
         diff = truth.values[rows, :] - m[rows, :]
         per_run.append(float(np.sum(diff**2)) / (len(rows) * shape[1]))
-    return MseReport(all_nodes=all_nodes, missing_only=float(np.mean(per_run)))
+    return MseReport(all_nodes, float(np.mean(per_run)), tuple(zip(per_run_all, per_run)))
 
 
 def graph_sha256(g: Graph) -> str:
@@ -604,11 +608,8 @@ def run_online(
         access_logs.append(view.access_log)
         prompt_logs.append(list(getattr(predictor, "prompt_log", [])))
 
-    per_run_mse = []
-    for est, m in zip(estimates, masks_used):
-        report = evaluate_mse([est], truth, [m])
-        per_run_mse.append({"all_nodes": report.all_nodes, "missing_only": report.missing_only})
     aggregate = evaluate_mse(estimates, truth, masks_used)
+    per_run_mse = [{"all_nodes": a, "missing_only": m} for a, m in aggregate.per_run]
 
     policy = _mask_policy_dict(mask)
     config = {
@@ -633,7 +634,7 @@ def run_online(
         masks=masks_used,
         per_run_mse=per_run_mse,
         mse_all=aggregate.all_nodes,
-        mse_missing=aggregate.missing_only if aggregate.missing_only is not None else 0.0,
+        mse_missing=aggregate.missing_only,
         fallback_uses=sum(s.get("fallback_uses", 0) for s in per_run_stats),
         per_run_stats=per_run_stats,
         wall_clock_s=time.perf_counter() - started,

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -18,8 +17,6 @@ from .graphs import Graph
 from .signals import Observation
 
 __all__ = [
-    "Freshness",
-    "NeighborValue",
     "NodeTask",
     "PromptTemplate",
     "TemplateError",
@@ -34,41 +31,23 @@ __all__ = [
 NEIGHBOR_MODES = ("observed-only", "observed-plus-stale")
 
 
-class Freshness(str, enum.Enum):
-    """Provenance of a neighbor value inside a task."""
-
-    CURRENT_OBSERVED = "current-observed"
-    STALE_ESTIMATE = "stale-estimate"
-
-
-@dataclass(frozen=True)
-class NeighborValue:
-    node_id: int
-    value: float
-    freshness: Freshness
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_id", int(self.node_id))
-        object.__setattr__(self, "value", float(self.value))
-        if not math.isfinite(self.value):
-            raise ValueError(f"neighbor value for node {self.node_id} is non-finite")
-        object.__setattr__(self, "freshness", Freshness(self.freshness))
-
-
 @dataclass(frozen=True)
 class NodeTask:
     """Everything a predictor may see for one missing node at one time step.
 
-    ``neighbor_values`` only ever covers one-hop neighbors of the node, and a
-    task never contains the node's own current ground truth. A task with no
-    previous estimate and no neighbor values is infeasible; the caller falls
-    back instead of predicting.
+    ``neighbor_values`` holds one ``(node_id, value, observed)`` triple per
+    one-hop neighbor that has a value: ``observed`` is True for a reading at
+    this time step and False for that neighbor's estimate from the previous
+    step. Neighbor ids are distinct and never the node's own, every value is
+    finite, and a task never contains the node's own current ground truth. A
+    task with no previous estimate and no neighbor values is infeasible; the
+    caller falls back instead of predicting.
     """
 
     node_id: int
     time_index: int
     prev_estimate: float | None
-    neighbor_values: tuple[NeighborValue, ...]
+    neighbor_values: tuple[tuple[int, float, bool], ...]
     units: str = ""
 
     def __post_init__(self):
@@ -79,14 +58,16 @@ class NodeTask:
             if not math.isfinite(prev):
                 raise ValueError("previous estimate is non-finite")
             object.__setattr__(self, "prev_estimate", prev)
-        entries = tuple(self.neighbor_values)
+        entries = tuple((int(u), float(x), bool(observed)) for u, x, observed in self.neighbor_values)
         seen = set()
-        for entry in entries:
-            if entry.node_id == self.node_id:
+        for u, x, _ in entries:
+            if u == self.node_id:
                 raise ValueError(f"task for node {self.node_id} lists itself as a neighbor")
-            if entry.node_id in seen:
-                raise ValueError(f"duplicate neighbor {entry.node_id} in task")
-            seen.add(entry.node_id)
+            if u in seen:
+                raise ValueError(f"duplicate neighbor {u} in task")
+            if not math.isfinite(x):
+                raise ValueError(f"neighbor value for node {u} is non-finite")
+            seen.add(u)
         object.__setattr__(self, "neighbor_values", entries)
 
     @property
@@ -148,10 +129,7 @@ class PromptTemplate:
         return digest.hexdigest()
 
 
-_FRESHNESS_LABELS = {
-    Freshness.CURRENT_OBSERVED: "observed at this time step",
-    Freshness.STALE_ESTIMATE: "estimate from the previous time step",
-}
+_NEIGHBOR_LABELS = {True: "observed at this time step", False: "estimate from the previous time step"}
 
 
 def build_task(
@@ -164,11 +142,12 @@ def build_task(
 ) -> NodeTask:
     """Collect the local context for missing node ``v`` at the observation's time step.
 
-    Neighbors observed right now always enter with their current values. In
-    ``observed-plus-stale`` mode, unobserved neighbors additionally contribute
-    their previous-step estimates from ``prev`` (the full estimate vector of
-    the last step, or None on a cold start). The node's own previous estimate
-    is attached whenever ``prev`` exists.
+    Neighbors observed right now always enter as ``(u, current value, True)``.
+    In ``observed-plus-stale`` mode, unobserved neighbors additionally enter
+    as ``(u, previous-step estimate, False)`` from ``prev`` (the full estimate
+    vector of the last step, or None on a cold start). Triples follow the
+    graph's ascending neighbor order. The node's own previous estimate is
+    attached whenever ``prev`` exists.
     """
     if mode not in NEIGHBOR_MODES:
         raise ValueError(f"mode must be one of {NEIGHBOR_MODES}, got {mode!r}")
@@ -179,12 +158,13 @@ def build_task(
     if prev_vec is not None and prev_vec.shape != (g.num_nodes,):
         raise ValueError(f"previous estimates have shape {prev_vec.shape}, expected ({g.num_nodes},)")
 
+    stale = mode == "observed-plus-stale" and prev_vec is not None
     entries = []
     for u in g.neighbors(v):
         if obs.present[u]:
-            entries.append(NeighborValue(u, obs.data[u], Freshness.CURRENT_OBSERVED))
-        elif mode == "observed-plus-stale" and prev_vec is not None:
-            entries.append(NeighborValue(u, float(prev_vec[u]), Freshness.STALE_ESTIMATE))
+            entries.append((u, obs.data[u], True))
+        elif stale:
+            entries.append((u, prev_vec[u], False))
     prev_estimate = None if prev_vec is None else float(prev_vec[v])
     return NodeTask(
         node_id=v,
@@ -198,9 +178,10 @@ def build_task(
 def render_prompt(task: NodeTask, template: PromptTemplate) -> str:
     """Deterministically instantiate the template for one task.
 
-    The text lists every neighbor value with its freshness label and the
-    previous estimate when present; it never contains values from any other
-    node or any later time step because the task itself cannot hold them.
+    The text lists every neighbor value, labelled as observed now or as a
+    previous-step estimate, and the node's previous estimate when present; it
+    never contains values from any other node or any later time step because
+    the task itself cannot hold them.
     """
     units = task.units if task.units else "unspecified units"
     if task.prev_estimate is not None:
@@ -212,9 +193,8 @@ def render_prompt(task: NodeTask, template: PromptTemplate) -> str:
         prev_block = f"No previous estimate is available for station {task.node_id}."
     if task.neighbor_values:
         neighbor_block = "\n".join(
-            f"- station {entry.node_id}: {format_value(entry.value)} "
-            f"({_FRESHNESS_LABELS[entry.freshness]})"
-            for entry in task.neighbor_values
+            f"- station {u}: {format_value(x)} ({_NEIGHBOR_LABELS[observed]})"
+            for u, x, observed in task.neighbor_values
         )
     else:
         neighbor_block = "(no neighbor values available)"

@@ -18,7 +18,6 @@ import pytest
 
 from graphfill._format import format_value
 from graphfill.backends import (
-    BackendConfig,
     MockBackend,
     RecordingBackend,
     ReplayBackend,
@@ -255,9 +254,8 @@ def test_criterion_09_batch_count_guard_never_realigns():
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
         series = SignalSeries(np.full((5, 1), 7.0), units="m/s")
         mask = SamplingMask(np.array([True, False, False, False, False]))
-        cfg = BackendConfig(kind="mock", allow_batch=True)
         predictor = MessengerPredictor(ShortBatchBackend(0.5), units="m/s", batch=True,
-                                       batch_cfg=cfg, name="batched")
+                                       name="batched")
         result = run_online(predictor, g, series, mask, runs=1)
         stats = result.per_run_stats[0]
         assert stats["backend_failures"] == 4

@@ -27,13 +27,11 @@ from graphfill.backends import (
     prompt_sha256,
     read_replay_file,
 )
-from graphfill.messenger import Freshness, NeighborValue, NodeTask
+from graphfill.messenger import NodeTask
 
 
 def task_with(prev, neighbor_vals, units="m/s"):
-    neighbors = tuple(
-        NeighborValue(i + 1, v, Freshness.CURRENT_OBSERVED) for i, v in enumerate(neighbor_vals)
-    )
+    neighbors = tuple((i + 1, v, True) for i, v in enumerate(neighbor_vals))
     return NodeTask(node_id=0, time_index=1, prev_estimate=prev, neighbor_values=neighbors,
                     units=units)
 
@@ -358,19 +356,10 @@ def test_remote_backend_over_loopback(loopback, monkeypatch):
 # ---------------------------------------------------------------- batch
 
 
-def batch_cfg():
-    return BackendConfig(kind="mock", allow_batch=True)
-
-
-def test_batch_disabled_by_default():
-    with pytest.raises(ValueError):
-        batch_complete([req()], BackendConfig(kind="mock"))
-
-
 def test_batch_counts_match_in_order():
     tasks = [task_with(float(i), [float(i) + 2.0]) for i in range(5)]
     reqs = [req(f"p{i}") for i in range(5)]
-    texts = batch_complete(reqs, batch_cfg(), backend=MockBackend(0.5), tasks=tasks)
+    texts = batch_complete(reqs, MockBackend(0.5), tasks=tasks)
     assert texts == [mock_predict(t, 0.5) for t in tasks]
 
 
@@ -386,7 +375,7 @@ def test_batch_count_mismatch_fails_every_item(caplog):
     tasks = [task_with(float(i), [1.0]) for i in range(5)]
     reqs = [req(f"p{i}") for i in range(5)]
     with caplog.at_level(logging.WARNING, logger="graphfill.backends"):
-        out = batch_complete(reqs, batch_cfg(), backend=ShortBatchBackend(0.5), tasks=tasks)
+        out = batch_complete(reqs, ShortBatchBackend(0.5), tasks=tasks)
     assert len(out) == 5
     assert all(isinstance(item, BatchFailure) for item in out)
     assert any("mismatch" in r.getMessage() for r in caplog.records)
@@ -395,10 +384,9 @@ def test_batch_count_mismatch_fails_every_item(caplog):
 def test_batch_backend_error_fails_every_item(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    cfg = BackendConfig(kind="replay", replay_path=path, allow_batch=True)
-    out = batch_complete([req("a"), req("b")], cfg)
+    out = batch_complete([req("a"), req("b")], ReplayBackend(path))
     assert all(isinstance(item, BatchFailure) for item in out)
 
 
 def test_batch_empty_request_list():
-    assert batch_complete([], batch_cfg(), backend=MockBackend()) == []
+    assert batch_complete([], MockBackend()) == []

@@ -170,25 +170,37 @@ def test_runtime_error_replay_without_file(tmp_path, capsys):
 
 # ---------------------------------------------------------------- golden outputs
 
-# SHA-256 of what ``graphfill run --manifest fixtures/toy/manifest.txt
-# --predictor P`` writes with default options (5 runs, 30% hidden, seed 0).
+# SHA-256 of what ``graphfill run --manifest fixtures/toy/manifest.txt`` writes
+# with default options (5 runs, 30% hidden, seed 0) plus each case's arguments.
 # These predictors do no linear algebra, so the bytes do not depend on BLAS.
 GOLDEN = {
-    "mock": {
+    "mock": (["--predictor", "mock"], {
         "mock.json": "72af933dd7ef9882a00e00d8b91c213a8e0c4b273357f47fc734c10397f3a9fd",
         "mock_per_step.csv": "2845d4d9964b09373c8614fdcf809bdbc0b759b30aca22a293e00a6c6787f25e",
         "mock_mse_over_time.csv": "ccd28105a9f5ea14dcd1ee82a39623b130053579a182579be3fe15b48fb01940",
-    },
-    "zero": {
+    }),
+    "mock-batch": (["--predictor", "mock", "--batch"], {
+        "mock.json": "5feb5c45511a34746db91dc186895ba4ed2bfac218f129a85aa5454861a1cb10",
+        "mock_per_step.csv": "2845d4d9964b09373c8614fdcf809bdbc0b759b30aca22a293e00a6c6787f25e",
+        "mock_mse_over_time.csv": "ccd28105a9f5ea14dcd1ee82a39623b130053579a182579be3fe15b48fb01940",
+    }),
+    "mock-observed-only": (
+        ["--predictor", "mock", "--neighbor-mode", "observed-only", "--fraction", "0.6"], {
+            "mock.json": "50880acd16639d6f1b7f43edd6d4cda1bbb9d2666a4bba81ce795bfb33a291ce",
+            "mock_per_step.csv": "1c94599779751ddb165194b2fe9aef96fd03a423d3125564b0a9e6673947449b",
+            "mock_mse_over_time.csv": "3e007ce1396121899658d179a0cd5c591ad4409f15ae8920d10229d397dfd4c7",
+        }),
+    "zero": (["--predictor", "zero"], {
         "zero.json": "7c2bf47a073a6e5ddd069096575a663e3850d1dffbc2cfd5ef5cb870f50ce04b",
         "zero_per_step.csv": "3680773882dba5934e83b1893d475c42e30cf37cd1187e1ccaaeab8b7b5c7ad3",
         "zero_mse_over_time.csv": "45cd4348368b1407b5cfd28d0cf4560719ed4412f82bf08b72bd8a31e0f541a5",
-    },
+    }),
 }
 
 
-@pytest.mark.parametrize("predictor", sorted(GOLDEN))
-def test_toy_run_outputs_match_golden_hashes(tmp_path, predictor):
-    assert run_cli("run", "--manifest", TOY, "--predictor", predictor, "--out", str(tmp_path)) == 0
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_toy_run_outputs_match_golden_hashes(tmp_path, case):
+    args, hashes = GOLDEN[case]
+    assert run_cli("run", "--manifest", TOY, *args, "--out", str(tmp_path)) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert written == GOLDEN[predictor]
+    assert written == hashes

@@ -238,6 +238,36 @@ def test_mse_matches_triple_loop():
     assert abs(report.missing_only - np.mean(miss_terms)) <= 1e-12
 
 
+def test_mse_per_run_figures_match_single_run_reports():
+    rng = np.random.default_rng(8)
+    truth = SignalSeries(rng.standard_normal((5, 4)))
+    runs = [rng.standard_normal((5, 4)) for _ in range(3)]
+    masks = [generate_mask(5, 0.4, seed) for seed in range(3)]
+    report = evaluate_mse(runs, truth, masks)
+    assert report.per_run == tuple(
+        evaluate_mse([est], truth, [mask])[:2] for est, mask in zip(runs, masks)
+    )
+    assert evaluate_mse(runs, truth).per_run == tuple((a, None) for a, _ in report.per_run)
+
+
+def test_run_online_scores_all_runs_in_one_pass(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate_mse(*args, **kwargs)
+
+    monkeypatch.setattr("graphfill.harness.evaluate_mse", counted)
+    series = toy_series()
+    result = run_online(mock_predictor(), path3(), series, MaskSpec(0.4, 2), runs=4)
+    assert len(calls) == 1
+    aggregate = evaluate_mse(result.estimates, series, result.masks)
+    assert (result.mse_all, result.mse_missing) == aggregate[:2]
+    for est, mask, mse in zip(result.estimates, result.masks, result.per_run_mse):
+        single = evaluate_mse([est], series, [mask])
+        assert mse == {"all_nodes": single.all_nodes, "missing_only": single.missing_only}
+
+
 def test_mse_shape_checks():
     truth = SignalSeries(np.ones((2, 2)))
     with pytest.raises(ValueError):

@@ -9,8 +9,6 @@ import pytest
 from graphfill._format import format_value
 from graphfill.graphs import Graph
 from graphfill.messenger import (
-    Freshness,
-    NeighborValue,
     NodeTask,
     PromptTemplate,
     TemplateError,
@@ -45,7 +43,7 @@ def test_build_task_cold_start_observed_only():
     obs = obs_of(0, [2.0, None, None])
     task = build_task(1, obs, None, path3(), mode="observed-only")
     assert task.prev_estimate is None
-    assert task.neighbor_values == (NeighborValue(0, 2.0, Freshness.CURRENT_OBSERVED),)
+    assert task.neighbor_values == ((0, 2.0, True),)
 
 
 def test_build_task_stale_estimates_join_later():
@@ -53,17 +51,14 @@ def test_build_task_stale_estimates_join_later():
     prev = np.array([9.0, 0.5, 1.5])
     task = build_task(1, obs, prev, path3(), mode="observed-plus-stale")
     assert task.prev_estimate == 0.5
-    assert task.neighbor_values == (
-        NeighborValue(0, 2.0, Freshness.CURRENT_OBSERVED),
-        NeighborValue(2, 1.5, Freshness.STALE_ESTIMATE),
-    )
+    assert task.neighbor_values == ((0, 2.0, True), (2, 1.5, False))
 
 
 def test_build_task_observed_only_drops_stale():
     obs = obs_of(1, [2.0, None, None])
     prev = np.array([9.0, 0.5, 1.5])
     task = build_task(1, obs, prev, path3(), mode="observed-only")
-    assert [entry.node_id for entry in task.neighbor_values] == [0]
+    assert [u for u, _, _ in task.neighbor_values] == [0]
 
 
 def test_build_task_isolated_node_keeps_prev():
@@ -85,7 +80,7 @@ def test_build_task_never_includes_non_neighbors_or_self():
     g = star4()
     obs = obs_of(2, [None, 1.0, 2.0, 3.0])
     task = build_task(0, obs, np.arange(4.0), g)
-    ids = {entry.node_id for entry in task.neighbor_values}
+    ids = {u for u, _, _ in task.neighbor_values}
     assert 0 not in ids
     assert ids <= set(g.neighbors(0))
 
@@ -96,14 +91,29 @@ def test_build_task_rejects_unknown_mode():
 
 
 def test_node_task_rejects_self_neighbor():
-    with pytest.raises(ValueError):
-        NodeTask(1, 0, None, (NeighborValue(1, 2.0, Freshness.CURRENT_OBSERVED),))
+    with pytest.raises(ValueError, match="itself"):
+        NodeTask(1, 0, None, ((1, 2.0, True),))
 
 
 def test_node_task_rejects_duplicate_neighbor():
-    dup = NeighborValue(0, 2.0, Freshness.CURRENT_OBSERVED)
-    with pytest.raises(ValueError):
-        NodeTask(1, 0, None, (dup, dup))
+    with pytest.raises(ValueError, match="duplicate"):
+        NodeTask(1, 0, None, ((0, 2.0, True), (0, 2.0, False)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_node_task_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        NodeTask(1, 0, None, ((0, bad, True),))
+    with pytest.raises(ValueError, match="non-finite"):
+        NodeTask(1, 0, bad, ())
+
+
+def test_node_task_stores_plain_triples():
+    task = NodeTask(np.int64(1), 0, np.float64(0.5), [(np.intp(0), np.float64(2.0), np.bool_(True))])
+    assert task.neighbor_values == ((0, 2.0, True),)
+    (u, x, observed), = task.neighbor_values
+    assert (type(u), type(x), type(observed)) == (int, float, bool)
+    assert type(task.prev_estimate) is float
 
 
 # ---------------------------------------------------------------- rendering
@@ -114,10 +124,7 @@ def sample_task():
         node_id=1,
         time_index=4,
         prev_estimate=3.5,
-        neighbor_values=(
-            NeighborValue(0, 2.25, Freshness.CURRENT_OBSERVED),
-            NeighborValue(2, 1.75, Freshness.STALE_ESTIMATE),
-        ),
+        neighbor_values=((0, 2.25, True), (2, 1.75, False)),
         units="m/s",
     )
 

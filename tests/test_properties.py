@@ -1,8 +1,11 @@
 """Property tests: the reply parser round trip, observations, the online loop's
-invariants, the kNN build and the result writers against their former code."""
+invariants, and the kNN build, the result writers and the messenger's task,
+prompt and mock reply against their former code."""
 
 import csv
+import enum
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,10 +16,17 @@ from hypothesis import strategies as st
 
 from graphfill import graphs
 from graphfill._format import format_value
+from graphfill.backends import mock_predict
 from graphfill.graphs import Graph, knn_graph
 from graphfill.harness import Predictor, RunResult, run_online
-from graphfill.messenger import parse_response
-from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, observation_from_column
+from graphfill.messenger import PromptTemplate, build_task, parse_response, render_prompt
+from graphfill.signals import (
+    MaskSpec,
+    Observation,
+    SamplingMask,
+    SignalSeries,
+    observation_from_column,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -252,3 +262,136 @@ def test_to_json_matches_former_json_for_empty_estimate_matrices():
         per_run_stats=[{}, {}],
     )
     assert result.to_json() == former_json(result)
+
+
+# ---------------------------------------------------------------- messenger tasks
+
+# The former task layout, one frozen NeighborValue per neighbor with a
+# Freshness enum, and the build_task / render_prompt / mock_predict that read
+# it, kept as the oracle for the plain (node_id, value, observed) triples.
+
+
+class FormerFreshness(str, enum.Enum):
+    CURRENT_OBSERVED = "current-observed"
+    STALE_ESTIMATE = "stale-estimate"
+
+
+FORMER_LABELS = {
+    FormerFreshness.CURRENT_OBSERVED: "observed at this time step",
+    FormerFreshness.STALE_ESTIMATE: "estimate from the previous time step",
+}
+
+
+class FormerNeighborValue:
+    def __init__(self, node_id, value, freshness):
+        self.node_id, self.value, self.freshness = int(node_id), float(value), freshness
+        if not math.isfinite(self.value):
+            raise ValueError(f"neighbor value for node {self.node_id} is non-finite")
+
+
+class FormerTask:
+    def __init__(self, node_id, time_index, prev_estimate, neighbor_values, units=""):
+        self.node_id, self.time_index, self.units = node_id, time_index, units
+        self.prev_estimate = None if prev_estimate is None else float(prev_estimate)
+        self.neighbor_values = tuple(neighbor_values)
+
+
+def former_build_task(v, obs, prev, g, mode, units):
+    prev_vec = None if prev is None else np.asarray(prev, dtype=float)
+    entries = []
+    for u in g.neighbors(v):
+        if obs.present[u]:
+            entries.append(FormerNeighborValue(u, obs.data[u], FormerFreshness.CURRENT_OBSERVED))
+        elif mode == "observed-plus-stale" and prev_vec is not None:
+            entries.append(FormerNeighborValue(u, float(prev_vec[u]), FormerFreshness.STALE_ESTIMATE))
+    prev_estimate = None if prev_vec is None else float(prev_vec[v])
+    return FormerTask(v, obs.time_index, prev_estimate, entries, units)
+
+
+def former_render_prompt(task, template):
+    units = task.units if task.units else "unspecified units"
+    if task.prev_estimate is not None:
+        prev_block = (
+            f"Previous estimate for station {task.node_id} "
+            f"(time step {task.time_index - 1}): {format_value(task.prev_estimate)}"
+        )
+    else:
+        prev_block = f"No previous estimate is available for station {task.node_id}."
+    if task.neighbor_values:
+        neighbor_block = "\n".join(
+            f"- station {entry.node_id}: {format_value(entry.value)} "
+            f"({FORMER_LABELS[entry.freshness]})"
+            for entry in task.neighbor_values
+        )
+    else:
+        neighbor_block = "(no neighbor values available)"
+    mapping = {
+        "node_id": str(task.node_id),
+        "time_index": str(task.time_index),
+        "units": units,
+        "prev_estimate_block": prev_block,
+        "neighbor_block": neighbor_block,
+    }
+    return template.body.replace("{instruction_block}", template.instruction).format_map(mapping)
+
+
+def former_mock_predict(task, alpha):
+    has_prev = task.prev_estimate is not None
+    has_neighbors = len(task.neighbor_values) > 0
+    if not has_prev and not has_neighbors:
+        return "NaN"
+    if not has_neighbors:
+        value = task.prev_estimate
+    elif not has_prev:
+        value = float(np.mean([entry.value for entry in task.neighbor_values]))
+    else:
+        neighbor_mean = float(np.mean([entry.value for entry in task.neighbor_values]))
+        value = alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean
+    return format_value(value)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -3.0, 42.0, 2.5]
+task_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+
+
+@st.composite
+def messenger_cases(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    data = draw(st.lists(task_values, min_size=n, max_size=n))
+    t = draw(st.integers(0, 500))
+    obs = Observation(t, [x if p else 0.0 for x, p in zip(data, present)], present)
+    prev = draw(st.none() | st.lists(task_values, min_size=n, max_size=n).map(np.array))
+    v = draw(st.integers(0, n - 1))
+    mode = draw(st.sampled_from(["observed-only", "observed-plus-stale"]))
+    units = draw(st.sampled_from(["", "m/s"]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return v, obs, prev, g, mode, units, alpha
+
+
+@settings(deadline=None, max_examples=300)
+@given(messenger_cases())
+def test_messenger_task_prompt_and_mock_reply_match_former_code(case):
+    v, obs, prev, g, mode, units, alpha = case
+    template = PromptTemplate.default()
+    task = build_task(v, obs, prev, g, mode=mode, units=units)
+    former = former_build_task(v, obs, prev, g, mode, units)
+    assert render_prompt(task, template) == former_render_prompt(former, template)
+    assert outcome(mock_predict, task, alpha) == outcome(former_mock_predict, former, alpha)
+    # the node's own current reading is never part of its task
+    assert v not in [u for u, _, _ in task.neighbor_values]
