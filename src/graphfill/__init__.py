@@ -42,6 +42,7 @@ from .messenger import (
     NodeTask,
     ParsedPrediction,
     PromptTemplate,
+    StepTable,
     TemplateError,
     build_task,
     fallback_value,
@@ -106,7 +107,7 @@ __all__ = [
     # filters
     "FILTER_KINDS", "BandlimitedProjector", "FilterConfig", "default_bandwidth", "filter_step",
     # messenger
-    "NodeTask", "ParsedPrediction", "PromptTemplate", "TemplateError",
+    "NodeTask", "ParsedPrediction", "PromptTemplate", "StepTable", "TemplateError",
     "build_task", "fallback_value", "parse_response", "render_prompt",
     # backends
     "Backend", "BackendConfig", "BackendError", "BackendUnavailableError",

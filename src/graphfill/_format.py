@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 def format_value(value: float) -> str:
     """Render a finite float as plain decimal text that parses back exactly.
@@ -11,8 +13,8 @@ def format_value(value: float) -> str:
     ``float(format_value(x)) == x`` for any finite ``x``.
     """
     value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValueError(f"cannot format non-finite value {value!r}")
-    if value == int(value) and abs(value) < 1e16:
+    if value.is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(value)

@@ -131,13 +131,13 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
     if not has_prev and not has_neighbors:
         return "NaN"
     if not has_neighbors:
-        value = task.prev_estimate
-    elif not has_prev:
-        value = float(np.mean([x for _, x, _ in task.neighbor_values]))
-    else:
-        neighbor_mean = float(np.mean([x for _, x, _ in task.neighbor_values]))
-        value = alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean
-    return format_value(value)
+        return format_value(task.prev_estimate)
+    # np.mean's own reduction and division, so the bits match np.mean exactly
+    values = [x for _, x, _ in task.neighbor_values]
+    neighbor_mean = float(np.add.reduce(values)) / len(values)
+    if not has_prev:
+        return format_value(neighbor_mean)
+    return format_value(alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean)
 
 
 class Backend:

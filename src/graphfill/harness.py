@@ -33,6 +33,7 @@ from .messenger import (
     NEIGHBOR_MODES,
     NodeTask,
     PromptTemplate,
+    StepTable,
     build_task,
     fallback_value,
     parse_response,
@@ -206,7 +207,10 @@ class FilterPredictor(Predictor):
 class MessengerPredictor(Predictor):
     """Per-node completion pipeline: build task, render prompt, complete, parse.
 
-    Any failure along the way (backend error, unparseable or NaN reply,
+    Each step first gathers one :class:`~graphfill.messenger.StepTable`
+    (every node's value, its text and its prompt line) and passes it to
+    ``build_task`` and ``render_prompt``, which still run once per hidden
+    node. Any failure along the way (backend error, unparseable or NaN reply,
     infeasible task surfacing as a NaN reply) is replaced through the total
     fallback cascade and counted. Prompts are kept per run so a finished run
     can be audited for leaks. With ``batch=True`` each step's tasks go to the
@@ -243,6 +247,7 @@ class MessengerPredictor(Predictor):
 
     def reset(self, g, mask, run_index=0):
         super().reset(g, mask, run_index)
+        self._missing = mask.missing_ids
         self.stats = {
             "fallback_uses": 0,
             "parse_failures": 0,
@@ -264,17 +269,18 @@ class MessengerPredictor(Predictor):
 
     def predict_missing(self, t, obs, state):
         prev = state.estimates
-        missing = self._mask.missing_ids
-        proposals = np.empty(len(missing))
+        g, mode = self._g, self.neighbor_mode
+        table = StepTable(obs, prev, g, mode)
+        proposals = np.empty(len(self._missing))
         pending: list[tuple[int, NodeTask, CompletionRequest]] = []
-        for slot, v in enumerate(missing):
-            task = build_task(v, obs, prev, self._g, mode=self.neighbor_mode, units=self.units)
+        for slot, v in enumerate(self._missing):
+            task = build_task(v, obs, prev, g, mode=mode, units=self.units, table=table)
             if not task.is_feasible:
                 # Nothing to put in a prompt; skip the backend entirely so the
                 # fallback tally stays an exact sum of its three causes.
                 proposals[slot] = self._fallback(v, obs, state, "infeasible_tasks")
                 continue
-            prompt = render_prompt(task, self.template)
+            prompt = render_prompt(task, self.template, table)
             if self.keep_prompts:
                 self.prompt_log.append({"t": t, "node": v, "prompt": prompt})
             request = CompletionRequest(

@@ -6,7 +6,9 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -18,6 +20,7 @@ from .signals import Observation
 
 __all__ = [
     "NodeTask",
+    "StepTable",
     "PromptTemplate",
     "TemplateError",
     "ParsedPrediction",
@@ -29,6 +32,8 @@ __all__ = [
 ]
 
 NEIGHBOR_MODES = ("observed-only", "observed-plus-stale")
+
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -51,23 +56,27 @@ class NodeTask:
     units: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "node_id", int(self.node_id))
+        node_id = int(self.node_id)
+        object.__setattr__(self, "node_id", node_id)
         object.__setattr__(self, "time_index", int(self.time_index))
         if self.prev_estimate is not None:
             prev = float(self.prev_estimate)
             if not math.isfinite(prev):
                 raise ValueError("previous estimate is non-finite")
             object.__setattr__(self, "prev_estimate", prev)
-        entries = tuple((int(u), float(x), bool(observed)) for u, x, observed in self.neighbor_values)
-        seen = set()
-        for u, x, _ in entries:
-            if u == self.node_id:
-                raise ValueError(f"task for node {self.node_id} lists itself as a neighbor")
-            if u in seen:
-                raise ValueError(f"duplicate neighbor {u} in task")
-            if not math.isfinite(x):
-                raise ValueError(f"neighbor value for node {u} is non-finite")
-            seen.add(u)
+        entries = tuple([(int(u), float(x), bool(observed)) for u, x, observed in self.neighbor_values])
+        ids = set(map(_first, entries))
+        if node_id in ids or len(ids) != len(entries) or not all(map(math.isfinite, map(_second, entries))):
+            # Something is wrong: walk the entries in order to name the first fault.
+            seen = set()
+            for u, x, _ in entries:
+                if u == node_id:
+                    raise ValueError(f"task for node {node_id} lists itself as a neighbor")
+                if u in seen:
+                    raise ValueError(f"duplicate neighbor {u} in task")
+                if not math.isfinite(x):
+                    raise ValueError(f"neighbor value for node {u} is non-finite")
+                seen.add(u)
         object.__setattr__(self, "neighbor_values", entries)
 
     @property
@@ -120,6 +129,11 @@ class PromptTemplate:
         body = resources.files("graphfill").joinpath("templates/default_prompt.txt").read_text()
         return cls(body=body)
 
+    @cached_property
+    def text(self) -> str:
+        """The body with the instruction spliced in, ready for ``format_map``."""
+        return self.body.replace("{instruction_block}", self.instruction)
+
     @property
     def sha256(self) -> str:
         digest = hashlib.sha256()
@@ -132,6 +146,76 @@ class PromptTemplate:
 _NEIGHBOR_LABELS = {True: "observed at this time step", False: "estimate from the previous time step"}
 
 
+def _neighbor_line(u: int, text: str, observed: bool) -> str:
+    return f"- station {u}: {text} ({_NEIGHBOR_LABELS[observed]})"
+
+
+class StepTable:
+    """The context every task of one time step draws on, gathered once.
+
+    At a step each node has at most one value to offer its neighbors: its
+    reading when observed, else, in ``observed-plus-stale`` mode, its
+    estimate from the previous step. For each node ``u``:
+
+    - ``entries[u]`` is the ``(u, value, observed)`` triple that a
+      neighboring node's task lists, or None when ``u`` offers nothing;
+    - ``lines[u]`` is that triple's prompt line (None for a non-finite
+      value, which every task refuses);
+    - ``prev[u]`` is ``u``'s previous estimate, or None on a cold start;
+    - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
+      node, the same string its stale line shows, and None otherwise.
+
+    Each value is formatted once per step, however many tasks show it. A
+    table built by :meth:`for_task` holds just one task's nodes, keyed by id.
+    """
+
+    __slots__ = ("time_index", "obs", "graph", "mode", "entries", "lines", "prev", "prev_texts")
+
+    def __init__(self, obs: Observation, prev: Sequence[float] | None, g: Graph,
+                 mode: str = "observed-plus-stale"):
+        if mode not in NEIGHBOR_MODES:
+            raise ValueError(f"mode must be one of {NEIGHBOR_MODES}, got {mode!r}")
+        n = g.num_nodes
+        if obs.num_nodes != n:
+            raise ValueError(f"observation covers {obs.num_nodes} nodes, graph has {n}")
+        if prev is not None:
+            prev = np.asarray(prev, dtype=float)
+            if prev.shape != (n,):
+                raise ValueError(f"previous estimates have shape {prev.shape}, expected ({n},)")
+        self.time_index, self.obs, self.graph, self.mode = obs.time_index, obs, g, mode
+        self.prev = [None] * n if prev is None else prev.tolist()
+        self.entries, self.lines, self.prev_texts = [None] * n, [None] * n, [None] * n
+        stale = mode == "observed-plus-stale"
+        for u, (x, observed, before) in enumerate(zip(obs.data.tolist(), obs.present.tolist(), self.prev)):
+            if not observed:
+                if before is None:
+                    continue
+                x = before
+                # A non-finite estimate gets no text: any task holding it refuses it.
+                text = self.prev_texts[u] = format_value(x) if math.isfinite(x) else None
+                if not stale:
+                    continue
+            else:
+                text = format_value(x)
+            self.entries[u] = (u, x, observed)
+            if text is not None:
+                self.lines[u] = _neighbor_line(u, text, observed)
+
+    @classmethod
+    def for_task(cls, task: "NodeTask") -> "StepTable":
+        """The table of one task's own nodes, for rendering a task built elsewhere."""
+        table = cls.__new__(cls)
+        table.time_index, table.obs, table.graph, table.mode = task.time_index, None, None, None
+        v, prev = task.node_id, task.prev_estimate
+        table.prev = {v: prev}
+        table.prev_texts = {v: None if prev is None else format_value(prev)}
+        table.entries = {entry[0]: entry for entry in task.neighbor_values}
+        table.lines = {
+            u: _neighbor_line(u, format_value(x), observed) for u, x, observed in task.neighbor_values
+        }
+        return table
+
+
 def build_task(
     v: int,
     obs: Observation,
@@ -139,6 +223,7 @@ def build_task(
     g: Graph,
     mode: str = "observed-plus-stale",
     units: str = "",
+    table: StepTable | None = None,
 ) -> NodeTask:
     """Collect the local context for missing node ``v`` at the observation's time step.
 
@@ -148,67 +233,52 @@ def build_task(
     vector of the last step, or None on a cold start). Triples follow the
     graph's ascending neighbor order. The node's own previous estimate is
     attached whenever ``prev`` exists.
+
+    The triples come from ``table``, the :class:`StepTable` of ``(obs, prev,
+    g, mode)``, which a caller building every task of a step makes once and
+    passes in; without one, a table is built for this call alone.
     """
-    if mode not in NEIGHBOR_MODES:
-        raise ValueError(f"mode must be one of {NEIGHBOR_MODES}, got {mode!r}")
+    if table is None:
+        table = StepTable(obs, prev, g, mode)
+    elif table.obs is not obs or table.graph is not g or table.mode != mode:
+        raise ValueError("the step table was built for another observation, graph or mode")
     v = g.check_node(v)
-    if obs.num_nodes != g.num_nodes:
-        raise ValueError(f"observation covers {obs.num_nodes} nodes, graph has {g.num_nodes}")
-    prev_vec = None if prev is None else np.asarray(prev, dtype=float)
-    if prev_vec is not None and prev_vec.shape != (g.num_nodes,):
-        raise ValueError(f"previous estimates have shape {prev_vec.shape}, expected ({g.num_nodes},)")
-
-    stale = mode == "observed-plus-stale" and prev_vec is not None
-    entries = []
-    for u in g.neighbors(v):
-        if obs.present[u]:
-            entries.append((u, obs.data[u], True))
-        elif stale:
-            entries.append((u, prev_vec[u], False))
-    prev_estimate = None if prev_vec is None else float(prev_vec[v])
-    return NodeTask(
-        node_id=v,
-        time_index=obs.time_index,
-        prev_estimate=prev_estimate,
-        neighbor_values=tuple(entries),
-        units=units,
-    )
+    entries = table.entries
+    # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.
+    neighbors = tuple(filter(None, map(entries.__getitem__, g.neighbors(v))))
+    return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
 
 
-def render_prompt(task: NodeTask, template: PromptTemplate) -> str:
+def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | None = None) -> str:
     """Deterministically instantiate the template for one task.
 
     The text lists every neighbor value, labelled as observed now or as a
     previous-step estimate, and the node's previous estimate when present; it
     never contains values from any other node or any later time step because
-    the task itself cannot hold them.
+    the task itself cannot hold them. The lines and the previous estimate's
+    text come from ``table``, the :class:`StepTable` the task was built from;
+    without one, :meth:`StepTable.for_task` makes them from the task.
     """
-    units = task.units if task.units else "unspecified units"
+    if table is None:
+        table = StepTable.for_task(task)
+    v = task.node_id
     if task.prev_estimate is not None:
-        prev_block = (
-            f"Previous estimate for station {task.node_id} "
-            f"(time step {task.time_index - 1}): {format_value(task.prev_estimate)}"
-        )
+        text = table.prev_texts[v] or format_value(task.prev_estimate)
+        prev_block = f"Previous estimate for station {v} (time step {task.time_index - 1}): {text}"
     else:
-        prev_block = f"No previous estimate is available for station {task.node_id}."
-    if task.neighbor_values:
-        neighbor_block = "\n".join(
-            f"- station {u}: {format_value(x)} ({_NEIGHBOR_LABELS[observed]})"
-            for u, x, observed in task.neighbor_values
-        )
-    else:
-        neighbor_block = "(no neighbor values available)"
+        prev_block = f"No previous estimate is available for station {v}."
+    lines = table.lines
+    neighbor_block = "\n".join([lines[entry[0]] for entry in task.neighbor_values])
 
     mapping = {
-        "node_id": str(task.node_id),
+        "node_id": str(v),
         "time_index": str(task.time_index),
-        "units": units,
+        "units": task.units or "unspecified units",
         "prev_estimate_block": prev_block,
-        "neighbor_block": neighbor_block,
+        "neighbor_block": neighbor_block or "(no neighbor values available)",
     }
-    text = template.body.replace("{instruction_block}", template.instruction)
     try:
-        return text.format_map(mapping)
+        return template.text.format_map(mapping)
     except KeyError as exc:
         raise TemplateError(f"template references unknown placeholder {exc}") from None
     except (IndexError, ValueError) as exc:
@@ -255,8 +325,18 @@ def parse_response(text: str | None) -> ParsedPrediction:
     Blank input is an ``empty`` failure and a bare NaN token is ``nan-literal``.
     Several occurrences of the same number are fine; genuinely different
     numbers make the reply ambiguous and fail as ``multiple-conflicting``.
-    Never raises; failures are returned as values.
+    Never raises; failures are returned as values. A reply that is exactly
+    one finite number is read directly, with the result a full scan gives.
     """
+    if text is not None and _NUMBER_RE.fullmatch(text):
+        value = float(text)
+        if math.isfinite(value):
+            return ParsedPrediction(value=value)
+    return _scan_response(text)
+
+
+def _scan_response(text: str | None) -> ParsedPrediction:
+    """The general reading of a reply: every number token in it, then the failure cascade."""
     if text is None or not text.strip():
         return ParsedPrediction(failure=FAILURE_EMPTY)
     tokens = _NUMBER_RE.findall(text)

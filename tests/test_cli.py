@@ -204,3 +204,25 @@ def test_toy_run_outputs_match_golden_hashes(tmp_path, case):
     assert run_cli("run", "--manifest", TOY, *args, "--out", str(tmp_path)) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == hashes
+
+
+# SHA-256 of the replay file a 1-run mock ``replay-record`` writes for the toy
+# bundle, and of what replaying it through the llm predictor writes. Replay
+# keys are prompt hashes, so the replay file pins every prompt byte.
+REPLAY_GOLDEN = {
+    "replay.jsonl": "87ee1cbac5d83e5cc2d5453dae6d1383dcab7423f0b3d494e18a312614886976",
+    "llm.json": "412a8fc033208429e32564b365ff54652bea5b09a0d59efb152c495e6cfeac90",
+    "llm_per_step.csv": "ccbbff5b50ffc8b4dc4f88a0c4db38f0503573ea76b3b2f8e10113e50c000522",
+    "llm_mse_over_time.csv": "58dc70ff1c79943f4b935e6f55c040f3485a541a5dac934a0961b06b6c957d0d",
+}
+
+
+def test_toy_replay_record_matches_golden_hashes(tmp_path):
+    replay = tmp_path / "replay.jsonl"
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
+                   "--out", str(tmp_path / "record"), "--replay-out", str(replay)) == 0
+    out = tmp_path / "replayed"
+    assert run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
+                   "--replay-file", str(replay), "--runs", "1", "--out", str(out)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in [replay, *out.iterdir()]}
+    assert written == REPLAY_GOLDEN

@@ -5,6 +5,7 @@ import pytest
 
 from graphfill.backends import MockBackend
 from graphfill.filters import FilterConfig
+from graphfill import harness
 from graphfill.graphs import Graph
 from graphfill.harness import (
     CausalityError,
@@ -156,6 +157,25 @@ def test_fallback_count_identity():
     )
     assert stats["infeasible_tasks"] == 2  # only the cold start lacks context
     assert result.fallback_uses == stats["fallback_uses"]
+
+
+def test_mock_run_calls_each_messenger_stage_once_per_task(monkeypatch):
+    # Traced benchmark runs time these stages under these names.
+    calls = {}
+    for name in ("build_task", "render_prompt", "parse_response"):
+        def counted(*args, _name=name, _inner=getattr(harness, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    g = Graph(4, [(0, 1), (1, 2)])  # node 3 is isolated: infeasible on a cold start
+    series = SignalSeries(np.arange(20.0).reshape(4, 5))
+    mask = SamplingMask(np.array([True, False, True, False]))
+    result = run_online(mock_predictor(), g, series, mask, runs=2)
+    infeasible = sum(stats["infeasible_tasks"] for stats in result.per_run_stats)
+    assert infeasible == 2
+    tasks = 2 * 5 * 2  # runs x steps x hidden nodes
+    assert calls == {"build_task": tasks, "render_prompt": tasks - infeasible,
+                     "parse_response": tasks - infeasible}
 
 
 def test_dimension_mismatches_rejected():

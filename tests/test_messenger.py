@@ -11,6 +11,7 @@ from graphfill.graphs import Graph
 from graphfill.messenger import (
     NodeTask,
     PromptTemplate,
+    StepTable,
     TemplateError,
     build_task,
     fallback_value,
@@ -83,6 +84,27 @@ def test_build_task_never_includes_non_neighbors_or_self():
     ids = {u for u, _, _ in task.neighbor_values}
     assert 0 not in ids
     assert ids <= set(g.neighbors(0))
+
+
+def test_build_task_non_finite_estimates_reach_the_task_check():
+    obs = obs_of(1, [2.0, None, None])
+    prev = np.array([np.nan, 0.5, np.inf])
+    # node 0's estimate is unused (it is observed); node 2's only enters as a stale value
+    assert build_task(1, obs, prev, path3(), mode="observed-only").neighbor_values == ((0, 2.0, True),)
+    with pytest.raises(ValueError, match="neighbor value for node 2 is non-finite"):
+        build_task(1, obs, prev, path3(), mode="observed-plus-stale")
+    with pytest.raises(ValueError, match="previous estimate is non-finite"):
+        build_task(2, obs, prev, path3(), mode="observed-only")
+
+
+def test_build_task_refuses_a_table_from_another_step():
+    g, obs = path3(), obs_of(1, [2.0, None, None])
+    table = StepTable(obs, None, g)
+    assert build_task(1, obs, None, g, table=table) == build_task(1, obs, None, g)
+    with pytest.raises(ValueError, match="another observation"):
+        build_task(1, obs_of(2, [2.0, None, None]), None, g, table=table)
+    with pytest.raises(ValueError, match="another observation"):
+        build_task(1, obs, None, g, mode="observed-only", table=table)
 
 
 def test_build_task_rejects_unknown_mode():

@@ -1,6 +1,7 @@
-"""Property tests: the reply parser round trip, observations, the online loop's
-invariants, and the kNN build, the result writers and the messenger's task,
-prompt and mock reply against their former code."""
+"""Property tests: the reply parser round trip and its fast path, observations,
+the online loop's invariants, and the kNN build, the result writers and the
+messenger's tasks, prompts and mock replies (one node and whole steps) against
+their former code."""
 
 import csv
 import enum
@@ -16,10 +17,17 @@ from hypothesis import strategies as st
 
 from graphfill import graphs
 from graphfill._format import format_value
-from graphfill.backends import mock_predict
+from graphfill.backends import MockBackend, mock_predict
 from graphfill.graphs import Graph, knn_graph
-from graphfill.harness import Predictor, RunResult, run_online
-from graphfill.messenger import PromptTemplate, build_task, parse_response, render_prompt
+from graphfill.harness import EstimateState, MessengerPredictor, Predictor, RunResult, run_online
+from graphfill.messenger import (
+    PromptTemplate,
+    StepTable,
+    _scan_response,
+    build_task,
+    parse_response,
+    render_prompt,
+)
 from graphfill.signals import (
     MaskSpec,
     Observation,
@@ -362,25 +370,40 @@ EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -3.0, 42.0, 2.5]
 task_values = st.one_of(
     st.sampled_from(EDGE_VALUES),
     st.integers(-10**6, 10**6).map(float),
+    st.floats(-1e3, 1e3),
     st.floats(-1e300, 1e300, allow_nan=False),
 )
 
 
 @st.composite
-def messenger_cases(draw):
-    n = draw(st.integers(1, 7))
+def messenger_steps(draw):
+    """One time step: a graph, an observation, previous estimates (or a cold start)."""
+    # A hidden hub with 8 to 13 neighbors: numpy sums 8 or more values
+    # pairwise and fewer in order, so a mean computed any other way shows.
+    hub = draw(st.booleans())
+    n = draw(st.integers(9, 14) if hub else st.integers(1, 14))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = Graph(n, edges)
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    if hub:
+        edges.update((0, j) for j in range(1, n))
+    g = Graph(n, sorted(edges))
     present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if hub:
+        present[0] = False
     data = draw(st.lists(task_values, min_size=n, max_size=n))
     t = draw(st.integers(0, 500))
     obs = Observation(t, [x if p else 0.0 for x, p in zip(data, present)], present)
     prev = draw(st.none() | st.lists(task_values, min_size=n, max_size=n).map(np.array))
-    v = draw(st.integers(0, n - 1))
     mode = draw(st.sampled_from(["observed-only", "observed-plus-stale"]))
     units = draw(st.sampled_from(["", "m/s"]))
     alpha = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    return obs, prev, g, mode, units, alpha
+
+
+@st.composite
+def messenger_cases(draw):
+    obs, prev, g, mode, units, alpha = draw(messenger_steps())
+    v = draw(st.integers(0, g.num_nodes - 1))
     return v, obs, prev, g, mode, units, alpha
 
 
@@ -392,6 +415,92 @@ def test_messenger_task_prompt_and_mock_reply_match_former_code(case):
     task = build_task(v, obs, prev, g, mode=mode, units=units)
     former = former_build_task(v, obs, prev, g, mode, units)
     assert render_prompt(task, template) == former_render_prompt(former, template)
+    # the same through a table for the whole step, for hidden and observed nodes alike
+    table = StepTable(obs, prev, g, mode)
+    assert render_prompt(build_task(v, obs, prev, g, mode, units, table), template, table) == \
+        former_render_prompt(former, template)
     assert outcome(mock_predict, task, alpha) == outcome(former_mock_predict, former, alpha)
     # the node's own current reading is never part of its task
     assert v not in [u for u, _, _ in task.neighbor_values]
+
+
+class RecordingMock(MockBackend):
+    """The mock backend, keeping each task it answers with its prompt and reply."""
+
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.seen = []
+
+    def complete(self, req, task=None):
+        reply = super().complete(req, task)
+        self.seen.append((task, req.prompt, reply))
+        return reply
+
+
+def plain_task(task):
+    """A task's fields as text that tells -0.0 from 0.0."""
+    neighbors = [(e.node_id, e.value, e.freshness is FormerFreshness.CURRENT_OBSERVED)
+                 if isinstance(e, FormerNeighborValue) else e for e in task.neighbor_values]
+    return repr((task.node_id, task.time_index, task.prev_estimate, neighbors, task.units))
+
+
+def former_step(obs, prev, g, mode, units, alpha, template):
+    """Each hidden node in turn through the former build_task, render_prompt and mock_predict."""
+    seen, infeasible = [], 0
+    for v in np.flatnonzero(~obs.present).tolist():
+        task = former_build_task(v, obs, prev, g, mode, units)
+        if task.prev_estimate is None and not task.neighbor_values:
+            infeasible += 1
+            continue
+        seen.append((plain_task(task), former_render_prompt(task, template), former_mock_predict(task, alpha)))
+    return seen, infeasible
+
+
+def predictor_step(obs, prev, g, mode, units, alpha, template):
+    """One step of the messenger predictor, as the online loop runs it."""
+    backend = RecordingMock(alpha)
+    predictor = MessengerPredictor(backend, template=template, neighbor_mode=mode, units=units)
+    predictor.reset(g, SamplingMask(obs.present))
+    state = EstimateState(g.num_nodes, 1)
+    if prev is not None:
+        state.append(prev)
+    proposals = predictor.predict_missing(obs.time_index, obs, state)
+    seen = [(plain_task(task), prompt, reply) for task, prompt, reply in backend.seen]
+    return seen, predictor.stats["infeasible_tasks"], proposals, predictor.prompt_log
+
+
+@settings(deadline=None, max_examples=300)
+@given(messenger_steps())
+def test_messenger_step_matches_former_code_node_by_node(case):
+    obs, prev, g, mode, units, alpha = case
+    if not (~obs.present).any():
+        return  # nothing hidden, nothing to ask
+    template = PromptTemplate.default()
+    want = outcome(former_step, obs, prev, g, mode, units, alpha, template)
+    got = outcome(predictor_step, obs, prev, g, mode, units, alpha, template)
+    if isinstance(want[0], type):  # the former code raised; the predictor must raise the same
+        assert got == want
+        return
+    seen, infeasible, proposals, prompt_log = got
+    assert (seen, infeasible) == want
+    assert [entry["prompt"] for entry in prompt_log] == [prompt for _, prompt, _ in seen]
+    # each answered node's proposal is its reply read back, in node order
+    answered = iter(float(reply) for _, _, reply in seen)
+    hidden = np.flatnonzero(~obs.present).tolist()
+    former_tasks = [former_build_task(v, obs, prev, g, mode, units) for v in hidden]
+    for proposal, task in zip(proposals.tolist(), former_tasks):
+        if task.prev_estimate is not None or task.neighbor_values:
+            assert repr(proposal) == repr(next(answered))
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(),
+    st.sampled_from(["1e999", "-1e999", "-0", "+0", " 3 ", ".5", "5.", "nan", "NaN", "-", ".", "e5",
+                     "1e", "1.5e+", "3.", "007", "1_000", "inf", "\u0663", "2 2", "2 3"]),
+    finite.map(format_value),
+    st.from_regex(r"\A[-+]?(\d+\.\d*|\.\d+|\d+)([eE][-+]?\d+)?\Z"),
+))
+def test_parse_response_fast_path_matches_full_scan(text):
+    fast, full = parse_response(text), _scan_response(text)
+    assert (repr(fast.value), fast.failure) == (repr(full.value), full.failure)
