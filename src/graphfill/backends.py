@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -120,8 +121,9 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
 
     Returns ``alpha * previous estimate + (1 - alpha) * neighbor mean`` as
     plain decimal text; whichever side is absent drops out and the other takes
-    full weight. An infeasible task yields the literal text "NaN" so the
-    caller's fallback path is exercised end to end.
+    full weight. An infeasible task, or a mean or blend that overflows to a
+    non-finite value, yields the literal text "NaN": the caller counts it as a
+    parse failure and falls back, so the fallback path is exercised end to end.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
@@ -134,10 +136,10 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
         return format_value(task.prev_estimate)
     # np.mean's own reduction and division, so the bits match np.mean exactly
     values = [x for _, x, _ in task.neighbor_values]
-    neighbor_mean = float(np.add.reduce(values)) / len(values)
-    if not has_prev:
-        return format_value(neighbor_mean)
-    return format_value(alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean)
+    value = float(np.add.reduce(values)) / len(values)
+    if has_prev:
+        value = alpha * task.prev_estimate + (1.0 - alpha) * value
+    return format_value(value) if math.isfinite(value) else "NaN"
 
 
 class Backend:

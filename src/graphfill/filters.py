@@ -68,10 +68,8 @@ class BandlimitedProjector:
         return self.basis_block.shape[1]
 
     def apply(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.num_nodes,):
-            raise ValueError(f"vector shape {z.shape} does not match {self.num_nodes} nodes")
-        return self.basis_block @ (self.basis_block.T @ z)
+        """``U (U^T z)`` by ``ndarray.dot``: the BLAS calls of ``@`` with less dispatch."""
+        return self.basis_block.dot(self.basis_block.T.dot(z))
 
     def matrix(self) -> np.ndarray:
         """Dense N x N projection matrix (test and small-scale use)."""
@@ -119,19 +117,24 @@ def filter_step(
     The error ``e`` is zero at absent nodes. ``glms`` (least mean squares)
     uses it as is. ``gsign`` uses only its sign; sign(0) is 0, so a perfectly
     matched observation is a fixed point and the step norm is bounded by
-    ``mu * sqrt(#observed)``.
+    ``mu * sqrt(#observed)``. Each call checks the kind and that estimate,
+    observation and projector cover the same nodes, reading the shapes directly.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
     estimate = np.asarray(estimate, dtype=float)
     n = estimate.shape[0]
-    if obs.num_nodes != n or proj.num_nodes != n:
+    if obs.data.shape[0] != n or proj.basis_block.shape[0] != n:
         raise ValueError(
             f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, projector {proj.num_nodes}"
         )
     # Multiply by the presence flags: np.where would turn the -0.0 errors at
     # absent nodes into +0.0 and change the last bits of the estimates.
-    err = (obs.data - estimate) * obs.present
+    err = obs.data - estimate
+    err *= obs.present
     if kind == "gsign":
-        err = np.sign(err)
-    return estimate + float(mu) * proj.apply(err)
+        np.sign(err, out=err)
+    step = proj.apply(err)  # then mu * P(e) + x in place: the bits of x + mu * P(e)
+    step *= float(mu)
+    step += estimate
+    return step

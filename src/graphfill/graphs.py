@@ -31,13 +31,13 @@ class Graph:
 
     Self-loop edges are never stored; every node is implicitly its own closed
     neighbor (see :func:`closed_neighbors`). Instances are immutable once built
-    and safe to share across threads. A graph also holds its Laplacian
-    spectrum once :func:`graphfill.filters.graph_spectrum` has computed it;
-    since the edges never change, that spectrum cannot go stale, and two
-    threads filling it at once only compute the same value twice.
+    and safe to share across threads. A graph keeps its Laplacian spectrum and
+    its fingerprint once computed (``filters.graph_spectrum``, ``harness.graph_sha256``):
+    the edges never change, so neither goes stale, and two threads filling one
+    at once only compute the same value twice.
     """
 
-    __slots__ = ("_num_nodes", "_weights", "_adjacency", "_spectrum")
+    __slots__ = ("_num_nodes", "_weights", "_adjacency", "_spectrum", "_sha256")
 
     def __init__(self, num_nodes: int, edges: Iterable[Sequence] = ()) -> None:
         num_nodes = int(num_nodes)
@@ -71,6 +71,7 @@ class Graph:
             adjacency[v].append(u)
         self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         self._spectrum: SpectralBasis | None = None
+        self._sha256: str | None = None
 
     @property
     def num_nodes(self) -> int:

@@ -123,10 +123,11 @@ class EstimateState:
         return self._view[v, : self.steps_completed]
 
     def append(self, column: np.ndarray) -> None:
+        """Check the column (shape, finite entries, a step left) and store it."""
         column = np.asarray(column, dtype=float)
-        if column.shape != (self.num_nodes,):
+        if column.shape != self._values.shape[:1]:
             raise ValueError(f"column shape {column.shape} does not match {self.num_nodes} nodes")
-        if not np.all(np.isfinite(column)):
+        if np.count_nonzero(np.isfinite(column)) != column.size:
             raise ValueError("assembled estimate contains non-finite entries")
         t = self.steps_completed
         if t == self._values.shape[1]:
@@ -189,11 +190,13 @@ class FilterPredictor(Predictor):
         super().reset(g, mask, run_index)
         self._bandwidth = self.cfg.resolve_bandwidth(g.num_nodes)
         self._proj = BandlimitedProjector.from_graph(g, self._bandwidth)
+        self._mu = float(self.cfg.mu)
+        self._missing = np.flatnonzero(~mask.observed)
         self._estimate = np.zeros(g.num_nodes)
 
     def predict_missing(self, t, obs, state):
-        self._estimate = filter_step(self.kind, self._estimate, obs, self._proj, self.cfg.mu)
-        return self._estimate[~self._mask.observed]
+        self._estimate = filter_step(self.kind, self._estimate, obs, self._proj, self._mu)
+        return self._estimate[self._missing]
 
     def config_snapshot(self):
         return {
@@ -387,7 +390,11 @@ def evaluate_mse(
 
 
 def graph_sha256(g: Graph) -> str:
-    return hashlib.sha256(g.canonical_text().encode("utf-8")).hexdigest()
+    """SHA-256 of the graph's canonical text, computed on first use and kept on ``g``."""
+    digest = g._sha256
+    if digest is None:
+        digest = g._sha256 = hashlib.sha256(g.canonical_text().encode("utf-8")).hexdigest()
+    return digest
 
 
 def signal_sha256(series: SignalSeries) -> str:
@@ -575,7 +582,8 @@ def run_online(
     state, clamp observed nodes to their observed values, assemble the column,
     extend the history. The predictor never sees ground truth (the loop itself
     reads it only through the causal guard), so no estimate can depend on
-    future columns.
+    future columns. The missing index is found once per run; every step still
+    builds a checked observation and appends a checked column.
     """
     if truth.num_nodes != g.num_nodes:
         raise ValueError(f"truth covers {truth.num_nodes} nodes, graph has {g.num_nodes}")
@@ -597,14 +605,14 @@ def run_online(
         predictor.reset(g, run_mask, run_index=r)
         view = CausalSignalView(truth)
         state = EstimateState(g.num_nodes, truth.num_steps)
-        missing = ~run_mask.observed
+        missing = np.flatnonzero(~run_mask.observed)
         for t in range(truth.num_steps):
             view.advance(t)
             obs = observation_from_column(view.column(t), run_mask, t)
             proposals = predictor.predict_missing(t, obs, state)
-            if np.shape(proposals) != (run_mask.num_missing,):
+            if np.shape(proposals) != missing.shape:
                 raise ValueError(f"{predictor.name} must propose one value per missing node")
-            column = np.array(obs.data)
+            column = obs.data.copy()
             column[missing] = proposals
             state.append(column)
         estimates.append(state.matrix())

@@ -361,16 +361,19 @@ def fallback_value(
     ``history`` holds node ``v``'s previous estimates and observations. Fixed
     cascade: their mean; else the mean of the node's currently observed
     neighbors; else the mean of everything observed right now; else 0.0.
-    Always returns a finite number.
+    Always returns a finite number, also when a sum overflows.
     """
     v = g.check_node(v)
-    if len(history):
-        return float(np.mean(history))
-    neighbors = np.array(g.neighbors(v), dtype=np.intp)
-    neighbor_now = obs.data[neighbors][obs.present[neighbors]]
-    if neighbor_now.size:
-        return float(np.mean(neighbor_now))
-    anything = obs.data[obs.present]
-    if anything.size:
-        return float(np.mean(anything))
-    return 0.0
+    values = history
+    if not len(values):
+        neighbors = np.array(g.neighbors(v), dtype=np.intp)
+        values = obs.data[neighbors][obs.present[neighbors]]
+    if not len(values):
+        values = obs.data[obs.present]
+    if not len(values):
+        return 0.0
+    mean = float(np.mean(values))
+    if not math.isfinite(mean):  # the sum overflowed: average the values scaled into [-1, 1]
+        scale = float(np.max(np.abs(values)))
+        mean = scale * float(np.mean(np.divide(values, scale)))
+    return mean

@@ -59,6 +59,14 @@ def test_mock_infeasible_returns_nan_text():
     assert mock_predict(task_with(None, []), 0.5) == "NaN"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mock_overflow_returns_nan_text():
+    # the neighbor sum overflows; so does a blend with an overflowed mean
+    assert mock_predict(task_with(None, [1e308, 1e308]), 0.5) == "NaN"
+    assert mock_predict(task_with(1e308, [1e308, 1e308]), 1.0) == "NaN"  # 0 * inf
+    assert mock_predict(task_with(1.7e308, [1.7e308]), 0.5) == "1.7e+308"
+
+
 def test_mock_alpha_extremes():
     assert mock_predict(task_with(1.0, [9.0]), 1.0) == "1"
     assert mock_predict(task_with(1.0, [9.0]), 0.0) == "9"

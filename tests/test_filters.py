@@ -109,6 +109,15 @@ def test_step_dimension_mismatch():
         filter_step("glms", np.zeros(2), obs, proj, mu=0.5)
 
 
+def test_step_dimension_mismatch_names_every_size():
+    proj = BandlimitedProjector.from_graph(path3(), 3)
+    for estimate, obs in ((np.zeros(3), Observation(0, [1.0, 2.0], [True, True])),
+                          (np.zeros(2), Observation(0, [1.0, 2.0], [True, True])),
+                          (np.zeros(2), Observation(0, [1.0, 2.0, 3.0], [True, True, True]))):
+        with pytest.raises(ValueError, match="dimension mismatch: estimate .* projector 3"):
+            filter_step("gsign", estimate, obs, proj, mu=0.5)
+
+
 def test_updates_stay_bandlimited_from_zero_init():
     rng = np.random.default_rng(12)
     g = random_graph(rng, 7)

@@ -1,5 +1,7 @@
 """Online loop, causality guard, MSE evaluation, result serialization, comparison."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from graphfill.harness import (
     EstimateState,
     FilterPredictor,
     MessengerPredictor,
+    Predictor,
     RunResult,
     ZeroPredictor,
     compare,
     evaluate_mse,
+    graph_sha256,
     mse_over_time,
     run_online,
 )
@@ -176,6 +180,77 @@ def test_mock_run_calls_each_messenger_stage_once_per_task(monkeypatch):
     tasks = 2 * 5 * 2  # runs x steps x hidden nodes
     assert calls == {"build_task": tasks, "render_prompt": tasks - infeasible,
                      "parse_response": tasks - infeasible}
+
+
+def test_filter_run_calls_each_traced_stage_once_per_step(monkeypatch):
+    # Traced benchmark runs time these stages under these names; per-run
+    # work moved out of the step must not take a stage with it.
+    calls = {}
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(harness, "observation_from_column",
+                        counting("observation_from_column", harness.observation_from_column))
+    monkeypatch.setattr(harness, "filter_step", counting("filter_step", harness.filter_step))
+    monkeypatch.setattr(EstimateState, "append", counting("append", EstimateState.append))
+    series, runs = toy_series(), 3
+    for kind in ("glms", "gsign"):
+        calls.clear()
+        run_online(FilterPredictor(kind, FilterConfig(mu=0.5, bandwidth=2)), path3(), series,
+                   MaskSpec(fraction=0.3, seed=1), runs=runs)
+        steps = runs * series.num_steps
+        assert calls == {"observation_from_column": steps, "filter_step": steps, "append": steps}
+
+
+class ConstantPredictor(Predictor):
+    name = "constant"
+
+    def __init__(self, values):
+        self.values = values
+
+    def predict_missing(self, t, obs, state):
+        return np.array(self.values)
+
+
+@pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan],
+                                    [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+def test_non_finite_or_miscounted_proposals_are_refused(values):
+    mask = SamplingMask(np.array([True, False, False]))
+    with pytest.raises(ValueError, match="non-finite|one value per missing node"):
+        run_online(ConstantPredictor(values), path3(), toy_series(), mask)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("observed", [[True, False, True], [False, False, True]])
+def test_overflowing_mock_reply_is_a_counted_fallback(observed):
+    # Neighbour means of values this large overflow to inf. The mock replies
+    # "NaN", a parse failure, and the fallback's mean stays finite.
+    series = SignalSeries(np.full((3, 6), 1e308))
+    result = run_online(mock_predictor(), path3(), series, SamplingMask(np.array(observed)))
+    stats = result.per_run_stats[0]
+    assert stats["parse_failures"] > 0
+    assert stats["fallback_uses"] == (
+        stats["parse_failures"] + stats["backend_failures"] + stats["infeasible_tasks"]
+    )
+    assert np.array_equal(result.estimates[0], series.values)
+    assert result.mse_all == 0.0
+
+
+def test_graph_fingerprint_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    canonical_text = Graph.canonical_text
+    monkeypatch.setattr(Graph, "canonical_text", lambda g: calls.append(g) or canonical_text(g))
+    g, twin, other = path3(), path3(), Graph(3, [(0, 1)])
+    for _ in range(3):
+        result = run_online(ZeroPredictor(), g, toy_series(), MaskSpec(fraction=0.3, seed=0))
+    want = hashlib.sha256(canonical_text(g).encode("utf-8")).hexdigest()
+    assert result.context["graph_sha256"] == graph_sha256(g) == graph_sha256(twin) == want
+    assert graph_sha256(other) == hashlib.sha256(b"3\n0 1 1").hexdigest()
+    assert calls == [g, twin, other]
 
 
 def test_dimension_mismatches_rejected():

@@ -284,6 +284,18 @@ def test_fallback_terminal_zero():
     assert fallback_value(0, np.array([]), obs, g) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_fallback_stays_finite_when_the_sum_overflows():
+    g = path3()
+    big = np.finfo(float).max
+    assert fallback_value(1, np.array([1e308, 1e308]), obs_of(0, [1.0, None, 1.0]), g) == 1e308
+    assert fallback_value(1, np.array([]), obs_of(0, [big, None, big]), g) == big
+    dark = Graph(4, [(0, 1)])  # node 0's only neighbor is absent: the mean of all observed
+    assert fallback_value(0, np.array([]), obs_of(0, [None, None, -big, -big]), dark) == -big
+    value = fallback_value(1, np.array([big, -1e308, big]), obs_of(0, [1.0, None, 1.0]), g)
+    assert np.isfinite(value) and value > 0
+
+
 def test_fallback_always_finite():
     rng = np.random.default_rng(3)
     g = star4()

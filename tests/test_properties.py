@@ -1,7 +1,8 @@
 """Property tests: the reply parser round trip and its fast path, observations,
-the online loop's invariants, and the kNN build, the result writers and the
-messenger's tasks, prompts and mock replies (one node and whole steps) against
-their former code."""
+the online loop's invariants, the G-Sign step bound, the kNN graph's shape,
+and the online loop, the kNN build, the result writers and the messenger's
+tasks, prompts and mock replies (one node and whole steps) against their
+former code."""
 
 import csv
 import enum
@@ -19,7 +20,17 @@ from graphfill import graphs
 from graphfill._format import format_value
 from graphfill.backends import MockBackend, mock_predict
 from graphfill.graphs import Graph, knn_graph
-from graphfill.harness import EstimateState, MessengerPredictor, Predictor, RunResult, run_online
+from graphfill.filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
+from graphfill.harness import (
+    EstimateState,
+    FilterPredictor,
+    MessengerPredictor,
+    Predictor,
+    RunResult,
+    ZeroPredictor,
+    evaluate_mse,
+    run_online,
+)
 from graphfill.messenger import (
     PromptTemplate,
     StepTable,
@@ -101,6 +112,157 @@ def test_run_online_clamps_observed_entries_and_never_reads_ahead(n, steps, runs
         assert log == [(t, t) for t in range(steps)]
 
 
+# ---------------------------------------------------------------- online loop against its former code
+# The loop as it was before run-invariant work left the step: every step
+# builds an Observation that copies the mask, the filter step projects with
+# the former checked ``@`` products, and the column is assembled through a
+# boolean mask and checked with np.all.
+
+
+class FormerObservation:
+    __slots__ = ("time_index", "data", "present")
+
+    def __init__(self, time_index, data, present):
+        data = np.asarray(data, dtype=float)
+        present = np.array(np.asarray(present, dtype=bool))
+        present.setflags(write=False)
+        data = np.where(present, data, 0.0)
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"observation entry {int(np.argmin(np.isfinite(data)))} is non-finite")
+        data.setflags(write=False)
+        self.time_index, self.data, self.present = int(time_index), data, present
+
+    @property
+    def num_nodes(self):
+        return self.data.shape[0]
+
+
+def former_filter_step(kind, estimate, obs, proj, mu):
+    if kind not in FILTER_KINDS:
+        raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
+    estimate = np.asarray(estimate, dtype=float)
+    n = estimate.shape[0]
+    if obs.num_nodes != n or proj.num_nodes != n:
+        raise ValueError("dimension mismatch")
+    err = (obs.data - estimate) * obs.present
+    if kind == "gsign":
+        err = np.sign(err)
+    err = np.asarray(err, dtype=float)  # the former BandlimitedProjector.apply
+    if err.shape != (proj.num_nodes,):
+        raise ValueError("vector shape does not match")
+    return estimate + float(mu) * (proj.basis_block @ (proj.basis_block.T @ err))
+
+
+def former_run(kind, mu, bandwidth, g, truth, mask, runs):
+    """The former ``run_online`` loop for a filter kind, or for the zero predictor (kind None)."""
+    estimates, masks, logs = [], [], []
+    for r in range(runs):
+        run_mask = mask.mask_for_run(r, g.num_nodes) if isinstance(mask, MaskSpec) else mask
+        if kind is not None:
+            proj = BandlimitedProjector.from_graph(g, bandwidth)
+            estimate = np.zeros(g.num_nodes)
+        values = np.zeros((g.num_nodes, truth.num_steps))
+        missing = ~run_mask.observed
+        log = []
+        for t in range(truth.num_steps):
+            log.append((t, t))
+            obs = FormerObservation(t, np.array(truth.values[:, t]), run_mask.observed)
+            if kind is None:
+                proposals = np.zeros(run_mask.num_missing)
+            else:
+                estimate = former_filter_step(kind, estimate, obs, proj, mu)
+                proposals = estimate[~run_mask.observed]
+            column = np.array(obs.data)
+            column[missing] = proposals
+            if not np.all(np.isfinite(column)):
+                raise ValueError("assembled estimate contains non-finite entries")
+            values[:, t] = column
+        estimates.append(values)
+        masks.append(run_mask)
+        logs.append(log)
+    report = evaluate_mse(estimates, truth, masks)
+    return [e.tobytes() for e in estimates], repr(report[:2] + (report.per_run,)), logs
+
+
+def current_run(kind, mu, bandwidth, g, truth, mask, runs):
+    if kind is None:
+        predictor = ZeroPredictor()
+    else:
+        predictor = FilterPredictor(kind, FilterConfig(mu=mu, bandwidth=bandwidth))
+    result = run_online(predictor, g, truth, mask, runs=runs)
+    report = (result.mse_all, result.mse_missing,
+              tuple((m["all_nodes"], m["missing_only"]) for m in result.per_run_mse))
+    return [e.tobytes() for e in result.estimates], repr(report), result.access_logs
+
+
+signal_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -2.5]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e300, 1e300),
+)
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=12):
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = st.sampled_from([1.0, 0.0]) | st.floats(0.0, 10.0)
+    return Graph(n, [(u, v, draw(weight)) for u, v in chosen])
+
+
+@st.composite
+def online_runs(draw):
+    g = draw(weighted_graphs())
+    n = g.num_nodes
+    steps = draw(st.integers(1, 6))
+    truth = SignalSeries(np.array(draw(st.lists(signal_values, min_size=n * steps, max_size=n * steps)))
+                         .reshape(n, steps))
+    mask = draw(st.one_of(
+        st.sampled_from([True, False]).map(lambda o: SamplingMask(np.full(n, o))),  # none or all hidden
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda o: SamplingMask(np.array(o))),
+        st.builds(MaskSpec, st.floats(0.0, 0.99), st.integers(0, 2**16), st.booleans()),
+    ))
+    kind = draw(st.sampled_from([*FILTER_KINDS, None]))
+    mu = draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 2.0))
+    bandwidth = draw(st.integers(1, n))
+    return kind, mu, bandwidth, g, truth, mask, draw(st.integers(1, 3))
+
+
+@settings(deadline=None, max_examples=300)
+@given(online_runs())
+def test_online_loop_matches_former_loop_bit_for_bit(case):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 errors
+        want = outcome(former_run, *case)
+        got = outcome(current_run, *case)
+    assert got == want
+
+
+# ---------------------------------------------------------------- filter and graph properties
+
+
+@st.composite
+def gsign_steps(draw):
+    g = draw(weighted_graphs())
+    n = g.num_nodes
+    present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    data = draw(st.lists(finite, min_size=n, max_size=n))
+    estimate = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    mu = draw(st.floats(1e-3, 10.0))
+    return g, draw(st.integers(1, n)), Observation(0, data, present), estimate, mu
+
+
+@settings(deadline=None, max_examples=200)
+@given(gsign_steps())
+def test_gsign_step_norm_is_at_most_mu_sqrt_observed(case):
+    g, bandwidth, obs, estimate, mu = case
+    proj = BandlimitedProjector.from_graph(g, bandwidth)
+    out = filter_step("gsign", estimate, obs, proj, mu)
+    bound = mu * math.sqrt(np.count_nonzero(obs.present))
+    # the projection's rounding, and the rounding of x + step at |x| <= 1e3
+    assert np.linalg.norm(out - estimate) <= bound * (1 + 1e-9) + 1e-9
+
+
 # ---------------------------------------------------------------- kNN build
 
 
@@ -153,7 +315,7 @@ coordinate = st.one_of(
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, coordinate=coordinate):
     n = draw(st.integers(2, 12))
     dim = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=1, max_size=n))
@@ -174,6 +336,22 @@ def test_knn_graph_matches_former_build(pts, data, weight_mode, chunk_elements):
     # A small chunk budget splits even a dozen points into several row chunks.
     with mock.patch.object(graphs, "_KNN_CHUNK_ELEMENTS", chunk_elements):
         assert_same_knn(pts, k, weight_mode)
+
+
+@settings(deadline=None, max_examples=200)
+@given(point_sets(st.floats(-1e100, 1e100) | st.sampled_from([0.0, -0.0, 1.0, 1e-300])),
+       st.data(), st.sampled_from(["unit", "gaussian"]))
+def test_knn_graph_is_symmetric_without_self_loops_and_degree_at_least_k(pts, data, weight_mode):
+    n = len(pts)
+    k = data.draw(st.integers(1, n - 1))
+    g = knn_graph(pts, k, weight_mode)
+    a = g.adjacency_matrix()
+    assert np.array_equal(a, a.T)
+    assert not np.diag(a).any()
+    for v in range(n):
+        assert v not in g.neighbors(v)
+        assert all(v in g.neighbors(u) for u in g.neighbors(v))
+        assert g.degree(v) >= k
 
 
 def test_knn_graph_matches_former_build_on_a_few_hundred_points():

@@ -144,6 +144,27 @@ def test_observation_rejects_non_finite_present_value():
         Observation(0, [1.0, float("nan")], [True, True])
 
 
+def test_observation_shares_only_a_read_only_mask_that_owns_its_memory():
+    mask = SamplingMask(np.array([True, False, True]))
+    assert observation_from_column(np.ones(3), mask, 0).present is mask.observed
+    flags = np.array([True, False, True])
+    view = flags.view()
+    view.setflags(write=False)  # read-only, but its owner can still change it
+    kept = [Observation(0, np.ones(3), present) for present in (flags, view, flags.tolist())]
+    flags[:] = False
+    for obs in kept:
+        assert obs.present.tolist() == [True, False, True]
+        assert not obs.present.flags.writeable
+
+
+def test_series_column_is_a_read_only_view():
+    s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    col = s.column(1)
+    assert np.shares_memory(col, s.values) and not col.flags.writeable
+    with pytest.raises(ValueError):
+        s.column(-1)
+
+
 def test_observation_dense_masks_absent():
     # an absent node's input value never reaches ``data``, finite or not
     obs = Observation(0, [1.5, 7.0], [True, False])
