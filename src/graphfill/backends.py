@@ -12,7 +12,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -66,17 +66,23 @@ class TransportFailure(Exception):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One self-contained completion call; never carries conversation history."""
+    """One self-contained completion call; never carries conversation history.
+
+    ``task`` is the :class:`NodeTask` the prompt was rendered from. The mock
+    backend answers from it; every other backend sends only the prompt. It
+    takes no part in equality or the repr, and a request that joins several
+    prompts (a remote batch) has none.
+    """
 
     prompt: str
     model: str = "gpt-3.5-turbo"
     temperature: float = 0.0
     max_tokens: int = 16
     request_id: str = ""
+    task: NodeTask | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if float(self.temperature) < 0:
-            raise ValueError("temperature must be nonnegative")
+        check_temperature(self.temperature)
         if int(self.max_tokens) < 1:
             raise ValueError("max_tokens must be at least 1")
 
@@ -110,6 +116,14 @@ class BackendConfig:
             raise ValueError("max_in_flight must be at least 1")
         if int(self.max_retries) < 0:
             raise ValueError("max_retries must be nonnegative")
+
+
+def check_temperature(temperature: float) -> float:
+    """``temperature`` as a float; ValueError unless it is a finite number >= 0."""
+    value = float(temperature)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
+    return value
 
 
 def prompt_sha256(prompt: str) -> str:
@@ -147,18 +161,13 @@ class Backend:
 
     kind = "abstract"
 
-    def complete(self, req: CompletionRequest, task: NodeTask | None = None) -> str:
+    def complete(self, req: CompletionRequest) -> str:
+        """The reply text for one request; everything it needs travels in ``req``."""
         raise NotImplementedError
 
-    def complete_batch(
-        self, reqs: Sequence[CompletionRequest], tasks: Sequence[NodeTask] | None = None
-    ) -> list[str]:
+    def complete_batch(self, reqs: Sequence[CompletionRequest]) -> list[str]:
         """Default batching: independent per-item calls, so counts always match."""
-        out = []
-        for i, req in enumerate(reqs):
-            task = tasks[i] if tasks is not None else None
-            out.append(self.complete(req, task=task))
-        return out
+        return [self.complete(req) for req in reqs]
 
 
 class MockBackend(Backend):
@@ -169,10 +178,10 @@ class MockBackend(Backend):
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = float(alpha)
 
-    def complete(self, req: CompletionRequest, task: NodeTask | None = None) -> str:
-        if task is None:
-            raise ValueError("mock backend needs the node task alongside the request")
-        return mock_predict(task, self.alpha)
+    def complete(self, req: CompletionRequest) -> str:
+        if req.task is None:
+            raise ValueError("mock backend needs a request that carries its node task")
+        return mock_predict(req.task, self.alpha)
 
 
 def read_replay_file(path: str | Path) -> dict[str, str]:
@@ -224,7 +233,7 @@ class ReplayBackend(Backend):
         self.path = Path(path)
         self.responses = read_replay_file(self.path)
 
-    def complete(self, req: CompletionRequest, task: NodeTask | None = None) -> str:
+    def complete(self, req: CompletionRequest) -> str:
         key = prompt_sha256(req.prompt)
         try:
             return self.responses[key]
@@ -242,13 +251,13 @@ class RecordingBackend(Backend):
         self.path = Path(path)
         self.kind = f"record+{inner.kind}"
 
-    def complete(self, req: CompletionRequest, task: NodeTask | None = None) -> str:
-        text = self.inner.complete(req, task=task)
+    def complete(self, req: CompletionRequest) -> str:
+        text = self.inner.complete(req)
         append_replay_record(self.path, req.prompt, text, req.model, req.temperature)
         return text
 
-    def complete_batch(self, reqs, tasks=None):
-        texts = self.inner.complete_batch(reqs, tasks=tasks)
+    def complete_batch(self, reqs):
+        texts = self.inner.complete_batch(reqs)
         if len(texts) == len(reqs):
             for req, text in zip(reqs, texts):
                 append_replay_record(self.path, req.prompt, text, req.model, req.temperature)
@@ -326,7 +335,7 @@ class RemoteBackend(Backend):
         with self._in_flight:
             return self._transport(self._cfg.endpoint, self._headers, payload, self._cfg.timeout_s)
 
-    def complete(self, req: CompletionRequest, task: NodeTask | None = None) -> str:
+    def complete(self, req: CompletionRequest) -> str:
         payload = {
             "model": req.model,
             "messages": [{"role": "user", "content": req.prompt}],
@@ -366,8 +375,8 @@ class RemoteBackend(Backend):
             f"request {req.request_id or 'unnamed'}: retries exhausted ({last_issue})"
         )
 
-    def complete_batch(self, reqs, tasks=None):
-        """Single call carrying every prompt; replies are split on lines.
+    def complete_batch(self, reqs):
+        """Single call carrying every prompt, and no task; replies are split on lines.
 
         Unreliable by nature (the response count is not guaranteed); callers
         must go through :func:`batch_complete` for the count guard.
@@ -419,22 +428,19 @@ class BatchFailure:
     reason: str
 
 
-def batch_complete(
-    reqs: Sequence[CompletionRequest],
-    backend: Backend,
-    tasks: Sequence[NodeTask] | None = None,
-) -> list:
+def batch_complete(reqs: Sequence[CompletionRequest], backend: Backend) -> list:
     """Batched completion through ``backend`` with the response-count guard.
 
-    If the backend returns a different number of responses than requests,
-    every item in the batch is marked failed and a diagnostic is logged;
-    responses are never realigned.
+    Each request carries its own task, as for ``Backend.complete``. If the
+    backend returns a different number of responses than requests, every
+    item in the batch is marked failed and a diagnostic is logged; responses
+    are never realigned.
     """
     reqs = list(reqs)
     if not reqs:
         return []
     try:
-        texts = backend.complete_batch(reqs, tasks=tasks)
+        texts = backend.complete_batch(reqs)
     except BackendError as exc:
         logger.warning("batch of %d requests failed outright: %s", len(reqs), exc)
         return [BatchFailure(reason=f"batch backend failure: {exc}")] * len(reqs)

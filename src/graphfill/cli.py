@@ -190,7 +190,6 @@ def _build_predictor(args, units: str, prepared=None):
         max_tokens=args.max_tokens,
         batch=bool(args.batch),
         name="mock" if args.predictor == "mock" else "llm",
-        keep_prompts=False,  # the CLI never writes the prompt log
     )
 
 

@@ -244,14 +244,8 @@ def load_bundle(manifest_path: str | Path) -> LoadedBundle:
     return LoadedBundle(graph=graph, series=series, units=bundle.units)
 
 
-def save_bundle(
-    directory: str | Path,
-    graph: Graph,
-    series: SignalSeries,
-    units: str = "",
-    name: str = "manifest.txt",
-) -> Path:
-    """Write edges + signal + manifest into a directory; returns the manifest path.
+def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries, units: str = "") -> Path:
+    """Write edges, signal and ``manifest.txt`` into a directory; returns the manifest path.
 
     Paired with load_bundle this round-trips exactly: values are written as
     shortest exact decimal text.
@@ -264,7 +258,7 @@ def save_bundle(
         )
     write_edge_list(graph, directory / "edges.txt")
     write_signal_csv(series, directory / "signal.csv")
-    manifest = directory / name
+    manifest = directory / "manifest.txt"
     lines = ["signal = signal.csv", "edges = edges.txt"]
     if units:
         lines.append(f"units = {units}")

@@ -128,10 +128,8 @@ def filter_step(
         raise ValueError(
             f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, projector {proj.num_nodes}"
         )
-    # Multiply by the presence flags: np.where would turn the -0.0 errors at
-    # absent nodes into +0.0 and change the last bits of the estimates.
     err = obs.data - estimate
-    err *= obs.present
+    err *= obs.present  # zero the absent nodes in place, with no second array as np.where makes
     if kind == "gsign":
         np.sign(err, out=err)
     step = proj.apply(err)  # then mu * P(e) + x in place: the bits of x + mu * P(e)

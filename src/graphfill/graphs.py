@@ -185,17 +185,17 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def eigendecompose(laplacian_matrix: np.ndarray, symmetry_tol: float = 1e-10) -> SpectralBasis:
+def eigendecompose(laplacian_matrix: np.ndarray) -> SpectralBasis:
     """Full symmetric eigendecomposition with a deterministic sign convention.
 
-    Raises ValueError if the input is not symmetric within ``symmetry_tol``
+    Raises ValueError if the input is not symmetric within 1e-10 (max |A - A^T|)
     and ArithmeticError if the solver fails to converge.
     """
     mat = np.asarray(laplacian_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if asym > symmetry_tol:
+    if asym > 1e-10:
         raise ValueError(f"matrix is not symmetric (max |A - A^T| = {asym:.3e})")
     try:
         values, vectors = np.linalg.eigh(mat)

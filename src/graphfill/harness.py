@@ -26,12 +26,12 @@ from .backends import (
     BatchFailure,
     CompletionRequest,
     batch_complete,
+    check_temperature,
 )
 from .filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
 from .graphs import Graph
 from .messenger import (
     NEIGHBOR_MODES,
-    NodeTask,
     PromptTemplate,
     StepTable,
     build_task,
@@ -215,10 +215,12 @@ class MessengerPredictor(Predictor):
     ``build_task`` and ``render_prompt``, which still run once per hidden
     node. Any failure along the way (backend error, unparseable or NaN reply,
     infeasible task surfacing as a NaN reply) is replaced through the total
-    fallback cascade and counted. Prompts are kept per run so a finished run
-    can be audited for leaks. With ``batch=True`` each step's tasks go to the
-    backend as one batch through :func:`batch_complete`, whose count guard
-    fails every item when the number of replies is wrong.
+    fallback cascade and counted. Every request carries the task it was
+    rendered from. With ``keep_prompts=True`` a run keeps its prompts in
+    ``prompt_log``, so it can be audited for leaks. With ``batch=True`` each
+    step's tasks go to the backend as one batch through
+    :func:`batch_complete`, whose count guard fails every item when the
+    number of replies is wrong.
     """
 
     def __init__(
@@ -232,7 +234,7 @@ class MessengerPredictor(Predictor):
         max_tokens: int = 16,
         batch: bool = False,
         name: str = "llm",
-        keep_prompts: bool = True,
+        keep_prompts: bool = False,
     ):
         if neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(f"neighbor_mode must be one of {NEIGHBOR_MODES}, got {neighbor_mode!r}")
@@ -241,7 +243,7 @@ class MessengerPredictor(Predictor):
         self.neighbor_mode = neighbor_mode
         self.units = units
         self.model = model
-        self.temperature = float(temperature)
+        self.temperature = check_temperature(temperature)
         self.max_tokens = int(max_tokens)
         self.batch = bool(batch)
         self.name = name
@@ -264,9 +266,9 @@ class MessengerPredictor(Predictor):
         self.stats["fallback_uses"] += 1
         return fallback_value(v, state.history(v), obs, self._g)
 
-    def _complete_one(self, req, task):
+    def _complete_one(self, req):
         try:
-            return self.backend.complete(req, task=task)
+            return self.backend.complete(req)
         except BackendError as exc:
             return BatchFailure(reason=str(exc))
 
@@ -275,7 +277,7 @@ class MessengerPredictor(Predictor):
         g, mode = self._g, self.neighbor_mode
         table = StepTable(obs, prev, g, mode)
         proposals = np.empty(len(self._missing))
-        pending: list[tuple[int, NodeTask, CompletionRequest]] = []
+        pending: list[tuple[int, CompletionRequest]] = []
         for slot, v in enumerate(self._missing):
             task = build_task(v, obs, prev, g, mode=mode, units=self.units, table=table)
             if not task.is_feasible:
@@ -292,27 +294,26 @@ class MessengerPredictor(Predictor):
                 temperature=self.temperature,
                 max_tokens=self.max_tokens,
                 request_id=f"run{self._run_index}-t{t}-node{v}",
+                task=task,
             )
-            pending.append((slot, task, request))
+            pending.append((slot, request))
 
         if self.batch:
-            outcomes = batch_complete(
-                [request for _, _, request in pending], self.backend,
-                tasks=[task for _, task, _ in pending],
-            )
+            outcomes = batch_complete([request for _, request in pending], self.backend)
         else:
             # A generator, so each request is sent only after the previous
             # reply has been handled.
-            outcomes = (self._complete_one(request, task) for _, task, request in pending)
-        for (slot, task, _), outcome in zip(pending, outcomes):
+            outcomes = (self._complete_one(request) for _, request in pending)
+        for (slot, request), outcome in zip(pending, outcomes):
+            v = request.task.node_id
             if isinstance(outcome, BatchFailure):
-                proposals[slot] = self._fallback(task.node_id, obs, state, "backend_failures")
+                proposals[slot] = self._fallback(v, obs, state, "backend_failures")
                 continue
             parsed = parse_response(outcome)
             if parsed.ok:
                 proposals[slot] = parsed.value
             else:
-                proposals[slot] = self._fallback(task.node_id, obs, state, "parse_failures")
+                proposals[slot] = self._fallback(v, obs, state, "parse_failures")
         return proposals
 
     def config_snapshot(self):

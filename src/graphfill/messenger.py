@@ -121,8 +121,8 @@ class PromptTemplate:
                 raise TemplateError(f"instruction block must contain {mark!r}")
 
     @classmethod
-    def load(cls, path: str | Path, instruction: str = DEFAULT_INSTRUCTION) -> "PromptTemplate":
-        return cls(body=Path(path).read_text(), instruction=instruction)
+    def load(cls, path: str | Path) -> "PromptTemplate":
+        return cls(body=Path(path).read_text())
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -165,8 +165,8 @@ class StepTable:
     - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
       node, the same string its stale line shows, and None otherwise.
 
-    Each value is formatted once per step, however many tasks show it. A
-    table built by :meth:`for_task` holds just one task's nodes, keyed by id.
+    Each value is formatted once per step, however many tasks show it. The
+    table covers every node of the graph, in lists indexed by node id.
     """
 
     __slots__ = ("time_index", "obs", "graph", "mode", "entries", "lines", "prev", "prev_texts")
@@ -200,20 +200,6 @@ class StepTable:
             self.entries[u] = (u, x, observed)
             if text is not None:
                 self.lines[u] = _neighbor_line(u, text, observed)
-
-    @classmethod
-    def for_task(cls, task: "NodeTask") -> "StepTable":
-        """The table of one task's own nodes, for rendering a task built elsewhere."""
-        table = cls.__new__(cls)
-        table.time_index, table.obs, table.graph, table.mode = task.time_index, None, None, None
-        v, prev = task.node_id, task.prev_estimate
-        table.prev = {v: prev}
-        table.prev_texts = {v: None if prev is None else format_value(prev)}
-        table.entries = {entry[0]: entry for entry in task.neighbor_values}
-        table.lines = {
-            u: _neighbor_line(u, format_value(x), observed) for u, x, observed in task.neighbor_values
-        }
-        return table
 
 
 def build_task(
@@ -257,18 +243,19 @@ def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | N
     never contains values from any other node or any later time step because
     the task itself cannot hold them. The lines and the previous estimate's
     text come from ``table``, the :class:`StepTable` the task was built from;
-    without one, :meth:`StepTable.for_task` makes them from the task.
+    without one, they are formatted from the task, to the same text.
     """
-    if table is None:
-        table = StepTable.for_task(task)
     v = task.node_id
     if task.prev_estimate is not None:
-        text = table.prev_texts[v] or format_value(task.prev_estimate)
+        text = (table and table.prev_texts[v]) or format_value(task.prev_estimate)
         prev_block = f"Previous estimate for station {v} (time step {task.time_index - 1}): {text}"
     else:
         prev_block = f"No previous estimate is available for station {v}."
-    lines = table.lines
-    neighbor_block = "\n".join([lines[entry[0]] for entry in task.neighbor_values])
+    if table is None:
+        lines = [_neighbor_line(u, format_value(x), observed) for u, x, observed in task.neighbor_values]
+    else:
+        lines = [table.lines[entry[0]] for entry in task.neighbor_values]
+    neighbor_block = "\n".join(lines)
 
     mapping = {
         "node_id": str(v),

@@ -230,13 +230,12 @@ def synth_bandlimited(
     return SignalSeries(values=low_band @ coeffs, units=units)
 
 
-def write_signal_csv(series: SignalSeries, path: str | Path, header: bool = True) -> None:
-    """Write the node-by-time matrix as CSV, one row per node, exact decimal text."""
+def write_signal_csv(series: SignalSeries, path: str | Path) -> None:
+    """Write the node-by-time matrix as CSV: a ``t0,t1,...`` header, one exact-text row per node."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow([f"t{t}" for t in range(series.num_steps)])
+        writer.writerow([f"t{t}" for t in range(series.num_steps)])
         for row in series.values:
             writer.writerow([format_value(v) for v in row])
 

@@ -187,7 +187,8 @@ def test_criterion_06_mse_matches_brute_force_oracle():
 def test_criterion_07_causality_and_prompt_hygiene():
     with criterion(7, "no future truth reads and no target ground truth inside any prompt"):
         g, series, units = load_bundle(TOY_MANIFEST)
-        predictor = MessengerPredictor(MockBackend(0.5), units=units, name="mock")
+        predictor = MessengerPredictor(MockBackend(0.5), units=units, name="mock",
+                                       keep_prompts=True)
         result = run_online(predictor, g, series, MaskSpec(fraction=0.3, seed=2), runs=5)
         assert len(result.access_logs) == 5
         for log in result.access_logs:
@@ -214,7 +215,7 @@ def test_criterion_08_nan_reply_triggers_history_mean_fallback(tmp_path):
 
         recorded = run_online(
             MessengerPredictor(RecordingBackend(MockBackend(0.5), replay_path),
-                               units="m/s", name="mock"),
+                               units="m/s", name="mock", keep_prompts=True),
             g, series, mask, runs=1,
         )
         target = [entry for entry in recorded.prompt_logs[0] if entry["t"] == 5]
@@ -245,7 +246,7 @@ def test_criterion_08_nan_reply_triggers_history_mean_fallback(tmp_path):
 class ShortBatchBackend(MockBackend):
     """Answers every batch with one response too few, all with a decoy value."""
 
-    def complete_batch(self, reqs, tasks=None):
+    def complete_batch(self, reqs):
         return ["999.0"] * (len(reqs) - 1)
 
 

@@ -40,6 +40,22 @@ def req(prompt="p", **kw):
     return CompletionRequest(prompt=prompt, **kw)
 
 
+# ---------------------------------------------------------------- requests
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_request_refuses_a_non_finite_or_negative_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        req(temperature=temperature)
+
+
+def test_request_task_takes_no_part_in_equality_or_repr():
+    t = task_with(1.0, [2.0])
+    assert req("p", task=t) == req("p")
+    assert req("p", task=t).task is t
+    assert repr(req("p", task=t)) == repr(req("p"))
+
+
 # ---------------------------------------------------------------- mock
 
 
@@ -81,9 +97,9 @@ def test_mock_backend_requires_task():
 def test_mock_backend_stateless():
     backend = MockBackend(0.5)
     t = task_with(2.0, [4.0])
-    first = backend.complete(req(), task=t)
-    backend.complete(req(), task=task_with(100.0, [300.0]))
-    assert backend.complete(req(), task=t) == first
+    first = backend.complete(req(task=t))
+    backend.complete(req(task=task_with(100.0, [300.0])))
+    assert backend.complete(req(task=t)) == first
 
 
 # ---------------------------------------------------------------- replay
@@ -93,7 +109,7 @@ def test_record_then_replay_round_trip(tmp_path):
     path = tmp_path / "replay.jsonl"
     recording = RecordingBackend(MockBackend(0.5), path)
     t = task_with(3.0, [2.0, 4.0])
-    text = recording.complete(req("prompt-a"), task=t)
+    text = recording.complete(req("prompt-a", task=t))
     assert text == "3"
     replay = ReplayBackend(path)
     assert replay.complete(req("prompt-a")) == "3"
@@ -109,7 +125,7 @@ def test_replay_miss_is_error(tmp_path):
 def test_replay_file_format(tmp_path):
     path = tmp_path / "replay.jsonl"
     RecordingBackend(MockBackend(0.5), path).complete(
-        req("prompt-b", model="gpt-3.5-turbo", temperature=0.0), task=task_with(1.0, [3.0])
+        req("prompt-b", model="gpt-3.5-turbo", temperature=0.0, task=task_with(1.0, [3.0]))
     )
     record = json.loads(path.read_text().splitlines()[0])
     assert set(record) == {"prompt_sha256", "response_text", "model", "temperature"}
@@ -366,24 +382,24 @@ def test_remote_backend_over_loopback(loopback, monkeypatch):
 
 def test_batch_counts_match_in_order():
     tasks = [task_with(float(i), [float(i) + 2.0]) for i in range(5)]
-    reqs = [req(f"p{i}") for i in range(5)]
-    texts = batch_complete(reqs, MockBackend(0.5), tasks=tasks)
+    reqs = [req(f"p{i}", task=t) for i, t in enumerate(tasks)]
+    texts = batch_complete(reqs, MockBackend(0.5))
     assert texts == [mock_predict(t, 0.5) for t in tasks]
 
 
 class ShortBatchBackend(MockBackend):
     """Returns one fewer response than requested, simulating a miscounting model."""
 
-    def complete_batch(self, reqs, tasks=None):
-        full = super().complete_batch(reqs, tasks=tasks)
+    def complete_batch(self, reqs):
+        full = super().complete_batch(reqs)
         return full[:-1]
 
 
 def test_batch_count_mismatch_fails_every_item(caplog):
     tasks = [task_with(float(i), [1.0]) for i in range(5)]
-    reqs = [req(f"p{i}") for i in range(5)]
+    reqs = [req(f"p{i}", task=t) for i, t in enumerate(tasks)]
     with caplog.at_level(logging.WARNING, logger="graphfill.backends"):
-        out = batch_complete(reqs, ShortBatchBackend(0.5), tasks=tasks)
+        out = batch_complete(reqs, ShortBatchBackend(0.5))
     assert len(out) == 5
     assert all(isinstance(item, BatchFailure) for item in out)
     assert any("mismatch" in r.getMessage() for r in caplog.records)
@@ -398,3 +414,21 @@ def test_batch_backend_error_fails_every_item(tmp_path):
 
 def test_batch_empty_request_list():
     assert batch_complete([], MockBackend()) == []
+
+
+def test_remote_batch_sends_one_joined_request_without_a_task(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    sent = []
+
+    class SpyRemote(RemoteBackend):
+        def complete(self, req):
+            sent.append(req)
+            return super().complete(req)
+
+    backend = SpyRemote(BackendConfig(kind="remote"), transport=lambda *a: (200, ok_body("1\n2")),
+                        sleep=lambda s: None)
+    reqs = [req("a", task=task_with(1.0, [])), req("b", task=task_with(2.0, []))]
+    assert batch_complete(reqs, backend) == ["1", "2"]
+    assert len(sent) == 1
+    assert sent[0].task is None
+    assert "Task 1 of 2:\na" in sent[0].prompt and "Task 2 of 2:\nb" in sent[0].prompt

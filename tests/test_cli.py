@@ -162,6 +162,16 @@ def test_runtime_error_missing_credential(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "never").exists()  # failed before any computation
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+def test_runtime_error_non_finite_or_negative_temperature(tmp_path, capsys, temperature):
+    out = tmp_path / "never"
+    code = run_cli("run", "--manifest", TOY, "--predictor", "mock",
+                   f"--temperature={temperature}", "--out", str(out))
+    assert code == 2
+    assert "temperature" in capsys.readouterr().err
+    assert not out.exists()  # no result files
+
+
 def test_runtime_error_replay_without_file(tmp_path, capsys):
     code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
                    "--out", str(tmp_path))

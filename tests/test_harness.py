@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphfill.backends import MockBackend
+from graphfill.backends import MockBackend, RecordingBackend
 from graphfill.filters import FilterConfig
 from graphfill import harness
 from graphfill.graphs import Graph
@@ -24,6 +24,7 @@ from graphfill.harness import (
     mse_over_time,
     run_online,
 )
+from graphfill.messenger import render_prompt
 from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask
 
 
@@ -180,6 +181,52 @@ def test_mock_run_calls_each_messenger_stage_once_per_task(monkeypatch):
     tasks = 2 * 5 * 2  # runs x steps x hidden nodes
     assert calls == {"build_task": tasks, "render_prompt": tasks - infeasible,
                      "parse_response": tasks - infeasible}
+
+
+class RequestKeepingMock(MockBackend):
+    """The mock backend, keeping every request it answers."""
+
+    def __init__(self):
+        super().__init__(0.5)
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return super().complete(req)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("record", [False, True])
+def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, record):
+    inner = RequestKeepingMock()
+    backend = RecordingBackend(inner, tmp_path / "replay.jsonl") if record else inner
+    predictor = MessengerPredictor(backend, units="m/s", batch=batch, keep_prompts=True)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.arange(30.0).reshape(5, 6))
+    result = run_online(predictor, g, series, MaskSpec(fraction=0.4, seed=1), runs=2)
+    logged = [(f"run{r}-t{e['t']}-node{e['node']}", e["prompt"])
+              for r, log in enumerate(result.prompt_logs) for e in log]
+    assert len(logged) > 10
+    assert [(req.request_id, req.prompt) for req in inner.requests] == logged
+    for req in inner.requests:
+        task = req.task
+        assert req.request_id.endswith(f"-t{task.time_index}-node{task.node_id}")
+        assert req.prompt == render_prompt(task, predictor.template)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
+def test_predictor_refuses_a_non_finite_or_negative_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        MessengerPredictor(MockBackend(), temperature=temperature)
+
+
+def test_predictor_keeps_no_prompts_unless_asked():
+    mask = SamplingMask(np.array([True, False, True]))
+    default = run_online(mock_predictor(), path3(), toy_series(), mask, runs=2)
+    assert default.prompt_logs == [[], []]
+    kept = MessengerPredictor(MockBackend(0.5), units="m/s", keep_prompts=True)
+    logs = run_online(kept, path3(), toy_series(), mask, runs=2).prompt_logs
+    assert [len(log) for log in logs] == [4, 4]  # one hidden node, four steps
 
 
 def test_filter_run_calls_each_traced_stage_once_per_step(monkeypatch):

@@ -609,9 +609,9 @@ class RecordingMock(MockBackend):
         super().__init__(alpha)
         self.seen = []
 
-    def complete(self, req, task=None):
-        reply = super().complete(req, task)
-        self.seen.append((task, req.prompt, reply))
+    def complete(self, req):
+        reply = super().complete(req)
+        self.seen.append((req.task, req.prompt, reply))
         return reply
 
 
@@ -637,7 +637,8 @@ def former_step(obs, prev, g, mode, units, alpha, template):
 def predictor_step(obs, prev, g, mode, units, alpha, template):
     """One step of the messenger predictor, as the online loop runs it."""
     backend = RecordingMock(alpha)
-    predictor = MessengerPredictor(backend, template=template, neighbor_mode=mode, units=units)
+    predictor = MessengerPredictor(backend, template=template, neighbor_mode=mode, units=units,
+                                   keep_prompts=True)
     predictor.reset(g, SamplingMask(obs.present))
     state = EstimateState(g.num_nodes, 1)
     if prev is not None:
