@@ -54,7 +54,6 @@ from .backends import (
     BackendConfig,
     BackendError,
     BackendUnavailableError,
-    BatchFailure,
     CompletionRequest,
     MockBackend,
     RecordingBackend,
@@ -111,7 +110,7 @@ __all__ = [
     "build_task", "fallback_value", "parse_response", "render_prompt",
     # backends
     "Backend", "BackendConfig", "BackendError", "BackendUnavailableError",
-    "BatchFailure", "CompletionRequest", "MockBackend", "RecordingBackend",
+    "CompletionRequest", "MockBackend", "RecordingBackend",
     "ReplayBackend", "ReplayMissError", "RemoteBackend", "batch_complete",
     "make_backend", "mock_predict", "prompt_sha256", "read_replay_file",
     # harness

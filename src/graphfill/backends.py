@@ -30,7 +30,6 @@ __all__ = [
     "BackendUnavailableError",
     "ReplayMissError",
     "TransportFailure",
-    "BatchFailure",
     "Backend",
     "MockBackend",
     "ReplayBackend",
@@ -199,6 +198,9 @@ def read_replay_file(path: str | Path) -> dict[str, str]:
         try:
             record = json.loads(line)
             key, text = record["prompt_sha256"], record["response_text"]
+            # The recorder writes a remote reply as it came: text, or null for an empty one.
+            if not isinstance(key, str) or not (text is None or isinstance(text, str)):
+                raise TypeError("prompt_sha256 must be a string and response_text a string or null")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from None
         if key in records and records[key] != text:
@@ -402,11 +404,15 @@ class RemoteBackend(Backend):
         return [line for line in (ln.strip() for ln in text.splitlines()) if line]
 
 
-def _extract_message(body) -> str:
+def _extract_message(body) -> str | None:
+    """The reply text of a 200 body: a string, or None (parsed as empty)."""
     try:
-        return body["choices"][0]["message"]["content"]
+        text = body["choices"][0]["message"]["content"]
+        if text is None or isinstance(text, str):
+            return text
     except (TypeError, KeyError, IndexError):
-        raise BackendUnavailableError(f"malformed completion response: {body!r}") from None
+        pass
+    raise BackendUnavailableError(f"malformed completion response: {body!r}")
 
 
 def make_backend(
@@ -421,20 +427,14 @@ def make_backend(
     return RemoteBackend(cfg, transport=transport, sleep=sleep)
 
 
-@dataclass(frozen=True)
-class BatchFailure:
-    """Per-item marker for a failed batch entry; the caller substitutes a fallback."""
-
-    reason: str
-
-
 def batch_complete(reqs: Sequence[CompletionRequest], backend: Backend) -> list:
     """Batched completion through ``backend`` with the response-count guard.
 
-    Each request carries its own task, as for ``Backend.complete``. If the
-    backend returns a different number of responses than requests, every
-    item in the batch is marked failed and a diagnostic is logged; responses
-    are never realigned.
+    Returns one outcome per request: its reply text or the
+    :class:`BackendError` that failed it. A backend error fails every item;
+    so does a reply count that differs from the request count, with one
+    ``BackendUnavailableError`` naming both counts and a logged diagnostic.
+    Responses are never realigned.
     """
     reqs = list(reqs)
     if not reqs:
@@ -443,12 +443,12 @@ def batch_complete(reqs: Sequence[CompletionRequest], backend: Backend) -> list:
         texts = backend.complete_batch(reqs)
     except BackendError as exc:
         logger.warning("batch of %d requests failed outright: %s", len(reqs), exc)
-        return [BatchFailure(reason=f"batch backend failure: {exc}")] * len(reqs)
+        return [exc] * len(reqs)
     if len(texts) != len(reqs):
         logger.warning(
             "batch count mismatch: %d requests but %d responses; failing every item",
             len(reqs), len(texts),
         )
         reason = f"batch count mismatch: {len(reqs)} requests, {len(texts)} responses"
-        return [BatchFailure(reason=reason)] * len(reqs)
+        return [BackendUnavailableError(reason)] * len(reqs)
     return list(texts)

@@ -193,17 +193,19 @@ def _build_predictor(args, units: str, prepared=None):
     )
 
 
-def _write_mse_curve(result: RunResult, path: Path) -> None:
-    steps, all_curve, missing_curve = mse_over_time(result)
+def _write_mse_curve(curves, path: Path) -> None:
+    steps, all_curve, missing_curve = curves
     lines = ["t,mse_all,mse_missing"]
     for t, a, m in zip(steps, all_curve, missing_curve):
         lines.append(f"{int(t)},{float(a)!r},{float(m)!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_svg(result: RunResult, path: Path) -> None:
+def _write_svg(name: str, curves, path: Path) -> None:
     """Minimal standalone line chart of the missing-node error per step."""
-    steps, _, curve = mse_over_time(result)
+    from xml.sax.saxutils import escape  # imported on use: it loads urllib.request and ssl
+
+    steps, _, curve = curves
     width, height, pad = 640, 400, 48
     top = max(float(np.max(curve)), 1e-12)
     xs = pad + (width - 2 * pad) * steps / max(len(steps) - 1, 1)
@@ -221,7 +223,7 @@ def _write_svg(result: RunResult, path: Path) -> None:
         f'font-size="13">time step (0..{len(steps) - 1})</text>',
         f'<text x="14" y="{height // 2}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 14 {height // 2})">missing-node MSE (peak {top:.4g})</text>',
-        f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">{result.name}</text>',
+        f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">{escape(name)}</text>',
         "</svg>",
     ]
     path.write_text("\n".join(svg) + "\n")
@@ -288,9 +290,10 @@ def cmd_run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     result.save(outdir / f"{name}.json")
     result.write_per_step_csv(outdir / f"{name}_per_step.csv")
-    _write_mse_curve(result, outdir / f"{name}_mse_over_time.csv")
+    curves = mse_over_time(result)
+    _write_mse_curve(curves, outdir / f"{name}_mse_over_time.csv")
     if args.svg:
-        _write_svg(result, outdir / f"{name}.svg")
+        _write_svg(name, curves, outdir / f"{name}.svg")
 
     print(
         f"{name}: mse_all={result.mse_all:.6g} mse_missing={result.mse_missing:.6g} "

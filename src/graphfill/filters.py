@@ -52,12 +52,8 @@ class BandlimitedProjector:
         object.__setattr__(self, "basis_block", block)
 
     @classmethod
-    def from_basis(cls, basis: SpectralBasis, bandwidth: int) -> "BandlimitedProjector":
-        return cls(basis.leading(bandwidth))
-
-    @classmethod
     def from_graph(cls, g: Graph, bandwidth: int) -> "BandlimitedProjector":
-        return cls.from_basis(graph_spectrum(g), bandwidth)
+        return cls(graph_spectrum(g).leading(bandwidth))
 
     @property
     def num_nodes(self) -> int:

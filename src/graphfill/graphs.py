@@ -96,9 +96,6 @@ class Graph:
         """Open neighborhood of ``v``: adjacent nodes, ascending, without ``v``."""
         return self._adjacency[self.check_node(v)]
 
-    def closed_neighbors(self, v: int) -> list[int]:
-        return closed_neighbors(self, v)
-
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 

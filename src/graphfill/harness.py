@@ -23,7 +23,6 @@ import numpy as np
 from .backends import (
     Backend,
     BackendError,
-    BatchFailure,
     CompletionRequest,
     batch_complete,
     check_temperature,
@@ -211,12 +210,13 @@ class MessengerPredictor(Predictor):
     """Per-node completion pipeline: build task, render prompt, complete, parse.
 
     Each step first gathers one :class:`~graphfill.messenger.StepTable`
-    (every node's value, its text and its prompt line) and passes it to
-    ``build_task`` and ``render_prompt``, which still run once per hidden
-    node. Any failure along the way (backend error, unparseable or NaN reply,
-    infeasible task surfacing as a NaN reply) is replaced through the total
-    fallback cascade and counted. Every request carries the task it was
-    rendered from. With ``keep_prompts=True`` a run keeps its prompts in
+    (every node's value, its text and its prompt line), the only step input
+    of ``build_task`` and ``render_prompt``, which run once per hidden node.
+    Every request carries the task it was rendered from; its outcome is the
+    reply text or the ``BackendError`` that failed it. Any failure along the
+    way (backend error, unparseable or NaN reply, infeasible task surfacing
+    as a NaN reply) is replaced through the total fallback cascade and
+    counted. With ``keep_prompts=True`` a run keeps its prompts in
     ``prompt_log``, so it can be audited for leaks. With ``batch=True`` each
     step's tasks go to the backend as one batch through
     :func:`batch_complete`, whose count guard fails every item when the
@@ -270,16 +270,14 @@ class MessengerPredictor(Predictor):
         try:
             return self.backend.complete(req)
         except BackendError as exc:
-            return BatchFailure(reason=str(exc))
+            return exc
 
     def predict_missing(self, t, obs, state):
-        prev = state.estimates
-        g, mode = self._g, self.neighbor_mode
-        table = StepTable(obs, prev, g, mode)
+        table = StepTable(obs, state.estimates, self._g, self.neighbor_mode)
         proposals = np.empty(len(self._missing))
         pending: list[tuple[int, CompletionRequest]] = []
         for slot, v in enumerate(self._missing):
-            task = build_task(v, obs, prev, g, mode=mode, units=self.units, table=table)
+            task = build_task(v, table, self.units)
             if not task.is_feasible:
                 # Nothing to put in a prompt; skip the backend entirely so the
                 # fallback tally stays an exact sum of its three causes.
@@ -306,7 +304,7 @@ class MessengerPredictor(Predictor):
             outcomes = (self._complete_one(request) for _, request in pending)
         for (slot, request), outcome in zip(pending, outcomes):
             v = request.task.node_id
-            if isinstance(outcome, BatchFailure):
+            if isinstance(outcome, BackendError):
                 proposals[slot] = self._fallback(v, obs, state, "backend_failures")
                 continue
             parsed = parse_response(outcome)
@@ -347,13 +345,13 @@ class MseReport(NamedTuple):
 def evaluate_mse(
     estimates: Sequence[np.ndarray],
     truth: SignalSeries,
-    masks: SamplingMask | Sequence[SamplingMask] | None = None,
+    masks: Sequence[SamplingMask] | None = None,
 ) -> MseReport:
     """Average squared error over runs, nodes, and time.
 
     ``estimates`` holds one N x T matrix per run. The all-nodes figure is
     ``sum of squared errors / (R * N * T)``; the missing-only figure averages
-    each run's error over that run's missing rows (None when no masks given).
+    each run's error over its own mask's missing rows (None without masks).
     Each run's squared errors are summed once, and ``per_run`` reports the
     same two figures for every run on its own.
     """
@@ -371,12 +369,9 @@ def evaluate_mse(
 
     if masks is None:
         return MseReport(all_nodes, None, tuple((a, None) for a in per_run_all))
-    if isinstance(masks, SamplingMask):
-        mask_list = [masks] * runs
-    else:
-        mask_list = list(masks)
-        if len(mask_list) != runs:
-            raise ValueError(f"{len(mask_list)} masks for {runs} runs")
+    mask_list = list(masks)
+    if len(mask_list) != runs:
+        raise ValueError(f"{len(mask_list)} masks for {runs} runs")
     per_run = []
     for m, mask in zip(mats, mask_list):
         if mask.num_nodes != shape[0]:
@@ -481,7 +476,8 @@ class RunResult:
             self._write_json(fh)
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "RunResult":
+    def load(cls, path: str | Path) -> "RunResult":
+        payload = json.loads(Path(path).read_text())
         estimates = [np.array(run["estimates"], dtype=float) for run in payload["runs"]]
         masks = [SamplingMask(np.array(run["mask_observed"], dtype=bool)) for run in payload["runs"]]
         return cls(
@@ -496,10 +492,6 @@ class RunResult:
             fallback_uses=int(payload["fallback_uses"]),
             per_run_stats=[run["stats"] for run in payload["runs"]],
         )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunResult":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
     def write_per_step_csv(self, path: str | Path, truth: SignalSeries | None = None) -> None:
         """Long-form CSV with one row per (run, t, node): truth and estimate.

@@ -166,10 +166,11 @@ class StepTable:
       node, the same string its stale line shows, and None otherwise.
 
     Each value is formatted once per step, however many tasks show it. The
-    table covers every node of the graph, in lists indexed by node id.
+    table covers every node of ``graph``, in lists indexed by node id, and
+    with ``time_index`` it is all that :func:`build_task` reads.
     """
 
-    __slots__ = ("time_index", "obs", "graph", "mode", "entries", "lines", "prev", "prev_texts")
+    __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts")
 
     def __init__(self, obs: Observation, prev: Sequence[float] | None, g: Graph,
                  mode: str = "observed-plus-stale"):
@@ -182,7 +183,7 @@ class StepTable:
             prev = np.asarray(prev, dtype=float)
             if prev.shape != (n,):
                 raise ValueError(f"previous estimates have shape {prev.shape}, expected ({n},)")
-        self.time_index, self.obs, self.graph, self.mode = obs.time_index, obs, g, mode
+        self.time_index, self.graph = obs.time_index, g
         self.prev = [None] * n if prev is None else prev.tolist()
         self.entries, self.lines, self.prev_texts = [None] * n, [None] * n, [None] * n
         stale = mode == "observed-plus-stale"
@@ -202,32 +203,18 @@ class StepTable:
                 self.lines[u] = _neighbor_line(u, text, observed)
 
 
-def build_task(
-    v: int,
-    obs: Observation,
-    prev: Sequence[float] | None,
-    g: Graph,
-    mode: str = "observed-plus-stale",
-    units: str = "",
-    table: StepTable | None = None,
-) -> NodeTask:
-    """Collect the local context for missing node ``v`` at the observation's time step.
+def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
+    """Collect the local context for missing node ``v`` from its step's table.
 
-    Neighbors observed right now always enter as ``(u, current value, True)``.
-    In ``observed-plus-stale`` mode, unobserved neighbors additionally enter
-    as ``(u, previous-step estimate, False)`` from ``prev`` (the full estimate
-    vector of the last step, or None on a cold start). Triples follow the
-    graph's ascending neighbor order. The node's own previous estimate is
-    attached whenever ``prev`` exists.
-
-    The triples come from ``table``, the :class:`StepTable` of ``(obs, prev,
-    g, mode)``, which a caller building every task of a step makes once and
-    passes in; without one, a table is built for this call alone.
+    ``table`` is the :class:`StepTable` of the step's observation, the
+    previous estimates, the graph and the neighbor mode; a caller building
+    every task of a step makes it once. Neighbors observed right now always
+    enter as ``(u, current value, True)``. In ``observed-plus-stale`` mode,
+    unobserved neighbors additionally enter as ``(u, previous-step estimate,
+    False)``. Triples follow the graph's ascending neighbor order. The node's
+    own previous estimate is attached whenever the table has one.
     """
-    if table is None:
-        table = StepTable(obs, prev, g, mode)
-    elif table.obs is not obs or table.graph is not g or table.mode != mode:
-        raise ValueError("the step table was built for another observation, graph or mode")
+    g = table.graph
     v = g.check_node(v)
     entries = table.entries
     # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.

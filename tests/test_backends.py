@@ -11,8 +11,8 @@ import pytest
 
 from graphfill.backends import (
     BackendConfig,
+    BackendError,
     BackendUnavailableError,
-    BatchFailure,
     CompletionRequest,
     MockBackend,
     RecordingBackend,
@@ -158,6 +158,27 @@ def test_read_replay_file_rejects_conflicting_records(tmp_path):
         read_replay_file(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"prompt_sha256": prompt_sha256("a"), "response_text": 1.5},
+    {"prompt_sha256": prompt_sha256("a"), "response_text": ["1.5"]},
+    {"prompt_sha256": [prompt_sha256("a")], "response_text": "1.5"},
+    {"prompt_sha256": 7, "response_text": "1.5"},
+])
+def test_read_replay_file_refuses_records_that_are_not_text(tmp_path, record):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("b", "2") + json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"replay.jsonl:2: bad replay record"):
+        read_replay_file(path)
+
+
+def test_read_replay_file_keeps_a_recorded_empty_reply(tmp_path):
+    # The recorder writes a remote reply whose content is null as null; it
+    # replays as the same empty reply.
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("a", None))
+    assert ReplayBackend(path).complete(req("a")) is None
+
+
 def test_make_backend_dispatch(tmp_path):
     assert isinstance(make_backend(BackendConfig(kind="mock")), MockBackend)
     path = tmp_path / "r.jsonl"
@@ -297,6 +318,19 @@ def test_remote_malformed_body(monkeypatch):
         backend.complete(req())
 
 
+@pytest.mark.parametrize("content", [2.5, 3, ["1.5"], {"text": "1.5"}, True])
+def test_remote_reply_that_is_not_text_is_a_backend_error(monkeypatch, content):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    backend = remote(transport=lambda *a: (200, ok_body(content)))
+    with pytest.raises(BackendUnavailableError, match="malformed completion response"):
+        backend.complete(req())
+
+
+def test_remote_empty_reply_is_none(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    assert remote(transport=lambda *a: (200, ok_body(None))).complete(req()) is None
+
+
 # ---------------------------------------------------------------- live transport
 
 
@@ -401,7 +435,7 @@ def test_batch_count_mismatch_fails_every_item(caplog):
     with caplog.at_level(logging.WARNING, logger="graphfill.backends"):
         out = batch_complete(reqs, ShortBatchBackend(0.5))
     assert len(out) == 5
-    assert all(isinstance(item, BatchFailure) for item in out)
+    assert all(isinstance(item, BackendError) for item in out)
     assert any("mismatch" in r.getMessage() for r in caplog.records)
 
 
@@ -409,7 +443,19 @@ def test_batch_backend_error_fails_every_item(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     out = batch_complete([req("a"), req("b")], ReplayBackend(path))
-    assert all(isinstance(item, BatchFailure) for item in out)
+    assert all(isinstance(item, BackendError) for item in out)
+
+
+def test_batch_failures_are_the_backend_errors(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    out = batch_complete([req("a"), req("b")], ReplayBackend(path))
+    assert [type(item) for item in out] == [ReplayMissError] * 2
+    assert str(out[0]).startswith(f"no recorded response for prompt hash {prompt_sha256('a')[:12]}")
+    reqs = [req(f"p{i}", task=task_with(float(i), [1.0])) for i in range(3)]
+    out = batch_complete(reqs, ShortBatchBackend(0.5))
+    assert [type(item) for item in out] == [BackendUnavailableError] * 3
+    assert [str(item) for item in out] == ["batch count mismatch: 3 requests, 2 responses"] * 3
 
 
 def test_batch_empty_request_list():

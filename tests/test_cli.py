@@ -2,16 +2,20 @@
 
 import hashlib
 import json
+import re
+import shlex
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
-from graphfill.cli import main
+from graphfill.cli import build_parser, main
 from graphfill.datasets import load_bundle
 from graphfill.harness import RunResult
 from graphfill.signals import read_mask_file
 
-TOY = str(Path(__file__).parent.parent / "fixtures" / "toy" / "manifest.txt")
+ROOT = Path(__file__).parent.parent
+TOY = str(ROOT / "fixtures" / "toy" / "manifest.txt")
 
 
 def run_cli(*argv):
@@ -103,6 +107,15 @@ def test_run_zero_predictor(tmp_path):
                    "--out", str(tmp_path)) == 0
 
 
+def test_svg_title_is_escaped(tmp_path):
+    name = "a&b<c>d"
+    assert run_cli("run", "--manifest", TOY, "--predictor", "mock", "--name", name,
+                   "--svg", "--out", str(tmp_path)) == 0
+    doc = minidom.parse(str(tmp_path / f"{name}.svg"))  # raises on malformed XML
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert texts[-1] == name
+
+
 # ---------------------------------------------------------------- replay
 
 
@@ -172,6 +185,20 @@ def test_runtime_error_non_finite_or_negative_temperature(tmp_path, capsys, temp
     assert not out.exists()  # no result files
 
 
+@pytest.mark.parametrize("record", [
+    {"prompt_sha256": "0" * 64, "response_text": 2.5},
+    {"prompt_sha256": ["0" * 64], "response_text": "2.5"},
+])
+def test_runtime_error_replay_record_that_is_not_text(tmp_path, capsys, record):
+    replay, out = tmp_path / "replay.jsonl", tmp_path / "never"
+    replay.write_text(json.dumps(record) + "\n")
+    code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
+                   "--replay-file", str(replay), "--out", str(out))
+    assert code == 2
+    assert "bad replay record" in capsys.readouterr().err
+    assert not out.exists()  # no result files
+
+
 def test_runtime_error_replay_without_file(tmp_path, capsys):
     code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
                    "--out", str(tmp_path))
@@ -236,3 +263,39 @@ def test_toy_replay_record_matches_golden_hashes(tmp_path):
                    "--replay-file", str(replay), "--runs", "1", "--out", str(out)) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in [replay, *out.iterdir()]}
     assert written == REPLAY_GOLDEN
+
+
+# ---------------------------------------------------------------- README
+
+README = (ROOT / "README.md").read_text()
+
+
+def readme_commands():
+    """Every ``graphfill ...`` command in the README's sh blocks, continuations joined."""
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.strip().startswith("graphfill ")]
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    return sub.choices
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])  # a bad flag or value raises UsageError
+        assert args.command == argv[1]
+
+
+def test_readme_flags_belong_to_the_cli():
+    above_benchmark = README.split("\n## Benchmark", 1)[0]
+    flags = set(re.findall(r"`(--[a-z][a-z-]*)", above_benchmark))
+    assert "--svg" in flags and "--batch" in flags
+    known = {flag for p in subcommand_parsers().values() for flag in p._option_string_actions}
+    assert flags - known == set()

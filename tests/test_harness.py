@@ -5,7 +5,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from graphfill.backends import MockBackend, RecordingBackend
+from graphfill.backends import (
+    BackendConfig,
+    MockBackend,
+    RecordingBackend,
+    RemoteBackend,
+    ReplayBackend,
+    prompt_sha256,
+)
 from graphfill.filters import FilterConfig
 from graphfill import harness
 from graphfill.graphs import Graph
@@ -227,6 +234,47 @@ def test_predictor_keeps_no_prompts_unless_asked():
     kept = MessengerPredictor(MockBackend(0.5), units="m/s", keep_prompts=True)
     logs = run_online(kept, path3(), toy_series(), mask, runs=2).prompt_logs
     assert [len(log) for log in logs] == [4, 4]  # one hidden node, four steps
+
+
+def non_text_transport(url, headers, payload, timeout):
+    """A 200 reply for every prompt; about half carry a number or a list, not text."""
+    prompt = payload["messages"][0]["content"]
+    content = ["1.5", 2.5, ["2.5"], "3.5"][int(prompt_sha256(prompt), 16) % 4]
+    return 200, {"choices": [{"message": {"content": content}}]}
+
+
+def non_text_remote(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    return RemoteBackend(BackendConfig(kind="remote"), transport=non_text_transport,
+                         sleep=lambda s: None)
+
+
+def test_remote_replies_that_are_not_text_are_counted_backend_failures(monkeypatch):
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.arange(30.0).reshape(5, 6))
+    predictor = MessengerPredictor(non_text_remote(monkeypatch), keep_prompts=True)
+    result = run_online(predictor, g, series, MaskSpec(fraction=0.4, seed=1), runs=2)
+    for stats, log in zip(result.per_run_stats, result.prompt_logs):
+        not_text = sum(int(prompt_sha256(e["prompt"]), 16) % 4 in (1, 2) for e in log)
+        assert 0 < not_text < len(log)
+        assert stats["backend_failures"] == not_text
+        assert stats["parse_failures"] == 0
+        assert stats["fallback_uses"] == not_text + stats["infeasible_tasks"]
+    assert np.isfinite(result.estimates).all()
+
+
+def test_a_recorded_run_with_non_text_replies_replays_to_the_same_failures(tmp_path, monkeypatch):
+    # Failed replies are never recorded, so the replay misses them: the same
+    # tasks fall back as backend failures and the estimates are the same.
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.arange(30.0).reshape(5, 6))
+    spec, path = MaskSpec(fraction=0.4, seed=1), tmp_path / "replay.jsonl"
+    recording = RecordingBackend(non_text_remote(monkeypatch), path)
+    live = run_online(MessengerPredictor(recording), g, series, spec, runs=2)
+    replayed = run_online(MessengerPredictor(ReplayBackend(path)), g, series, spec, runs=2)
+    assert all(stats["backend_failures"] > 0 for stats in replayed.per_run_stats)
+    assert replayed.per_run_stats == live.per_run_stats
+    assert all(np.array_equal(a, b) for a, b in zip(live.estimates, replayed.estimates))
 
 
 def test_filter_run_calls_each_traced_stage_once_per_step(monkeypatch):

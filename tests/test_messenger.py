@@ -42,7 +42,7 @@ def star4():
 def test_build_task_cold_start_observed_only():
     # middle node missing, left neighbor observed at 2.0, right neighbor missing
     obs = obs_of(0, [2.0, None, None])
-    task = build_task(1, obs, None, path3(), mode="observed-only")
+    task = build_task(1, StepTable(obs, None, path3(), "observed-only"))
     assert task.prev_estimate is None
     assert task.neighbor_values == ((0, 2.0, True),)
 
@@ -50,7 +50,7 @@ def test_build_task_cold_start_observed_only():
 def test_build_task_stale_estimates_join_later():
     obs = obs_of(1, [2.0, None, None])
     prev = np.array([9.0, 0.5, 1.5])
-    task = build_task(1, obs, prev, path3(), mode="observed-plus-stale")
+    task = build_task(1, StepTable(obs, prev, path3(), "observed-plus-stale"))
     assert task.prev_estimate == 0.5
     assert task.neighbor_values == ((0, 2.0, True), (2, 1.5, False))
 
@@ -58,14 +58,14 @@ def test_build_task_stale_estimates_join_later():
 def test_build_task_observed_only_drops_stale():
     obs = obs_of(1, [2.0, None, None])
     prev = np.array([9.0, 0.5, 1.5])
-    task = build_task(1, obs, prev, path3(), mode="observed-only")
+    task = build_task(1, StepTable(obs, prev, path3(), "observed-only"))
     assert [u for u, _, _ in task.neighbor_values] == [0]
 
 
 def test_build_task_isolated_node_keeps_prev():
     g = Graph(4, [(0, 1)])
     obs = obs_of(3, [1.0, 2.0, 3.0, None])
-    task = build_task(3, obs, np.array([0.0, 0.0, 0.0, 4.2]), g)
+    task = build_task(3, StepTable(obs, np.array([0.0, 0.0, 0.0, 4.2]), g))
     assert task.prev_estimate == 4.2
     assert task.neighbor_values == ()
     assert task.is_feasible
@@ -73,14 +73,14 @@ def test_build_task_isolated_node_keeps_prev():
 
 def test_build_task_infeasible_when_nothing_known():
     g = Graph(2, [])
-    task = build_task(0, obs_of(0, [None, 5.0]), None, g)
+    task = build_task(0, StepTable(obs_of(0, [None, 5.0]), None, g))
     assert not task.is_feasible
 
 
 def test_build_task_never_includes_non_neighbors_or_self():
     g = star4()
     obs = obs_of(2, [None, 1.0, 2.0, 3.0])
-    task = build_task(0, obs, np.arange(4.0), g)
+    task = build_task(0, StepTable(obs, np.arange(4.0), g))
     ids = {u for u, _, _ in task.neighbor_values}
     assert 0 not in ids
     assert ids <= set(g.neighbors(0))
@@ -90,26 +90,16 @@ def test_build_task_non_finite_estimates_reach_the_task_check():
     obs = obs_of(1, [2.0, None, None])
     prev = np.array([np.nan, 0.5, np.inf])
     # node 0's estimate is unused (it is observed); node 2's only enters as a stale value
-    assert build_task(1, obs, prev, path3(), mode="observed-only").neighbor_values == ((0, 2.0, True),)
+    assert build_task(1, StepTable(obs, prev, path3(), "observed-only")).neighbor_values == ((0, 2.0, True),)
     with pytest.raises(ValueError, match="neighbor value for node 2 is non-finite"):
-        build_task(1, obs, prev, path3(), mode="observed-plus-stale")
+        build_task(1, StepTable(obs, prev, path3(), "observed-plus-stale"))
     with pytest.raises(ValueError, match="previous estimate is non-finite"):
-        build_task(2, obs, prev, path3(), mode="observed-only")
-
-
-def test_build_task_refuses_a_table_from_another_step():
-    g, obs = path3(), obs_of(1, [2.0, None, None])
-    table = StepTable(obs, None, g)
-    assert build_task(1, obs, None, g, table=table) == build_task(1, obs, None, g)
-    with pytest.raises(ValueError, match="another observation"):
-        build_task(1, obs_of(2, [2.0, None, None]), None, g, table=table)
-    with pytest.raises(ValueError, match="another observation"):
-        build_task(1, obs, None, g, mode="observed-only", table=table)
+        build_task(2, StepTable(obs, prev, path3(), "observed-only"))
 
 
 def test_build_task_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        build_task(1, obs_of(0, [1.0, None, 2.0]), None, path3(), mode="all")
+        build_task(1, StepTable(obs_of(0, [1.0, None, 2.0]), None, path3(), "all"))
 
 
 def test_node_task_rejects_self_neighbor():

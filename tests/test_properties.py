@@ -590,13 +590,12 @@ def messenger_cases(draw):
 def test_messenger_task_prompt_and_mock_reply_match_former_code(case):
     v, obs, prev, g, mode, units, alpha = case
     template = PromptTemplate.default()
-    task = build_task(v, obs, prev, g, mode=mode, units=units)
-    former = former_build_task(v, obs, prev, g, mode, units)
-    assert render_prompt(task, template) == former_render_prompt(former, template)
-    # the same through a table for the whole step, for hidden and observed nodes alike
     table = StepTable(obs, prev, g, mode)
-    assert render_prompt(build_task(v, obs, prev, g, mode, units, table), template, table) == \
-        former_render_prompt(former, template)
+    task = build_task(v, table, units)
+    former = former_build_task(v, obs, prev, g, mode, units)
+    # through the step's table and from the task alone, for hidden and observed nodes alike
+    assert render_prompt(task, template, table) == former_render_prompt(former, template)
+    assert render_prompt(task, template) == former_render_prompt(former, template)
     assert outcome(mock_predict, task, alpha) == outcome(former_mock_predict, former, alpha)
     # the node's own current reading is never part of its task
     assert v not in [u for u, _, _ in task.neighbor_values]
