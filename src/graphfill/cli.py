@@ -16,6 +16,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -264,8 +265,11 @@ def cmd_mask(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # Backend and template come first: a missing credential or broken replay
-    # file must surface before any data is loaded or decomposed.
+    # The name becomes three file names inside --out, so it must be a plain one.
+    if args.name is not None and (args.name in ("", ".", "..") or "/" in args.name or os.sep in args.name):
+        raise UsageError(f"--name must be a plain file name, got {args.name!r}")
+    # Backend and template come next: a missing credential, broken replay
+    # file or bad template must surface before any data is loaded or decomposed.
     prepared = None
     if args.predictor in ("llm", "mock"):
         backend = _build_backend(args)

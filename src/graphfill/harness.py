@@ -190,12 +190,11 @@ class FilterPredictor(Predictor):
         self._bandwidth = self.cfg.resolve_bandwidth(g.num_nodes)
         self._proj = BandlimitedProjector.from_graph(g, self._bandwidth)
         self._mu = float(self.cfg.mu)
-        self._missing = np.flatnonzero(~mask.observed)
         self._estimate = np.zeros(g.num_nodes)
 
     def predict_missing(self, t, obs, state):
         self._estimate = filter_step(self.kind, self._estimate, obs, self._proj, self._mu)
-        return self._estimate[self._missing]
+        return self._estimate[self._mask.missing]
 
     def config_snapshot(self):
         return {
@@ -252,7 +251,7 @@ class MessengerPredictor(Predictor):
 
     def reset(self, g, mask, run_index=0):
         super().reset(g, mask, run_index)
-        self._missing = mask.missing_ids
+        self._missing = mask.missing.tolist()
         self.stats = {
             "fallback_uses": 0,
             "parse_failures": 0,
@@ -376,8 +375,8 @@ def evaluate_mse(
     for m, mask in zip(mats, mask_list):
         if mask.num_nodes != shape[0]:
             raise ValueError(f"mask covers {mask.num_nodes} nodes, truth has {shape[0]}")
-        rows = list(mask.missing_ids)
-        if not rows:
+        rows = mask.missing
+        if not len(rows):
             per_run.append(0.0)
             continue
         diff = truth.values[rows, :] - m[rows, :]
@@ -493,13 +492,13 @@ class RunResult:
             per_run_stats=[run["stats"] for run in payload["runs"]],
         )
 
-    def write_per_step_csv(self, path: str | Path, truth: SignalSeries | None = None) -> None:
-        """Long-form CSV with one row per (run, t, node): truth and estimate.
+    def write_per_step_csv(self, path: str | Path) -> None:
+        """Long-form CSV with one row per (run, t, node): ``truth`` and estimate.
 
         Lines end in CRLF, as ``csv.writer`` ends them; no field ever needs
         quoting, so each step's rows are written as one block of text.
         """
-        truth = truth or self.truth
+        truth = self.truth
         if truth is None:
             raise ValueError("ground truth is needed to write the per-step CSV")
         mats = [np.asarray(est) for est in self.estimates]
@@ -551,15 +550,6 @@ def _write_json_value(fh: TextIO, value, level: int) -> None:
     fh.write(inner[:-2] + ("}" if isinstance(value, dict) else "]"))
 
 
-def _mask_policy_dict(mask: SamplingMask | MaskSpec) -> dict:
-    if isinstance(mask, MaskSpec):
-        return mask.describe()
-    observed = hashlib.sha256(
-        " ".join("1" if o else "0" for o in mask.observed).encode()
-    ).hexdigest()
-    return {"mode": "explicit", "observed_sha256": observed}
-
-
 def run_online(
     predictor: Predictor,
     g: Graph,
@@ -575,16 +565,15 @@ def run_online(
     state, clamp observed nodes to their observed values, assemble the column,
     extend the history. The predictor never sees ground truth (the loop itself
     reads it only through the causal guard), so no estimate can depend on
-    future columns. The missing index is found once per run; every step still
-    builds a checked observation and appends a checked column.
+    future columns. ``mask`` (one mask for every run, or a :class:`MaskSpec`)
+    gives each run's mask, which carries its missing index, and the recorded
+    policy. Every step builds a checked observation and appends a checked column.
     """
     if truth.num_nodes != g.num_nodes:
         raise ValueError(f"truth covers {truth.num_nodes} nodes, graph has {g.num_nodes}")
     runs = int(runs)
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    if isinstance(mask, SamplingMask) and mask.num_nodes != g.num_nodes:
-        raise ValueError(f"mask covers {mask.num_nodes} nodes, graph has {g.num_nodes}")
 
     started = time.perf_counter()
     estimates: list[np.ndarray] = []
@@ -594,11 +583,11 @@ def run_online(
     prompt_logs: list = []
 
     for r in range(runs):
-        run_mask = mask.mask_for_run(r, g.num_nodes) if isinstance(mask, MaskSpec) else mask
+        run_mask = mask.mask_for_run(r, g.num_nodes)
         predictor.reset(g, run_mask, run_index=r)
         view = CausalSignalView(truth)
         state = EstimateState(g.num_nodes, truth.num_steps)
-        missing = np.flatnonzero(~run_mask.observed)
+        missing = run_mask.missing
         for t in range(truth.num_steps):
             view.advance(t)
             obs = observation_from_column(view.column(t), run_mask, t)
@@ -618,7 +607,7 @@ def run_online(
     aggregate = evaluate_mse(estimates, truth, masks_used)
     per_run_mse = [{"all_nodes": a, "missing_only": m} for a, m in aggregate.per_run]
 
-    policy = _mask_policy_dict(mask)
+    policy = mask.describe()
     config = {
         "predictor": predictor.name,
         "runs": runs,
@@ -651,19 +640,13 @@ def run_online(
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    mse_all: float
-    mse_missing: float
-    fallback_uses: int
-    config_note: str
-
-
 class ComparisonTable:
-    """Result ranking across algorithms run on the same experiment context."""
+    """Result ranking across algorithms run on the same experiment context.
 
-    def __init__(self, rows: Sequence[ComparisonRow]):
+    ``rows`` are the ranked :class:`RunResult` objects themselves.
+    """
+
+    def __init__(self, rows: Sequence[RunResult]):
         self.rows = list(rows)
 
     def to_text(self) -> str:
@@ -680,7 +663,7 @@ class ComparisonTable:
             lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
         lines.append("")
         for row in self.rows:
-            lines.append(f"[{row.name}] {row.config_note}")
+            lines.append(f"[{row.name}] {_config_note(row.config)}")
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str | Path) -> None:
@@ -688,9 +671,8 @@ class ComparisonTable:
             writer = csv.writer(fh)
             writer.writerow(["model", "mse_all", "mse_missing", "fallback_uses", "config"])
             for row in self.rows:
-                writer.writerow(
-                    [row.name, repr(row.mse_all), repr(row.mse_missing), row.fallback_uses, row.config_note]
-                )
+                writer.writerow([row.name, repr(row.mse_all), repr(row.mse_missing), row.fallback_uses,
+                                 _config_note(row.config)])
 
 
 def _config_note(config: dict) -> str:
@@ -714,23 +696,12 @@ def compare(results: Sequence[RunResult]) -> ComparisonTable:
                 f"comparison error: result {res.name!r} was produced under a different "
                 "experiment context (graph, signal, or mask policy differs)"
             )
-    rows = [
-        ComparisonRow(
-            name=res.name,
-            mse_all=res.mse_all,
-            mse_missing=res.mse_missing,
-            fallback_uses=res.fallback_uses,
-            config_note=_config_note(res.config),
-        )
-        for res in results
-    ]
-    rows.sort(key=lambda row: row.mse_all)
-    return ComparisonTable(rows)
+    return ComparisonTable(sorted(results, key=lambda r: r.mse_all))
 
 
-def mse_over_time(result: RunResult, truth: SignalSeries | None = None):
-    """Per-step error averaged over runs: (t, all-nodes, missing-only) arrays."""
-    truth = truth or result.truth
+def mse_over_time(result: RunResult):
+    """Per-step error against ``result.truth``, averaged over runs: (t, all, missing-only) arrays."""
+    truth = result.truth
     if truth is None:
         raise ValueError("ground truth is needed to compute the error trajectory")
     steps = truth.num_steps
@@ -739,8 +710,8 @@ def mse_over_time(result: RunResult, truth: SignalSeries | None = None):
     for est, mask in zip(result.estimates, result.masks):
         diff2 = (truth.values - np.asarray(est)) ** 2
         all_curve += diff2.mean(axis=0)
-        rows = list(mask.missing_ids)
-        if rows:
+        rows = mask.missing
+        if len(rows):
             missing_curve += diff2[rows, :].mean(axis=0)
     runs = result.runs
     return np.arange(steps), all_curve / runs, missing_curve / runs

@@ -96,29 +96,34 @@ DEFAULT_INSTRUCTION = (
 )
 
 _REQUIRED_BODY_PLACEHOLDERS = ("{neighbor_block}", "{instruction_block}")
-_REQUIRED_INSTRUCTION_MARKS = ("single decimal number", "chat memory", "{time_index}")
+# The names render_prompt fills, in the order it lists their values.
+_PLACEHOLDERS = ("node_id", "time_index", "units", "prev_estimate_block", "neighbor_block")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Prompt skeleton with named placeholders.
+    """Prompt skeleton with named placeholders, checked once, when it is built.
 
     The body must reference ``{neighbor_block}`` and ``{instruction_block}``;
-    the instruction text must keep demanding a single decimal number, no chat
-    memory, and a prediction for the current time step only.
+    the latter is replaced by ``instruction``, which demands a single decimal
+    number, no chat memory and the current time step only. A ``text`` that does
+    not render with ``"0"`` for each placeholder ``render_prompt`` fills raises
+    :class:`TemplateError`.
     """
 
     body: str
-    instruction: str = DEFAULT_INSTRUCTION
+    instruction = DEFAULT_INSTRUCTION  # a class constant, not a field
 
     def __post_init__(self):
         for placeholder in _REQUIRED_BODY_PLACEHOLDERS:
             if placeholder not in self.body:
                 raise TemplateError(f"template body is missing the {placeholder} placeholder")
-        lowered = self.instruction.lower()
-        for mark in _REQUIRED_INSTRUCTION_MARKS:
-            if mark.lower() not in lowered:
-                raise TemplateError(f"instruction block must contain {mark!r}")
+        try:
+            self.text.format_map(dict.fromkeys(_PLACEHOLDERS, "0"))
+        except KeyError as exc:
+            raise TemplateError(f"template references unknown placeholder {exc}") from None
+        except (IndexError, ValueError, AttributeError, TypeError) as exc:
+            raise TemplateError(f"malformed template: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplate":
@@ -230,7 +235,8 @@ def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | N
     never contains values from any other node or any later time step because
     the task itself cannot hold them. The lines and the previous estimate's
     text come from ``table``, the :class:`StepTable` the task was built from;
-    without one, they are formatted from the task, to the same text.
+    without one, they are formatted from the task, to the same text. The
+    template was checked when it was built, and every value here is non-empty.
     """
     v = task.node_id
     if task.prev_estimate is not None:
@@ -244,19 +250,9 @@ def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | N
         lines = [table.lines[entry[0]] for entry in task.neighbor_values]
     neighbor_block = "\n".join(lines)
 
-    mapping = {
-        "node_id": str(v),
-        "time_index": str(task.time_index),
-        "units": task.units or "unspecified units",
-        "prev_estimate_block": prev_block,
-        "neighbor_block": neighbor_block or "(no neighbor values available)",
-    }
-    try:
-        return template.text.format_map(mapping)
-    except KeyError as exc:
-        raise TemplateError(f"template references unknown placeholder {exc}") from None
-    except (IndexError, ValueError) as exc:
-        raise TemplateError(f"malformed template: {exc}") from None
+    values = (str(v), str(task.time_index), task.units or "unspecified units", prev_block,
+              neighbor_block or "(no neighbor values available)")
+    return template.text.format_map(dict(zip(_PLACEHOLDERS, values)))
 
 
 FAILURE_NON_NUMERIC = "non-numeric"

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -69,35 +70,42 @@ class SignalSeries:
 
 @dataclass(frozen=True)
 class SamplingMask:
-    """Which nodes are observed; fixed across every time step of a run."""
+    """Which nodes are observed; fixed across every time step of a run.
+
+    ``missing`` is the ascending, read-only ``intp`` index of the hidden nodes.
+    Like a :class:`MaskSpec`, a mask gives each run's mask (itself) and its policy.
+    """
 
     observed: np.ndarray
+    missing: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=bool)
         if obs.ndim != 1 or obs.shape[0] < 1:
             raise ValueError(f"mask must be a non-empty 1-D boolean vector, got shape {obs.shape}")
         object.__setattr__(self, "observed", _readonly(obs))
+        object.__setattr__(self, "missing", _readonly(np.flatnonzero(~obs)))
 
     @property
     def num_nodes(self) -> int:
         return self.observed.shape[0]
 
     @property
-    def observed_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.observed))
-
-    @property
-    def missing_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(~self.observed))
-
-    @property
     def num_observed(self) -> int:
-        return int(np.count_nonzero(self.observed))
+        return self.num_nodes - self.num_missing
 
     @property
     def num_missing(self) -> int:
-        return self.num_nodes - self.num_observed
+        return self.missing.shape[0]
+
+    def mask_for_run(self, run_index: int, n: int) -> "SamplingMask":
+        if self.num_nodes != n:
+            raise ValueError(f"mask covers {self.num_nodes} nodes, graph has {n}")
+        return self
+
+    def describe(self) -> dict:
+        flags = " ".join("1" if o else "0" for o in self.observed)
+        return {"mode": "explicit", "observed_sha256": hashlib.sha256(flags.encode()).hexdigest()}
 
 
 class Observation:

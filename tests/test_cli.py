@@ -160,6 +160,45 @@ def test_usage_error_unknown_subcommand(capsys):
     assert run_cli("transmogrify") == 1
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "..", ""])
+def test_usage_error_name_that_is_not_a_plain_file_name(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code = run_cli("run", "--manifest", TOY, "--predictor", "zero", "--name", name, "--out", str(out))
+    assert code == 1
+    assert "--name" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []  # nothing written, in --out or beside it
+    # The name is checked before the bundle is read.
+    code = run_cli("run", "--manifest", str(tmp_path / "ghost.txt"), "--predictor", "zero",
+                   "--name", name, "--out", str(out))
+    assert code == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["--predictor", "glms", "--mu", "0"],
+    ["--predictor", "mock", "--mock-alpha", "2"],
+    ["--predictor", "glms", "--bandwidth", "9"],
+])
+def test_runtime_error_value_the_library_refuses(tmp_path, capsys, args):
+    out = tmp_path / "never"
+    assert run_cli("run", "--manifest", TOY, *args, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()  # no result files
+
+
+@pytest.mark.parametrize("extra", ["{bogus}", "{node_id.x}"])
+def test_runtime_error_template_that_cannot_render(tmp_path, capsys, extra):
+    template = tmp_path / "bad.txt"
+    template.write_text("{neighbor_block}\n{instruction_block}\n" + extra)
+    # The template is checked when it is loaded, before the bundle is read.
+    code = run_cli("run", "--manifest", str(tmp_path / "ghost.txt"), "--predictor", "mock",
+                   "--template", str(template), "--out", str(tmp_path / "never"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "placeholder" in err or "malformed template" in err
+    assert not (tmp_path / "never").exists()
+
+
 def test_runtime_error_missing_manifest(tmp_path, capsys):
     code = run_cli("run", "--manifest", str(tmp_path / "ghost.txt"), "--out", str(tmp_path))
     assert code == 2
@@ -263,6 +302,46 @@ def test_toy_replay_record_matches_golden_hashes(tmp_path):
                    "--replay-file", str(replay), "--runs", "1", "--out", str(out)) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in [replay, *out.iterdir()]}
     assert written == REPLAY_GOLDEN
+
+
+# SHA-256 of a toy mock run with the explicit mask file "1 0 1" (node 1 hidden
+# in all five runs), and of ``compare`` over the default toy glms, zero and mock
+# runs: the table text it prints and the file its --csv writes.
+EXPLICIT_MASK_GOLDEN = {
+    "mock.json": "f4bc90ecab60f46ffa622f76e19691c276ff8aadc4bad5b122087f7dbf438a19",
+    "mock_per_step.csv": "77ea2803dd44365137d4529227f4c2f78d00d6708c6423014456fc50acd68c45",
+    "mock_mse_over_time.csv": "057ce44946de179baf0138ccc745b0846feb95d7d3ed283ef09d08aef75ad447",
+}
+COMPARE_GOLDEN = {
+    "table.txt": "164c07095c76969c4a7b0e938f85261e95ab8a3a97b894f324d60b09fe5a0876",
+    "table.csv": "f5383de033cce5a2b410442cedef75c5a067e05750f9659bb920b383ff1ff990",
+}
+
+
+def test_toy_explicit_mask_run_matches_golden_hashes(tmp_path):
+    mask = tmp_path / "mask.txt"
+    mask.write_text("1 0 1\n")
+    out = tmp_path / "out"
+    assert run_cli("run", "--manifest", TOY, "--predictor", "mock", "--mask-file", str(mask),
+                   "--out", str(out)) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == EXPLICIT_MASK_GOLDEN
+
+
+def test_toy_compare_table_matches_golden_hashes(tmp_path, capsys):
+    for predictor in ("glms", "zero", "mock"):
+        assert run_cli("run", "--manifest", TOY, "--predictor", predictor,
+                       "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    table = tmp_path / "table.csv"
+    assert run_cli("compare", *(str(tmp_path / f"{p}.json") for p in ("glms", "zero", "mock")),
+                   "--csv", str(table)) == 0
+    text = capsys.readouterr().out
+    assert text.endswith(f"table written to {table}\n")
+    text = text[: -len(f"table written to {table}\n")]
+    written = {"table.txt": hashlib.sha256(text.encode()).hexdigest(),
+               "table.csv": hashlib.sha256(table.read_bytes()).hexdigest()}
+    assert written == COMPARE_GOLDEN
 
 
 # ---------------------------------------------------------------- README

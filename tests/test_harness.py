@@ -419,7 +419,7 @@ def test_mse_matches_triple_loop():
 
     miss_terms = []
     for est, mask in zip(runs, masks):
-        rows = mask.missing_ids
+        rows = mask.missing.tolist()
         acc = 0.0
         for i in rows:
             for t in range(3):

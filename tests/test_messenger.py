@@ -170,9 +170,8 @@ def test_render_no_neighbors_placeholder_line():
 
 
 def test_render_missing_placeholder_is_template_error():
-    tpl = PromptTemplate(body="{neighbor_block}\n{instruction_block}\n{mystery}")
     with pytest.raises(TemplateError):
-        render_prompt(sample_task(), tpl)
+        PromptTemplate(body="{neighbor_block}\n{instruction_block}\n{mystery}")
 
 
 def test_template_requires_neighbor_block():
@@ -181,8 +180,17 @@ def test_template_requires_neighbor_block():
 
 
 def test_template_guards_instruction_marks():
-    with pytest.raises(TemplateError):
+    lowered = PromptTemplate.instruction.lower()
+    for mark in ("single decimal number", "chat memory", "{time_index}"):
+        assert mark in lowered
+    with pytest.raises(TypeError):
         PromptTemplate(body="{neighbor_block} {instruction_block}", instruction="answer freely")
+
+
+@pytest.mark.parametrize("extra", ["{node_id.x}", "{0}", "{bogus}", "{"])
+def test_template_that_cannot_render_is_refused_when_built(extra):
+    with pytest.raises(TemplateError):
+        PromptTemplate(body="{neighbor_block}\n{instruction_block}\n" + extra)
 
 
 def test_template_load_matches_default(tmp_path):

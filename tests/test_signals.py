@@ -66,7 +66,7 @@ def test_generate_mask_counts():
 def test_generate_mask_zero_fraction_all_observed():
     mask = generate_mask(8, 0.0, seed=1)
     assert mask.num_missing == 0
-    assert mask.observed_ids == tuple(range(8))
+    assert mask.observed.all() and mask.missing.tolist() == []
 
 
 def test_generate_mask_deterministic():
@@ -95,7 +95,7 @@ def test_mask_spec_resample_vs_fixed():
 
 def test_mask_ids_partition():
     mask = generate_mask(12, 0.25, seed=2)
-    assert sorted(mask.observed_ids + mask.missing_ids) == list(range(12))
+    assert sorted(np.flatnonzero(mask.observed).tolist() + mask.missing.tolist()) == list(range(12))
 
 
 # ---------------------------------------------------------------- observations
@@ -262,8 +262,29 @@ def test_mask_file_one_means_observed(tmp_path):
     path = tmp_path / "mask.txt"
     path.write_text("1 0 1\n")
     mask = read_mask_file(path)
-    assert mask.observed_ids == (0, 2)
-    assert mask.missing_ids == (1,)
+    assert mask.observed.tolist() == [True, False, True]
+    assert mask.missing.tolist() == [1]
+
+
+def test_mask_missing_is_a_read_only_intp_index():
+    mask = generate_mask(20, 0.35, seed=8)
+    assert mask.missing.dtype == np.intp
+    assert not mask.missing.flags.writeable
+    assert np.array_equal(mask.missing, np.flatnonzero(~mask.observed))
+    assert mask.num_missing == 7 and mask.num_observed == 13
+    with pytest.raises(ValueError):
+        mask.missing[0] = 1
+
+
+def test_explicit_mask_serves_every_run_and_checks_the_node_count():
+    mask = SamplingMask(np.array([True, False, True]))
+    assert mask.mask_for_run(0, 3) is mask and mask.mask_for_run(4, 3) is mask
+    with pytest.raises(ValueError, match="mask covers 3 nodes, graph has 4"):
+        mask.mask_for_run(0, 4)
+    assert mask.describe() == {
+        "mode": "explicit",
+        "observed_sha256": "ecfdc94c0f83722e8879e81f69560ab43a59d07cd3cb8f6471833c94a68356e0",
+    }
 
 
 def test_mask_file_rejects_other_digits(tmp_path):
