@@ -149,7 +149,8 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
         return format_value(task.prev_estimate)
     # np.mean's own reduction and division, so the bits match np.mean exactly
     values = [x for _, x, _ in task.neighbor_values]
-    value = float(np.add.reduce(values)) / len(values)
+    with np.errstate(over="ignore"):  # an overflowed sum answers "NaN" below
+        value = float(np.add.reduce(values)) / len(values)
     if has_prev:
         value = alpha * task.prev_estimate + (1.0 - alpha) * value
     return format_value(value) if math.isfinite(value) else "NaN"

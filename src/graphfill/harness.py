@@ -406,7 +406,8 @@ class RunResult:
     The canonical JSON payload (``to_json``) deliberately excludes volatile
     data (wall clock, access logs, prompt logs) so identical seeded runs
     serialize byte-identically; the excluded pieces stay available on the
-    in-memory object.
+    in-memory object. Both writers share one ``repr`` text per ``truth`` value,
+    built by the first writer and rebuilt only when ``truth`` is replaced.
     """
 
     name: str
@@ -423,6 +424,7 @@ class RunResult:
     access_logs: list = field(default_factory=list, repr=False)
     prompt_logs: list = field(default_factory=list, repr=False)
     truth: SignalSeries | None = field(default=None, repr=False)
+    _truth_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def runs(self) -> int:
@@ -456,13 +458,21 @@ class RunResult:
             run["estimates"] = run["estimates"].tolist()
         return payload
 
+    def _truth_cells(self) -> tuple | None:
+        """``(values, text)``: the truth and its ``repr`` texts as N×T objects, built once per truth."""
+        truth = self.truth
+        if truth is not None and (self._truth_text is None or self._truth_text[0] is not truth):
+            text = list(map(repr, truth.values.ravel().tolist()))
+            self._truth_text = (truth, np.array(text, dtype=object).reshape(truth.values.shape))
+        return None if truth is None else (truth.values, self._truth_text[1])
+
     def _write_json(self, fh: TextIO) -> None:
         """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
 
         The estimate matrices are streamed row by row instead of being built
         as one nested list and one string.
         """
-        _write_json_value(fh, self._payload(), 0)
+        _write_json_value(fh, self._payload(), 0, self._truth_cells())
         fh.write("\n")
 
     def to_json(self) -> str:
@@ -496,35 +506,45 @@ class RunResult:
         """Long-form CSV with one row per (run, t, node): ``truth`` and estimate.
 
         Lines end in CRLF, as ``csv.writer`` ends them; no field ever needs
-        quoting, so each step's rows are written as one block of text.
+        quoting, so each step's rows are written as one block of text. The truth
+        column and every estimate bit-equal to the truth reuse the truth text.
         """
         truth = self.truth
         if truth is None:
             raise ValueError("ground truth is needed to write the per-step CSV")
-        mats = [np.asarray(est) for est in self.estimates]
+        mats = [np.asarray(est, dtype=np.float64) for est in self.estimates]
         for r, mat in enumerate(mats):
             if mat.shape != truth.values.shape:
                 raise ValueError(f"run {r} has shape {mat.shape}, truth has {truth.values.shape}")
-        # "node,truth," per step and node, formatted once for every run.
-        truth_text = [
-            [f"{node},{x!r}," for node, x in enumerate(column)] for column in truth.values.T.tolist()
-        ]
+        values, text = self._truth_cells()
+        nodes = [f"{node}," for node in range(truth.num_nodes)]
         with Path(path).open("w", newline="") as fh:
             fh.write("run,t,node,truth,estimate\r\n")
             for r, mat in enumerate(mats):
-                for t, prefixes in enumerate(truth_text):
+                for t, (truth_cells, cells) in enumerate(zip(text.T, _float_rows(mat.T, values.T, text.T))):
                     head = f"{r},{t},"
                     fh.write("".join(
-                        f"{head}{prefix}{x!r}\r\n" for prefix, x in zip(prefixes, mat[:, t].tolist())
+                        f"{head}{n}{a},{b}\r\n" for n, a, b in zip(nodes, truth_cells.tolist(), cells)
                     ))
 
 
-def _write_json_value(fh: TextIO, value, level: int) -> None:
+def _float_rows(mat: np.ndarray, values: np.ndarray, text: np.ndarray):
+    """Each row of float64 ``mat`` as ``repr`` texts, copied from ``text`` where bits equal ``values``."""
+    same = mat.view(np.int64) == values.view(np.int64)  # bits, not ==: -0.0 against 0.0 stays -0.0
+    for row, eq, cells in zip(mat, same, text):
+        cells = cells.copy()
+        cells[~eq] = list(map(repr, row[~eq].tolist()))
+        yield cells.tolist()
+
+
+def _write_json_value(fh: TextIO, value, level: int, truth: tuple | None = None) -> None:
     """Write ``value`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out at depth ``level``.
 
     Dicts and lists are walked here so that a finite float matrix can be
-    written row by row from ``tolist()`` with ``repr``, which is json's own
-    float text; every other value and every key is rendered by ``json.dumps``.
+    written row by row with ``repr``, which is json's own float text; every
+    other value and every key is rendered by ``json.dumps``. Given the
+    ``(values, text)`` of ``RunResult.truth``, a finite matrix of its shape
+    reuses the truth text through :func:`_float_rows`.
     """
     inner = "\n" + "  " * (level + 1)
     if isinstance(value, np.ndarray):
@@ -532,18 +552,20 @@ def _write_json_value(fh: TextIO, value, level: int) -> None:
             _write_json_value(fh, value.tolist(), level)
             return
         cell = inner + "  "
-        for i, row in enumerate(value):
-            text = ("," + cell).join(map(repr, row.tolist()))
+        same_shape = truth is not None and truth[0].shape == value.shape
+        rows = _float_rows(value, *truth) if same_shape else (map(repr, row.tolist()) for row in value)
+        for i, cells in enumerate(rows):
+            text = ("," + cell).join(cells)
             fh.write(("[" if i == 0 else ",") + inner + "[" + cell + text + inner + "]")
     elif isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
             # json's own text for the key, quoted even when it is not a string
             fh.write(("{" if i == 0 else ",") + inner + json.dumps({key: 0})[1:-4] + ": ")
-            _write_json_value(fh, value[key], level + 1)
+            _write_json_value(fh, value[key], level + 1, truth)
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
             fh.write(("[" if i == 0 else ",") + inner)
-            _write_json_value(fh, item, level + 1)
+            _write_json_value(fh, item, level + 1, truth)
     else:
         fh.write(json.dumps(value))
         return

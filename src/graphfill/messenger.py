@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import string
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -107,8 +108,8 @@ class PromptTemplate:
     The body must reference ``{neighbor_block}`` and ``{instruction_block}``;
     the latter is replaced by ``instruction``, which demands a single decimal
     number, no chat memory and the current time step only. A ``text`` that does
-    not render with ``"0"`` for each placeholder ``render_prompt`` fills raises
-    :class:`TemplateError`.
+    not render with ``"0"`` for each placeholder ``render_prompt`` fills, or
+    that nests a field in a format spec, raises :class:`TemplateError`.
     """
 
     body: str
@@ -124,6 +125,8 @@ class PromptTemplate:
             raise TemplateError(f"template references unknown placeholder {exc}") from None
         except (IndexError, ValueError, AttributeError, TypeError) as exc:
             raise TemplateError(f"malformed template: {exc}") from None
+        if any(spec and "{" in spec for _, _, spec, _ in string.Formatter().parse(self.text)):
+            raise TemplateError("malformed template: a replacement field nested in a format spec")
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplate":
@@ -342,7 +345,8 @@ def fallback_value(
         values = obs.data[obs.present]
     if not len(values):
         return 0.0
-    mean = float(np.mean(values))
+    with np.errstate(over="ignore"):  # an overflowed sum is caught just below
+        mean = float(np.mean(values))
     if not math.isfinite(mean):  # the sum overflowed: average the values scaled into [-1, 1]
         scale = float(np.max(np.abs(values)))
         mean = scale * float(np.mean(np.divide(values, scale)))

@@ -75,7 +75,6 @@ def test_mock_infeasible_returns_nan_text():
     assert mock_predict(task_with(None, []), 0.5) == "NaN"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_mock_overflow_returns_nan_text():
     # the neighbor sum overflows; so does a blend with an overflowed mean
     assert mock_predict(task_with(None, [1e308, 1e308]), 0.5) == "NaN"

@@ -199,6 +199,19 @@ def test_runtime_error_template_that_cannot_render(tmp_path, capsys, extra):
     assert not (tmp_path / "never").exists()
 
 
+def test_runtime_error_template_with_a_field_in_a_format_spec(tmp_path, capsys):
+    template = tmp_path / "bad.txt"
+    template.write_text("{neighbor_block}\n{instruction_block}\n{node_id:{units}}")
+    # Refused when loaded, not by the first prompt after the bundle is read.
+    code = run_cli("run", "--manifest", "/nonexistent", "--predictor", "mock",
+                   "--template", str(template), "--out", str(tmp_path / "never"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "malformed template" in err and "format spec" in err
+    assert "nonexistent" not in err
+    assert not (tmp_path / "never").exists()
+
+
 def test_runtime_error_missing_manifest(tmp_path, capsys):
     code = run_cli("run", "--manifest", str(tmp_path / "ghost.txt"), "--out", str(tmp_path))
     assert code == 2

@@ -319,7 +319,6 @@ def test_non_finite_or_miscounted_proposals_are_refused(values):
         run_online(ConstantPredictor(values), path3(), toy_series(), mask)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("observed", [[True, False, True], [False, False, True]])
 def test_overflowing_mock_reply_is_a_counted_fallback(observed):
     # Neighbour means of values this large overflow to inf. The mock replies

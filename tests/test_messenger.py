@@ -193,6 +193,13 @@ def test_template_that_cannot_render_is_refused_when_built(extra):
         PromptTemplate(body="{neighbor_block}\n{instruction_block}\n" + extra)
 
 
+def test_template_with_a_field_nested_in_a_format_spec_is_refused_when_built():
+    with pytest.raises(TemplateError, match="format spec"):
+        PromptTemplate(body="{neighbor_block}\n{instruction_block}\n{node_id:{units}}")
+    # A plain format spec renders with every value, so it is kept.
+    PromptTemplate(body="{neighbor_block}\n{instruction_block}\n{node_id:>4}")
+
+
 def test_template_load_matches_default(tmp_path):
     tpl = PromptTemplate.default()
     copy = tmp_path / "tpl.txt"
@@ -282,7 +289,6 @@ def test_fallback_terminal_zero():
     assert fallback_value(0, np.array([]), obs, g) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_fallback_stays_finite_when_the_sum_overflows():
     g = path3()
     big = np.finfo(float).max

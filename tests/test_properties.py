@@ -5,6 +5,7 @@ tasks, prompts and mock replies (one node and whole steps) against their
 former code."""
 
 import csv
+import dataclasses
 import enum
 import json
 import math
@@ -45,6 +46,7 @@ from graphfill.signals import (
     SamplingMask,
     SignalSeries,
     observation_from_column,
+    synth_bandlimited,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -404,7 +406,19 @@ def run_results(draw):
     truth = SignalSeries(matrix(edge_value))
     # Some estimates hold NaN or inf, which json writes as NaN and Infinity.
     non_finite = st.one_of(edge_value, st.sampled_from([float("nan"), float("inf"), float("-inf")]))
-    estimates = [matrix(draw(st.sampled_from([edge_value, non_finite]))) for _ in range(runs)]
+
+    def estimate(values):
+        # Each entry is its own draw, a copy of the truth entry at the same
+        # place, or, where the truth is a zero, the zero of the other sign.
+        own = matrix(values)
+        pick = np.array(draw(st.lists(st.sampled_from(["own", "truth", "flip"]),
+                                      min_size=n * steps, max_size=n * steps))).reshape(n, steps)
+        est = np.where(pick == "truth", truth.values, own)
+        flip = (pick == "flip") & (truth.values == 0.0)
+        est[flip] = -truth.values[flip]
+        return est
+
+    estimates = [estimate(draw(st.sampled_from([edge_value, non_finite]))) for _ in range(runs)]
     result = RunResult(
         name=draw(label),
         config=draw(st.dictionaries(label, nested, max_size=4)),
@@ -437,6 +451,59 @@ def test_writers_match_former_writers(case):
         result.write_per_step_csv(tmp / "new.csv")
         former_per_step_csv(result, tmp / "old.csv", truth)
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def clamped_runs():
+    """Two-run glms and mock results on a 60-node kNN graph, 20 seeded steps."""
+    g = knn_graph(np.random.default_rng(11).random((60, 2)), 4)
+    series = synth_bandlimited(g, bandwidth=8, temporal_rho=0.9, innovation_std=0.1, t_len=20,
+                               seed=3, units="m/s")
+    predictors = [FilterPredictor("glms"), MessengerPredictor(MockBackend(0.5), units="m/s", name="mock")]
+    return [run_online(p, g, series, MaskSpec(fraction=0.3, seed=5), runs=2) for p in predictors]
+
+
+def written(result, tmp_path):
+    """The JSON and per-step CSV bytes ``result`` writes, JSON first."""
+    result.save(tmp_path / "out.json")
+    result.write_per_step_csv(tmp_path / "out.csv")
+    return (tmp_path / "out.json").read_bytes(), (tmp_path / "out.csv").read_bytes()
+
+
+def test_writers_match_former_writers_on_clamped_runs(tmp_path):
+    for result in clamped_runs():
+        # Observed rows are clamped to the exact observation, so the writers
+        # take those entries' text from the truth's.
+        for est, mask in zip(result.estimates, result.masks):
+            assert np.array_equal(est[mask.observed], result.truth.values[mask.observed])
+            assert not np.array_equal(est, result.truth.values)
+        assert result.to_json() == former_json(result)
+        result.write_per_step_csv(tmp_path / "new.csv")
+        former_per_step_csv(result, tmp_path / "old.csv", result.truth)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_truth_text_is_shared_in_either_order_and_when_written_twice(tmp_path):
+    for result in clamped_runs():
+        expect_json, expect_csv = written(dataclasses.replace(result), tmp_path)
+        result.write_per_step_csv(tmp_path / "csv_first.csv")
+        result.save(tmp_path / "csv_first.json")
+        assert (tmp_path / "csv_first.csv").read_bytes() == expect_csv
+        assert (tmp_path / "csv_first.json").read_bytes() == expect_json
+        for _ in range(2):
+            assert written(result, tmp_path) == (expect_json, expect_csv)
+            assert result.to_json().encode() == expect_json
+
+
+def test_truth_text_follows_a_replaced_truth(tmp_path):
+    for result in clamped_runs():
+        before = written(result, tmp_path)
+        # A truth of the same shape that run 0's estimates equal everywhere,
+        # hidden rows included: stale text would show in both files.
+        result.truth = SignalSeries(result.estimates[0], units="m/s")
+        expect = written(dataclasses.replace(result), tmp_path)
+        assert expect != before
+        assert written(result, tmp_path) == expect
+        assert result.to_json() == former_json(result)
 
 
 def test_to_json_matches_former_json_for_empty_estimate_matrices():
