@@ -239,9 +239,11 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     if weight_mode not in ("unit", "gaussian"):
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
 
-    # Rows are ranked in chunks so the difference tensor stays small. The
-    # stable argsort keeps the tie rule (nearer first, then the lower id),
-    # and each point is dropped from its own ranking by index, because huge
+    # Rows are ranked in chunks so the difference tensor stays small. Counting
+    # the point's own zero, np.partition gives a row's (k+1)-th smallest
+    # distance; the other points at or below it (more than k on a tie) are
+    # stably sorted by distance in id order and the first k kept: nearer
+    # first, then the lower id. The point is excluded by index, because huge
     # finite coordinates can give inf distances that still tie-break by id.
     chunk = max(1, _KNN_CHUNK_ELEMENTS // (n * pts.shape[1]))
     ids = np.arange(n)
@@ -249,12 +251,17 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     picked_d2 = np.empty((n, k))
     for start in range(0, n, chunk):
         rows = ids[start : start + chunk]
+        local = np.arange(len(rows))
         diffs = pts[rows, None, :] - pts[None, :, :]
         dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-        order = np.argsort(dist2, axis=1, kind="stable")
-        order = order[order != rows[:, None]].reshape(len(rows), n - 1)[:, :k]
-        picked[rows] = order
-        picked_d2[rows] = np.take_along_axis(dist2, order, axis=1)
+        candidate = dist2 <= np.partition(dist2, k, axis=1)[:, k : k + 1]
+        candidate[local, rows] = False
+        row, col = np.nonzero(candidate)  # row-major: ids ascending within a row
+        d2 = dist2[row, col]
+        order = np.lexsort((d2, row))  # stable, row by row
+        keep = order[(np.searchsorted(row, local)[:, None] + np.arange(k)).ravel()]
+        picked[rows] = col[keep].reshape(len(rows), k)
+        picked_d2[rows] = d2[keep].reshape(len(rows), k)
 
     # One edge per unordered pair, sorted; a pair picked from both ends has
     # the same squared distance either way.
@@ -330,9 +337,9 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def read_coordinates(path: str | Path) -> np.ndarray:
-    """Read a coordinates CSV ``node_id,x,y[,z...]`` (header required) into an N x d array."""
+    """Read a coordinates CSV ``node_id,x,y[,z...]`` (header required, BOM allowed) into N x d."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

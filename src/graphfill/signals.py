@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -248,15 +250,44 @@ def write_signal_csv(series: SignalSeries, path: str | Path) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
+def _parse_plain_csv(text: str) -> np.ndarray | None:
+    """The matrix of a signal CSV with no quotes and only finite cells, else None."""
+    if '"' in text or "\0" in text:  # csv unquotes; Python 3.10's csv refuses NUL
+        return None
+    # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [row for row in lines if row.replace(",", "").strip()]
+    if not rows or max(map(len, rows)) > csv.field_size_limit():
+        return None
+    try:
+        [float(cell) for cell in rows[0].split(",")]
+    except ValueError:
+        rows = rows[1:]  # a header
+    cells = itertools.chain.from_iterable(row.split(",") for row in rows)  # a row's strings at a time
+    try:
+        values = np.fromiter(map(float, cells), dtype=float)
+    except ValueError:
+        return None
+    ok = len({row.count(",") for row in rows}) == 1 and np.isfinite(values).all()
+    return values.reshape(len(rows), -1) if ok else None
+
+
 def read_signal_csv(path: str | Path, units: str = "") -> SignalSeries:
     """Read a signal CSV (optional ``t0,t1,...`` header; row order = node id).
 
-    Any cell that fails to parse as a finite number is a load error reported
-    with its row and column; missing data never enters through files.
+    The first non-blank row is a header when any of its cells is not a number.
+    Blank rows are skipped and a leading UTF-8 byte order mark is allowed. Any
+    cell that fails to parse as a finite number is a load error reported with
+    its row and column; missing data never enters through files.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        raw_rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    values = _parse_plain_csv(text)  # one pass; the csv reader below names an error's cell
+    if values is not None:
+        return SignalSeries(values=values, units=units)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not raw_rows:
         raise ValueError(f"{path}: empty signal file")
 

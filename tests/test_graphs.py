@@ -232,6 +232,15 @@ def test_knn_tie_break_prefers_lower_id():
     assert g.has_edge(0, 1)
 
 
+def test_knn_ties_beyond_k_take_the_lower_ids():
+    # Node 0 has four neighbours at distance 1 and k = 2: the two lowest ids win.
+    # Every other node has two nearer points of its own, so none picks node 0.
+    ring = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    private = [(x * r, y * r) for x, y in ring for r in (1.1, 1.2)]
+    g = knn_graph([(0.0, 0.0), *ring, *private], 2)
+    assert g.neighbors(0) == (1, 2)
+
+
 def test_knn_matches_brute_force():
     rng = np.random.default_rng(41)
     for trial in range(5):
@@ -300,6 +309,12 @@ def test_coordinates_round_trip(tmp_path):
     path = tmp_path / "coords.csv"
     write_coordinates(coords, path)
     assert np.array_equal(read_coordinates(path), coords)
+
+
+def test_coordinates_allow_a_byte_order_mark(tmp_path):
+    path = tmp_path / "coords.csv"
+    path.write_bytes(b"\xef\xbb\xbfnode_id,x,y\n0,0.5,1.25\n1,2.0,-3.5\n")
+    assert np.array_equal(read_coordinates(path), [[0.5, 1.25], [2.0, -3.5]])
 
 
 def test_is_connected():

@@ -1,8 +1,8 @@
 """Property tests: the reply parser round trip and its fast path, observations,
 the online loop's invariants, the G-Sign step bound, the kNN graph's shape,
-and the online loop, the kNN build, the result writers and the messenger's
-tasks, prompts and mock replies (one node and whole steps) against their
-former code."""
+and the online loop, the kNN build, the signal CSV reader, the result writers
+and the messenger's tasks, prompts and mock replies (one node and whole steps)
+against their former code."""
 
 import csv
 import dataclasses
@@ -14,7 +14,8 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphfill import graphs
@@ -46,6 +47,7 @@ from graphfill.signals import (
     SamplingMask,
     SignalSeries,
     observation_from_column,
+    read_signal_csv,
     synth_bandlimited,
 )
 
@@ -331,10 +333,26 @@ def point_sets(draw, coordinate=coordinate):
     return pts
 
 
-@settings(deadline=None, max_examples=200)
-@given(point_sets(), st.data(), st.sampled_from(["unit", "gaussian"]), st.integers(1, 64))
+@st.composite
+def coincident_point_sets(draw):
+    point = draw(st.lists(coordinate, min_size=1, max_size=3))
+    return np.array([point] * draw(st.integers(2, 12)))
+
+
+tie_heavy_point_sets = st.one_of(
+    point_sets(),
+    # integer grids: many exact ties at the k-th distance
+    point_sets(st.integers(-3, 3).map(float)),
+    coincident_point_sets(),
+    # squared distances that overflow to inf, which still tie-break by id
+    point_sets(st.sampled_from([0.0, 1.0, -1.0, 1e200, -1e200, 1e300, -1e300])),
+)
+
+
+@settings(deadline=None, max_examples=400)
+@given(tie_heavy_point_sets, st.data(), st.sampled_from(["unit", "gaussian"]), st.integers(1, 64))
 def test_knn_graph_matches_former_build(pts, data, weight_mode, chunk_elements):
-    k = data.draw(st.integers(1, len(pts) - 1))
+    k = data.draw(st.integers(1, len(pts) - 1) | st.just(len(pts) - 1))
     # A small chunk budget splits even a dozen points into several row chunks.
     with mock.patch.object(graphs, "_KNN_CHUNK_ELEMENTS", chunk_elements):
         assert_same_knn(pts, k, weight_mode)
@@ -360,6 +378,95 @@ def test_knn_graph_matches_former_build_on_a_few_hundred_points():
     coords = np.random.default_rng(0).random((400, 2))
     for k, weight_mode in ((5, "gaussian"), (3, "unit")):
         assert_same_knn(coords, k, weight_mode)
+
+
+# ---------------------------------------------------------------- signal CSV
+
+
+def read_signal_csv_oracle(path, units=""):
+    """The former cell-by-cell signal reader, reading the file as ``utf-8-sig``."""
+    path = Path(path)
+    with path.open(encoding="utf-8-sig", newline="") as fh:
+        raw_rows = [row for row in csv.reader(fh) if row and any(cell.strip() for cell in row)]
+    if not raw_rows:
+        raise ValueError(f"{path}: empty signal file")
+
+    def parse_row(row, lineno):
+        out = []
+        for col, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: row {lineno}, column {col + 1}: not a number: {cell!r}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}: row {lineno}, column {col + 1}: non-finite cell {cell!r}")
+            out.append(v)
+        return out
+
+    first = raw_rows[0]
+    has_header = False
+    try:
+        [float(cell) for cell in first]
+    except ValueError:
+        has_header = True
+    data_rows = raw_rows[1:] if has_header else raw_rows
+    if not data_rows:
+        raise ValueError(f"{path}: header but no data rows")
+    width = len(data_rows[0])
+    matrix = []
+    for idx, row in enumerate(data_rows):
+        lineno = idx + (2 if has_header else 1)
+        if len(row) != width:
+            raise ValueError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+        matrix.append(parse_row(row, lineno))
+    return SignalSeries(values=np.array(matrix), units=units)
+
+
+csv_tokens = st.sampled_from(
+    list("0123456789+-.eE, \t\r\n\"\x0c\u2028") + ["nan", "inf", "\r\n", "t0", "1.5", "-2e-3"]
+)
+line_ends = st.sampled_from(["\n", "\r\n", "\r", "\n\n", "\r\r\n", "\n , \n", "\n\x0c\n"])
+number_cells = st.one_of(
+    finite.map(repr),
+    st.integers(-999, 999).map(str),
+    st.sampled_from(["nan", "-inf", "1e999", " 2 ", "\t3", "4\x0c", "5\u2028", "1_0", "", " ", "x", "9\r"]),
+)
+number_cells = number_cells | number_cells.map(lambda cell: f'"{cell}"')  # csv unquotes these
+
+
+@st.composite
+def signal_csv_texts(draw):
+    """Text a signal CSV may hold: free token soup, or rows of number-like cells."""
+    if draw(st.booleans()):
+        text = "".join(draw(st.lists(csv_tokens, max_size=40)))
+    else:
+        width = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.lists(number_cells, min_size=width, max_size=width + draw(st.integers(0, 1))),
+                             min_size=1, max_size=5))
+        if draw(st.booleans()):
+            rows.insert(0, [f"t{t}" for t in range(width)])
+        text = "".join(",".join(row) + draw(line_ends) for row in rows)
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(deadline=None, max_examples=500)
+@given(signal_csv_texts())
+@example("1,9\r,2\n3,4,5\n")  # a lone "\r" ends a row: csv reads "1,9" and ",2"
+@example('"1",2\n3,4\n')  # unquoted, this first row is data, not a header
+def test_read_signal_csv_matches_former_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "signal.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expect = read_signal_csv_oracle(path).values
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                read_signal_csv(path)
+            assert str(info.value) == str(exc)
+            return
+        got = read_signal_csv(path).values
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 # ---------------------------------------------------------------- result writers

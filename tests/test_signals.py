@@ -237,6 +237,24 @@ def test_signal_csv_headerless(tmp_path):
     assert np.array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
+def test_signal_csv_byte_order_mark_keeps_node_0(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n")
+    assert np.array_equal(read_signal_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
+    path.write_bytes(b"\xef\xbb\xbft0,t1\r\n1.0,2.0\r\n")
+    assert np.array_equal(read_signal_csv(path).values, [[1.0, 2.0]])
+
+
+def test_signal_csv_error_names_row_and_column(tmp_path):
+    path = tmp_path / "signal.csv"
+    path.write_text("t0,t1\n1.0,2.0\n\n3.0,four\n")
+    with pytest.raises(ValueError, match=r"row 3, column 2: not a number: 'four'"):
+        read_signal_csv(path)
+    path.write_text('1.0,"inf"\n')
+    with pytest.raises(ValueError, match=r"row 1, column 2: non-finite cell 'inf'"):
+        read_signal_csv(path)
+
+
 def test_signal_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "signal.csv"
     path.write_text("1.0,2.0\n3.0\n")
