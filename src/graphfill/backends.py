@@ -149,8 +149,12 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
         return format_value(task.prev_estimate)
     # np.mean's own reduction and division, so the bits match np.mean exactly
     values = [x for _, x, _ in task.neighbor_values]
-    with np.errstate(over="ignore"):  # an overflowed sum answers "NaN" below
+    # errstate costs more than the sum: skip it unless a partial sum (about n * max|x| at most) could overflow.
+    if max(map(abs, values)) * len(values) < 2.0**1023:
         value = float(np.add.reduce(values)) / len(values)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf, answers "NaN" below
+            value = float(np.add.reduce(values)) / len(values)
     if has_prev:
         value = alpha * task.prev_estimate + (1.0 - alpha) * value
     return format_value(value) if math.isfinite(value) else "NaN"
@@ -386,13 +390,9 @@ class RemoteBackend(Backend):
         """
         if not reqs:
             return []
-        joined = []
-        for i, req in enumerate(reqs):
-            joined.append(f"Task {i + 1} of {len(reqs)}:\n{req.prompt}")
-        combined = (
-            "\n\n".join(joined)
-            + f"\n\nReply with exactly {len(reqs)} lines, one decimal number per line, in task order."
-        )
+        joined = [f"Task {i + 1} of {len(reqs)}:\n{req.prompt}" for i, req in enumerate(reqs)]
+        joined.append(f"Reply with exactly {len(reqs)} lines, one decimal number per line, in task order.")
+        combined = "\n\n".join(joined)
         first = reqs[0]
         batch_req = CompletionRequest(
             prompt=combined,

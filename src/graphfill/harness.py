@@ -33,6 +33,7 @@ from .messenger import (
     NEIGHBOR_MODES,
     PromptTemplate,
     StepTable,
+    _checked,
     build_task,
     fallback_value,
     parse_response,
@@ -219,7 +220,8 @@ class MessengerPredictor(Predictor):
     ``prompt_log``, so it can be audited for leaks. With ``batch=True`` each
     step's tasks go to the backend as one batch through
     :func:`batch_complete`, whose count guard fails every item when the
-    number of replies is wrong.
+    number of replies is wrong. Temperature and ``max_tokens`` are checked
+    here, once, so each request is built without a second check.
     """
 
     def __init__(
@@ -244,6 +246,8 @@ class MessengerPredictor(Predictor):
         self.model = model
         self.temperature = check_temperature(temperature)
         self.max_tokens = int(max_tokens)
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be at least 1")
         self.batch = bool(batch)
         self.name = name
         self.keep_prompts = bool(keep_prompts)
@@ -285,14 +289,9 @@ class MessengerPredictor(Predictor):
             prompt = render_prompt(task, self.template, table)
             if self.keep_prompts:
                 self.prompt_log.append({"t": t, "node": v, "prompt": prompt})
-            request = CompletionRequest(
-                prompt=prompt,
-                model=self.model,
-                temperature=self.temperature,
-                max_tokens=self.max_tokens,
-                request_id=f"run{self._run_index}-t{t}-node{v}",
-                task=task,
-            )
+            request = _checked(CompletionRequest, prompt=prompt, model=self.model, temperature=self.temperature,
+                               max_tokens=self.max_tokens, request_id=f"run{self._run_index}-t{t}-node{v}",
+                               task=task)
             pending.append((slot, request))
 
         if self.batch:

@@ -7,9 +7,7 @@ import math
 import re
 import string
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +32,12 @@ __all__ = [
 
 NEIGHBOR_MODES = ("observed-only", "observed-plus-stale")
 
-_first, _second = itemgetter(0), itemgetter(1)
+
+def _checked(cls, **fields):
+    """``cls(**fields)`` without its ``__post_init__``, for fields the caller has already checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -66,18 +69,15 @@ class NodeTask:
                 raise ValueError("previous estimate is non-finite")
             object.__setattr__(self, "prev_estimate", prev)
         entries = tuple([(int(u), float(x), bool(observed)) for u, x, observed in self.neighbor_values])
-        ids = set(map(_first, entries))
-        if node_id in ids or len(ids) != len(entries) or not all(map(math.isfinite, map(_second, entries))):
-            # Something is wrong: walk the entries in order to name the first fault.
-            seen = set()
-            for u, x, _ in entries:
-                if u == node_id:
-                    raise ValueError(f"task for node {node_id} lists itself as a neighbor")
-                if u in seen:
-                    raise ValueError(f"duplicate neighbor {u} in task")
-                if not math.isfinite(x):
-                    raise ValueError(f"neighbor value for node {u} is non-finite")
-                seen.add(u)
+        seen = set()
+        for u, x, _ in entries:  # in order, to name the first fault
+            if u == node_id:
+                raise ValueError(f"task for node {node_id} lists itself as a neighbor")
+            if u in seen:
+                raise ValueError(f"duplicate neighbor {u} in task")
+            if not math.isfinite(x):
+                raise ValueError(f"neighbor value for node {u} is non-finite")
+            seen.add(u)
         object.__setattr__(self, "neighbor_values", entries)
 
     @property
@@ -99,17 +99,43 @@ DEFAULT_INSTRUCTION = (
 _REQUIRED_BODY_PLACEHOLDERS = ("{neighbor_block}", "{instruction_block}")
 # The names render_prompt fills, in the order it lists their values.
 _PLACEHOLDERS = ("node_id", "time_index", "units", "prev_estimate_block", "neighbor_block")
+_CONVERSIONS = {None: str, "r": repr, "s": str, "a": ascii}
+
+
+def _compile(text: str) -> tuple:
+    """``text`` as literal strings and fields, each a ``_PLACEHOLDERS`` index or ``(index, conversion, spec)``."""
+    parts = []
+    for literal, name, spec, conversion in string.Formatter().parse(text):
+        if literal:
+            parts.append(literal)
+        if name is None:
+            continue
+        first = re.match(r"[^.[]*", name).group()
+        if not first or first.isdecimal():
+            raise ValueError("Format string contains positional fields")
+        if first not in _PLACEHOLDERS:
+            raise KeyError(first)
+        if name != first:
+            raise ValueError(f"field {{{name}}} uses attribute or index access")
+        if conversion not in _CONVERSIONS:
+            raise ValueError(f"Unknown conversion specifier {conversion}")
+        if "{" in spec:
+            raise ValueError("a replacement field nested in a format spec")
+        index = _PLACEHOLDERS.index(name)
+        parts.append((index, _CONVERSIONS[conversion], spec) if conversion or spec else index)
+    return tuple(parts)
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Prompt skeleton with named placeholders, checked once, when it is built.
+    """Prompt skeleton with named placeholders, checked and compiled once, when it is built.
 
     The body must reference ``{neighbor_block}`` and ``{instruction_block}``;
     the latter is replaced by ``instruction``, which demands a single decimal
-    number, no chat memory and the current time step only. A ``text`` that does
-    not render with ``"0"`` for each placeholder ``render_prompt`` fills, or
-    that nests a field in a format spec, raises :class:`TemplateError`.
+    number, no chat memory and the current time step only. Any other field is a
+    placeholder ``render_prompt`` fills, with an optional conversion and spec; one
+    that is positional, unknown, uses attribute or index access or nests a field,
+    or a ``text`` that fails to render, raises :class:`TemplateError`.
     """
 
     body: str
@@ -120,13 +146,13 @@ class PromptTemplate:
             if placeholder not in self.body:
                 raise TemplateError(f"template body is missing the {placeholder} placeholder")
         try:
-            self.text.format_map(dict.fromkeys(_PLACEHOLDERS, "0"))
+            text = self.body.replace("{instruction_block}", self.instruction)
+            object.__setattr__(self, "_parts", _compile(text))  # what _render joins
+            self._render(("0",) * len(_PLACEHOLDERS))
         except KeyError as exc:
             raise TemplateError(f"template references unknown placeholder {exc}") from None
-        except (IndexError, ValueError, AttributeError, TypeError) as exc:
+        except ValueError as exc:
             raise TemplateError(f"malformed template: {exc}") from None
-        if any(spec and "{" in spec for _, _, spec, _ in string.Formatter().parse(self.text)):
-            raise TemplateError("malformed template: a replacement field nested in a format spec")
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplate":
@@ -137,10 +163,10 @@ class PromptTemplate:
         body = resources.files("graphfill").joinpath("templates/default_prompt.txt").read_text()
         return cls(body=body)
 
-    @cached_property
-    def text(self) -> str:
-        """The body with the instruction spliced in, ready for ``format_map``."""
-        return self.body.replace("{instruction_block}", self.instruction)
+    def _render(self, values: Sequence[str]) -> str:
+        """The body, with the instruction spliced in and each field filled from ``values``."""
+        return "".join([part if part.__class__ is str else values[part] if part.__class__ is int
+                        else format(part[1](values[part[0]]), part[2]) for part in self._parts])
 
     @property
     def sha256(self) -> str:
@@ -173,12 +199,12 @@ class StepTable:
     - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
       node, the same string its stale line shows, and None otherwise.
 
-    Each value is formatted once per step, however many tasks show it. The
-    table covers every node of ``graph``, in lists indexed by node id, and
-    with ``time_index`` it is all that :func:`build_task` reads.
+    Each value is formatted once per step, however many tasks show it. The table covers
+    every node of ``graph``, in lists indexed by node id, and with ``time_index`` it is all
+    that :func:`build_task` reads. ``finite`` records once per step whether all are finite.
     """
 
-    __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts")
+    __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts", "finite")
 
     def __init__(self, obs: Observation, prev: Sequence[float] | None, g: Graph,
                  mode: str = "observed-plus-stale"):
@@ -192,6 +218,7 @@ class StepTable:
             if prev.shape != (n,):
                 raise ValueError(f"previous estimates have shape {prev.shape}, expected ({n},)")
         self.time_index, self.graph = obs.time_index, g
+        self.finite = prev is None or np.count_nonzero(np.isfinite(prev)) == n
         self.prev = [None] * n if prev is None else prev.tolist()
         self.entries, self.lines, self.prev_texts = [None] * n, [None] * n, [None] * n
         stale = mode == "observed-plus-stale"
@@ -220,14 +247,19 @@ def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
     enter as ``(u, current value, True)``. In ``observed-plus-stale`` mode,
     unobserved neighbors additionally enter as ``(u, previous-step estimate,
     False)``. Triples follow the graph's ascending neighbor order. The node's
-    own previous estimate is attached whenever the table has one.
+    own previous estimate is attached whenever the table has one. Only ``v`` is
+    checked here: the graph and the table made the other fields right, so the task
+    of an all-finite table skips the :class:`NodeTask` checks, and any other takes them.
     """
     g = table.graph
     v = g.check_node(v)
     entries = table.entries
     # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.
     neighbors = tuple(filter(None, map(entries.__getitem__, g.neighbors(v))))
-    return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
+    if not table.finite:
+        return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
+    return _checked(NodeTask, node_id=v, time_index=table.time_index, prev_estimate=table.prev[v],
+                    neighbor_values=neighbors, units=units)
 
 
 def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | None = None) -> str:
@@ -252,10 +284,9 @@ def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | N
     else:
         lines = [table.lines[entry[0]] for entry in task.neighbor_values]
     neighbor_block = "\n".join(lines)
-
     values = (str(v), str(task.time_index), task.units or "unspecified units", prev_block,
               neighbor_block or "(no neighbor values available)")
-    return template.text.format_map(dict(zip(_PLACEHOLDERS, values)))
+    return template._render(values)
 
 
 FAILURE_NON_NUMERIC = "non-numeric"
@@ -304,7 +335,7 @@ def parse_response(text: str | None) -> ParsedPrediction:
     if text is not None and _NUMBER_RE.fullmatch(text):
         value = float(text)
         if math.isfinite(value):
-            return ParsedPrediction(value=value)
+            return _checked(ParsedPrediction, value=value, failure=None)
     return _scan_response(text)
 
 
@@ -345,7 +376,7 @@ def fallback_value(
         values = obs.data[obs.present]
     if not len(values):
         return 0.0
-    with np.errstate(over="ignore"):  # an overflowed sum is caught just below
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, or inf - inf, is caught below
         mean = float(np.mean(values))
     if not math.isfinite(mean):  # the sum overflowed: average the values scaled into [-1, 1]
         scale = float(np.max(np.abs(values)))

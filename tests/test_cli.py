@@ -186,7 +186,8 @@ def test_runtime_error_value_the_library_refuses(tmp_path, capsys, args):
     assert not out.exists()  # no result files
 
 
-@pytest.mark.parametrize("extra", ["{bogus}", "{node_id.x}"])
+# "{units.upper}" used to render a bound method's address, so no two runs sent the same prompt.
+@pytest.mark.parametrize("extra", ["{bogus}", "{node_id.x}", "{units.upper}", "{node_id[0]}"])
 def test_runtime_error_template_that_cannot_render(tmp_path, capsys, extra):
     template = tmp_path / "bad.txt"
     template.write_text("{neighbor_block}\n{instruction_block}\n" + extra)

@@ -14,7 +14,7 @@ from graphfill.backends import (
     prompt_sha256,
 )
 from graphfill.filters import FilterConfig
-from graphfill import harness
+from graphfill import backends, harness
 from graphfill.graphs import Graph
 from graphfill.harness import (
     CausalityError,
@@ -174,11 +174,12 @@ def test_fallback_count_identity():
 def test_mock_run_calls_each_messenger_stage_once_per_task(monkeypatch):
     # Traced benchmark runs time these stages under these names.
     calls = {}
-    for name in ("build_task", "render_prompt", "parse_response"):
-        def counted(*args, _name=name, _inner=getattr(harness, name), **kwargs):
+    for module, name in ((harness, "build_task"), (harness, "render_prompt"), (harness, "parse_response"),
+                         (backends, "mock_predict")):
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _inner(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
     g = Graph(4, [(0, 1), (1, 2)])  # node 3 is isolated: infeasible on a cold start
     series = SignalSeries(np.arange(20.0).reshape(4, 5))
     mask = SamplingMask(np.array([True, False, True, False]))
@@ -187,7 +188,7 @@ def test_mock_run_calls_each_messenger_stage_once_per_task(monkeypatch):
     assert infeasible == 2
     tasks = 2 * 5 * 2  # runs x steps x hidden nodes
     assert calls == {"build_task": tasks, "render_prompt": tasks - infeasible,
-                     "parse_response": tasks - infeasible}
+                     "parse_response": tasks - infeasible, "mock_predict": tasks - infeasible}
 
 
 class RequestKeepingMock(MockBackend):
@@ -225,6 +226,13 @@ def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, re
 def test_predictor_refuses_a_non_finite_or_negative_temperature(temperature):
     with pytest.raises(ValueError, match="temperature"):
         MessengerPredictor(MockBackend(), temperature=temperature)
+
+
+@pytest.mark.parametrize("max_tokens", [0, -3])
+def test_predictor_refuses_max_tokens_below_one_when_built(max_tokens):
+    # Refused here, not by the first request of a run.
+    with pytest.raises(ValueError, match="max_tokens must be at least 1"):
+        MessengerPredictor(MockBackend(), max_tokens=max_tokens)
 
 
 def test_predictor_keeps_no_prompts_unless_asked():

@@ -187,10 +187,33 @@ def test_template_guards_instruction_marks():
         PromptTemplate(body="{neighbor_block} {instruction_block}", instruction="answer freely")
 
 
-@pytest.mark.parametrize("extra", ["{node_id.x}", "{0}", "{bogus}", "{"])
+@pytest.mark.parametrize("extra", ["{node_id.x}", "{0}", "{bogus}", "{", "{node_id!x}", "{node_id:d}"])
 def test_template_that_cannot_render_is_refused_when_built(extra):
     with pytest.raises(TemplateError):
         PromptTemplate(body="{neighbor_block}\n{instruction_block}\n" + extra)
+
+
+@pytest.mark.parametrize("extra", ["{units.upper}", "{node_id[0]}", "{time_index.real}", "{units[0]!r:>3}"])
+def test_template_field_with_attribute_or_index_access_is_refused_when_built(extra):
+    # Such a field renders an attribute of the placeholder's text (for a method, an
+    # address that changes from run to run), never the value a template means.
+    with pytest.raises(TemplateError, match="attribute or index access"):
+        PromptTemplate(body="{neighbor_block}\n{instruction_block}\n" + extra)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("{bogus}", "template references unknown placeholder 'bogus'"),
+    ("{0}", "malformed template: Format string contains positional fields"),
+    ("{}", "malformed template: Format string contains positional fields"),
+    ("{node_id!x}", "malformed template: Unknown conversion specifier x"),
+    ("{node_id:d}", "malformed template: Unknown format code 'd' for object of type 'str'"),
+    ("{", "malformed template: Single '{' encountered in format string"),
+    ("{node_id", "malformed template: expected '}' before end of string"),
+])
+def test_template_refusal_names_the_fault(extra, message):
+    with pytest.raises(TemplateError) as caught:
+        PromptTemplate(body="{neighbor_block}\n{instruction_block}\n" + extra)
+    assert str(caught.value) == message
 
 
 def test_template_with_a_field_nested_in_a_format_spec_is_refused_when_built():
@@ -298,6 +321,9 @@ def test_fallback_stays_finite_when_the_sum_overflows():
     assert fallback_value(0, np.array([]), obs_of(0, [None, None, -big, -big]), dark) == -big
     value = fallback_value(1, np.array([big, -1e308, big]), obs_of(0, [1.0, None, 1.0]), g)
     assert np.isfinite(value) and value > 0
+    # Nine values are summed pairwise, so partial sums of inf and -inf meet, with no warning.
+    mixed = np.array([big] * 4 + [-big] * 4 + [0.0])
+    assert fallback_value(1, mixed, obs_of(0, [1.0, None, 1.0]), g) == 0.0
 
 
 def test_fallback_always_finite():

@@ -9,6 +9,7 @@ import dataclasses
 import enum
 import json
 import math
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from graphfill import graphs
 from graphfill._format import format_value
-from graphfill.backends import MockBackend, mock_predict
+from graphfill.backends import CompletionRequest, MockBackend, mock_predict
 from graphfill.graphs import Graph, knn_graph
 from graphfill.filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
 from graphfill.harness import (
@@ -34,8 +35,12 @@ from graphfill.harness import (
     run_online,
 )
 from graphfill.messenger import (
+    _PLACEHOLDERS,
+    NodeTask,
+    ParsedPrediction,
     PromptTemplate,
     StepTable,
+    TemplateError,
     _scan_response,
     build_task,
     parse_response,
@@ -856,3 +861,181 @@ def test_messenger_step_matches_former_code_node_by_node(case):
 def test_parse_response_fast_path_matches_full_scan(text):
     fast, full = parse_response(text), _scan_response(text)
     assert (repr(fast.value), fast.failure) == (repr(full.value), full.failure)
+
+
+def typed(value):
+    """``value`` with the type and repr of every leaf, which tell 1 from True and 0.0 from -0.0."""
+    if isinstance(value, tuple):
+        return tuple(map(typed, value))
+    return type(value), repr(value)
+
+
+def assert_same_dataclass(got, want):
+    assert got == want
+    assert typed(dataclasses.astuple(got)) == typed(dataclasses.astuple(want))
+
+
+class RequestKeepingMock(MockBackend):
+    def __init__(self, alpha):
+        super().__init__(alpha)
+        self.requests = []
+
+    def complete(self, req):
+        self.requests.append(req)
+        return super().complete(req)
+
+
+@settings(deadline=None, max_examples=300)
+@given(messenger_steps(), st.sampled_from([0.0, 0.7]), st.sampled_from([1, 16]))
+def test_hot_path_objects_equal_what_the_checking_constructors_build(case, temperature, max_tokens):
+    obs, prev, g, mode, units, alpha = case
+    table = StepTable(obs, prev, g, mode)
+    for v in range(g.num_nodes):
+        task = build_task(v, table, units)
+        fields = (task.node_id, task.time_index, task.prev_estimate, task.neighbor_values, task.units)
+        assert_same_dataclass(task, NodeTask(*fields))
+        # and from numpy scalars, which the constructor converts
+        numpy_fields = (np.int64(v), np.int64(obs.time_index),
+                        None if task.prev_estimate is None else np.float64(task.prev_estimate),
+                        [(np.intp(u), np.float64(x), np.bool_(o)) for u, x, o in task.neighbor_values], units)
+        assert_same_dataclass(task, NodeTask(*numpy_fields))
+    backend = RequestKeepingMock(alpha)
+    predictor = MessengerPredictor(backend, neighbor_mode=mode, units=units, temperature=temperature,
+                                   max_tokens=max_tokens)
+    predictor.reset(g, SamplingMask(obs.present), run_index=2)
+    state = EstimateState(g.num_nodes, 1)
+    if prev is not None:
+        state.append(prev)
+    predictor.predict_missing(obs.time_index, obs, state)
+    for req in backend.requests:
+        checked = CompletionRequest(prompt=req.prompt, model=req.model, temperature=req.temperature,
+                                    max_tokens=req.max_tokens, request_id=req.request_id, task=req.task)
+        assert_same_dataclass(req, checked)
+        assert req.task is checked.task
+        parsed = parse_response(mock_predict(req.task, alpha))
+        if parsed.ok:
+            assert_same_dataclass(parsed, ParsedPrediction(value=parsed.value))
+
+
+@given(finite)
+def test_parsed_number_equals_the_checked_prediction(x):
+    for text in (format_value(x), repr(x)):
+        assert_same_dataclass(parse_response(text), ParsedPrediction(value=float(text)))
+
+
+CONVERSION = st.sampled_from(["", "!r", "!s", "!a"])
+SPEC = st.one_of(
+    st.just(""),
+    st.builds(lambda fill, align, width, precision, kind: f":{fill}{align}{width}{precision}{kind}",
+              st.sampled_from(["", "_", "*", " ", "0"]),
+              st.sampled_from(["<", ">", "^"]),
+              st.sampled_from(["", "0", "3", "12"]),
+              st.sampled_from(["", ".0", ".2", ".5"]),
+              st.sampled_from(["", "s"])),
+    st.sampled_from([":", ":5", ":.1", ":s", ":010"]),
+)
+literal_text = st.text(alphabet="ab \n:!.[]%{}0", max_size=8).map(
+    lambda text: text.replace("{", "{{").replace("}", "}}"))
+
+
+@st.composite
+def well_formed_bodies(draw):
+    """Template bodies with escapes, repeated fields, conversions and format specs."""
+    pieces = draw(st.lists(st.one_of(
+        literal_text,
+        st.builds(lambda name, conversion, spec: f"{{{name}{conversion}{spec}}}",
+                  st.sampled_from(_PLACEHOLDERS), CONVERSION, SPEC),
+    ), max_size=10))
+    for required in ("{neighbor_block}", "{instruction_block}"):
+        pieces.insert(draw(st.integers(0, len(pieces))), required)
+    return "".join(pieces)
+
+
+def former_template_check(text):
+    """The former build-time check: format_map with "0" for each placeholder, then no nested spec."""
+    text.format_map(dict.fromkeys(_PLACEHOLDERS, "0"))
+    if any(spec and "{" in spec for _, _, spec, _ in string.Formatter().parse(text)):
+        raise ValueError("a replacement field nested in a format spec")
+
+
+def former_refuses(text):
+    try:
+        former_template_check(text)
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError):
+        return True
+    return False
+
+
+TEMPLATE_TOKENS = ["{", "}", "{{", "}}", "node_id", "units", "time_index", "neighbor_block", "bogus", "0",
+                   "!", "r", "a", "x", ":", ">4", ".", "[", "]", "[0]", "upper", " ", "\n",
+                   "{node_id}", "{units!r:>5}", "{time_index:{units}}", "{0}", "{}"]
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    well_formed_bodies(),
+    st.lists(st.sampled_from(TEMPLATE_TOKENS), max_size=12).map(
+        lambda tokens: "".join(tokens) + "{neighbor_block}{instruction_block}"),
+), st.lists(st.text(max_size=6), min_size=len(_PLACEHOLDERS), max_size=len(_PLACEHOLDERS)))
+def test_compiled_template_renders_what_format_map_renders(body, values):
+    text = body.replace("{instruction_block}", PromptTemplate.instruction)
+    try:
+        template = PromptTemplate(body=body)
+    except TemplateError as exc:
+        # refused by the former check too, or a field with attribute or index access
+        assert former_refuses(text) or "attribute or index access" in str(exc)
+        return
+    assert not former_refuses(text)
+    assert template._render(values) == text.format_map(dict(zip(_PLACEHOLDERS, values)))
+
+
+@settings(max_examples=100)
+@given(well_formed_bodies(), st.lists(st.text(max_size=6), min_size=len(_PLACEHOLDERS),
+                                      max_size=len(_PLACEHOLDERS)))
+def test_well_formed_templates_are_kept_and_render_as_format_map(body, values):
+    template = PromptTemplate(body=body)
+    text = body.replace("{instruction_block}", PromptTemplate.instruction)
+    assert template._render(values) == text.format_map(dict(zip(_PLACEHOLDERS, values)))
+
+
+def guarded_mock_predict(task, alpha):
+    """The mock reply with the neighbor sum always under ``np.errstate``, as the former code took it."""
+    if task.prev_estimate is None and not task.neighbor_values:
+        return "NaN"
+    if not task.neighbor_values:
+        return format_value(task.prev_estimate)
+    values = [x for _, x, _ in task.neighbor_values]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.add.reduce(values)) / len(values)
+    if task.prev_estimate is not None:
+        value = alpha * task.prev_estimate + (1.0 - alpha) * value
+    return format_value(value) if math.isfinite(value) else "NaN"
+
+
+@st.composite
+def near_overflow_tasks(draw):
+    """Tasks whose neighbor sums come near, reach or pass the float max, with 1 to 20 values."""
+    n = draw(st.integers(1, 20))
+    # max|x| * n lands on either side of half the float max, where mock_predict's guard switches.
+    top = min(2.0**1023 / n * draw(st.floats(0.25, 4.0)), np.finfo(float).max)
+    fractions = draw(st.lists(st.sampled_from([1.0, 0.75]) | st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    # One sign for all, so the sum can overflow, or mixed, so inf and -inf can meet.
+    sign = st.sampled_from([1.0, -1.0])
+    signs = draw(st.lists(sign, min_size=n, max_size=n) | sign.map(lambda s: [s] * n))
+    values = [s * x for s, x in zip(signs, [top] + [top * f for f in fractions])]
+    order = draw(st.permutations(range(n)))
+    prev = draw(st.none() | finite)
+    return NodeTask(0, 1, prev, tuple((i + 1, values[i], True) for i in order))
+
+
+@settings(max_examples=500)
+@given(st.one_of(near_overflow_tasks(), st.lists(finite, min_size=1, max_size=20).map(
+    lambda xs: NodeTask(0, 1, None, tuple((i + 1, x, True) for i, x in enumerate(xs))))),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+@example(NodeTask(0, 1, None, ((1, 1.7976931348623157e308, True), (2, 1.7976931348623157e308, True))), 0.5)
+@example(NodeTask(0, 1, None, tuple((i, 2.0**1023 / 9 * 0.999, True) for i in range(1, 10))), 0.5)
+# Eight or more values are summed pairwise, so partial sums of inf and -inf meet.
+@example(NodeTask(0, 1, None, tuple((i, (-1) ** (i // 5) * 1.7976931348623157e308, True) for i in range(1, 10))), 0.5)
+def test_mock_predict_matches_the_always_guarded_sum(task, alpha):
+    # Tier-1 turns warnings into errors, so an overflow outside the guard fails here.
+    assert mock_predict(task, alpha) == guarded_mock_predict(task, alpha)
