@@ -34,42 +34,55 @@ class Graph:
     and safe to share across threads. A graph keeps its Laplacian spectrum and
     its fingerprint once computed (``filters.graph_spectrum``, ``harness.graph_sha256``):
     the edges never change, so neither goes stale, and two threads filling one
-    at once only compute the same value twice.
+    at once only compute the same value twice. Every graph, ``knn_graph``'s too,
+    passes one array check of its edges, which names the first faulty edge.
     """
 
-    __slots__ = ("_num_nodes", "_weights", "_adjacency", "_spectrum", "_sha256")
+    __slots__ = ("_num_nodes", "_weights", "_edges", "_adjacency", "_spectrum", "_sha256")
 
     def __init__(self, num_nodes: int, edges: Iterable[Sequence] = ()) -> None:
-        num_nodes = int(num_nodes)
-        if num_nodes < 1:
+        ends, weights, fault = [], [], None
+        try:
+            for spec in edges:
+                if len(spec) not in (2, 3):
+                    raise ValueError(f"edge must be (u, v) or (u, v, w), got {spec!r}")
+                u, v = int(spec[0]), int(spec[1])
+                if u != spec[0] or v != spec[1]:
+                    raise ValueError(f"edge {spec!r} has a non-integer node id")
+                weights.append(float(spec[2]) if len(spec) == 3 else 1.0)
+                ends.append((u, v))
+        except (TypeError, ValueError, OverflowError) as exc:
+            fault = exc  # raised after the edges before it, which may fail a check first
+        self._build(num_nodes, *np.array(ends).reshape(-1, 2).T, np.array(weights))  # object dtype past int64
+        if fault is not None:
+            raise fault
+
+    def _build(self, num_nodes: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        """Check and store the edges ``(u[i], v[i], w[i])``; the first faulty one names its first fault."""
+        n = int(num_nodes)
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        weights: dict[tuple[int, int], float] = {}
-        for spec in edges:
-            if len(spec) == 2:
-                u, v = spec
-                w = 1.0
-            elif len(spec) == 3:
-                u, v, w = spec
-            else:
-                raise ValueError(f"edge must be (u, v) or (u, v, w), got {spec!r}")
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) references a node outside [0, {num_nodes})")
-            if u == v:
-                raise ValueError(f"explicit self-loop on node {u} is not allowed")
-            if not np.isfinite(w) or w < 0:
-                raise ValueError(f"edge ({u}, {v}) has invalid weight {w!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in weights:
-                raise ValueError(f"duplicate edge {key}")
-            weights[key] = w
-        self._num_nodes = num_nodes
-        self._weights = weights
-        adjacency: list[list[int]] = [[] for _ in range(num_nodes)]
-        for u, v in weights:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        repeat = np.ones(len(lo), dtype=bool)  # a key may collide or wrap past an edge out of range
+        repeat[np.unique(lo * n + hi, return_index=True)[1]] = False
+        faults = np.stack([(lo < 0) | (hi >= n), u == v, ~np.isfinite(w) | (w < 0), repeat])
+        if faults.any():
+            i = int(faults.any(axis=0).argmax())
+            a, b = int(u[i]), int(v[i])
+            raise ValueError((f"edge ({a}, {b}) references a node outside [0, {n})",
+                              f"explicit self-loop on node {a} is not allowed",
+                              f"edge ({a}, {b}) has invalid weight {float(w[i])!r}",
+                              f"duplicate edge {min(a, b), max(a, b)}")[int(faults[:, i].argmax())])
+        lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+        # Both ends of each edge sorted by (node, neighbor): the neighbor lists; the u-ends: the edges sorted.
+        ends, others = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        order = np.lexsort((others, ends))
+        bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        nbrs = others[order].tolist()
+        self._num_nodes = n
+        self._weights = dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist()))  # in input order
+        self._edges = tuple(column[order[order < len(lo)]] for column in (lo, hi, w))
+        self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip([0, *bounds], bounds))
         self._spectrum: SpectralBasis | None = None
         self._sha256: str | None = None
 
@@ -84,7 +97,7 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
         """All edges as (u, v, weight) with u < v, sorted."""
-        return tuple((u, v, self._weights[(u, v)]) for u, v in sorted(self._weights))
+        return tuple(zip(*(column.tolist() for column in self._edges)))
 
     def check_node(self, v: int) -> int:
         v = int(v)
@@ -114,9 +127,8 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self._num_nodes, self._num_nodes))
-        for (u, v), w in self._weights.items():
-            a[u, v] = w
-            a[v, u] = w
+        u, v, w = self._edges
+        a[u, v] = a[v, u] = w
         return a
 
     def canonical_text(self) -> str:
@@ -171,14 +183,17 @@ def closed_neighbors(g: Graph, v: int) -> list[int]:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian ``degree - adjacency`` as a dense symmetric matrix."""
-    n = g.num_nodes
-    lap = np.zeros((n, n))
-    for u, v, w in g.edges:
-        lap[u, v] -= w
-        lap[v, u] -= w
-        lap[u, u] += w
-        lap[v, v] += w
+    """Combinatorial Laplacian ``degree - adjacency`` as a dense symmetric matrix.
+
+    Each off-diagonal entry is set once, and each degree adds its node's weights
+    in sorted edge order, as a loop over ``g.edges`` would: v-ends first, then
+    u-ends, since every edge (a, x) sorts before every edge (x, b).
+    """
+    u, v, w = g._edges
+    lap = np.zeros((g.num_nodes, g.num_nodes))
+    lap[u, v] = lap[v, u] = 0.0 - w  # 0.0 - 0.0 is +0.0, as the loop's subtraction gives
+    np.add.at(lap, (v, v), w)
+    np.add.at(lap, (u, u), w)
     return lap
 
 
@@ -245,14 +260,21 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     # stably sorted by distance in id order and the first k kept: nearer
     # first, then the lower id. The point is excluded by index, because huge
     # finite coordinates can give inf distances that still tie-break by id.
-    chunk = max(1, _KNN_CHUNK_ELEMENTS // (n * pts.shape[1]))
+    # A chunk's differences are filled a coordinate at a time from contiguous
+    # columns. The einsum stays: it sums even and odd coordinates apart
+    # ((d0²+d2²)+d1² at d = 3), so a left-to-right sum changes the last bits.
+    chunk = min(n, max(1, _KNN_CHUNK_ELEMENTS // (n * pts.shape[1])))
+    columns = np.ascontiguousarray(pts.T)
+    buffer = np.empty((chunk, n, pts.shape[1]))
     ids = np.arange(n)
     picked = np.empty((n, k), dtype=np.intp)
     picked_d2 = np.empty((n, k))
     for start in range(0, n, chunk):
         rows = ids[start : start + chunk]
         local = np.arange(len(rows))
-        diffs = pts[rows, None, :] - pts[None, :, :]
+        diffs = buffer[: len(rows)]
+        for j, column in enumerate(columns):
+            np.subtract(column[rows, None], column[None, :], out=diffs[:, :, j])
         dist2 = np.einsum("ijk,ijk->ij", diffs, diffs)
         candidate = dist2 <= np.partition(dist2, k, axis=1)[:, k : k + 1]
         candidate[local, rows] = False
@@ -268,18 +290,17 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     lo = np.minimum(picked, ids[:, None]).ravel()
     hi = np.maximum(picked, ids[:, None]).ravel()
     keys, first = np.unique(lo * n + hi, return_index=True)
-    pairs = zip((keys // n).tolist(), (keys % n).tolist(), picked_d2.ravel()[first].tolist())
+    weights = np.ones(len(keys))
     if weight_mode == "gaussian":
         # Averaged in row-major n x k order, the order the neighbors were
         # picked in, so sigma is the same to the last bit.
         sigma = float(np.mean(np.sqrt(picked_d2.ravel())))
-        if sigma > 0:
-            edges = [(u, v, float(np.exp(-d2 / sigma**2))) for u, v, d2 in pairs]
-        else:
-            edges = [(u, v, 1.0) for u, v, _ in pairs]  # all points coincident
-    else:
-        edges = [(u, v, 1.0) for u, v, _ in pairs]
-    return Graph(n, edges)
+        if sigma > 0:  # else all points coincide
+            with np.errstate(divide="ignore", invalid="ignore"):  # inf distances: NaN weights, refused
+                weights = np.exp(-picked_d2.ravel()[first] / sigma**2)
+    graph = Graph.__new__(Graph)
+    graph._build(n, keys // n, keys % n, weights)
+    return graph
 
 
 def is_connected(g: Graph) -> bool:

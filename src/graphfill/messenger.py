@@ -96,14 +96,14 @@ DEFAULT_INSTRUCTION = (
     "the information in this message."
 )
 
-_REQUIRED_BODY_PLACEHOLDERS = ("{neighbor_block}", "{instruction_block}")
-# The names render_prompt fills, in the order it lists their values.
+# The names render_prompt fills, in the order it lists their values; a body also names the instruction.
 _PLACEHOLDERS = ("node_id", "time_index", "units", "prev_estimate_block", "neighbor_block")
+_BODY_NAMES = (*_PLACEHOLDERS, "instruction_block")
 _CONVERSIONS = {None: str, "r": repr, "s": str, "a": ascii}
 
 
-def _compile(text: str) -> tuple:
-    """``text`` as literal strings and fields, each a ``_PLACEHOLDERS`` index or ``(index, conversion, spec)``."""
+def _compile(text: str, names: tuple[str, ...] = _PLACEHOLDERS) -> tuple:
+    """``text`` as literal strings and fields, each a ``names`` index or ``(index, conversion, spec)``."""
     parts = []
     for literal, name, spec, conversion in string.Formatter().parse(text):
         if literal:
@@ -113,7 +113,7 @@ def _compile(text: str) -> tuple:
         first = re.match(r"[^.[]*", name).group()
         if not first or first.isdecimal():
             raise ValueError("Format string contains positional fields")
-        if first not in _PLACEHOLDERS:
+        if first not in names:
             raise KeyError(first)
         if name != first:
             raise ValueError(f"field {{{name}}} uses attribute or index access")
@@ -121,7 +121,7 @@ def _compile(text: str) -> tuple:
             raise ValueError(f"Unknown conversion specifier {conversion}")
         if "{" in spec:
             raise ValueError("a replacement field nested in a format spec")
-        index = _PLACEHOLDERS.index(name)
+        index = names.index(name)
         parts.append((index, _CONVERSIONS[conversion], spec) if conversion or spec else index)
     return tuple(parts)
 
@@ -142,13 +142,16 @@ class PromptTemplate:
     instruction = DEFAULT_INSTRUCTION  # a class constant, not a field
 
     def __post_init__(self):
-        for placeholder in _REQUIRED_BODY_PLACEHOLDERS:
-            if placeholder not in self.body:
-                raise TemplateError(f"template body is missing the {placeholder} placeholder")
         try:
+            fields = _compile(self.body, _BODY_NAMES)  # a plain field is its index; escaped text is literal
+            for name in ("neighbor_block", "instruction_block"):
+                if _BODY_NAMES.index(name) not in fields:
+                    raise TemplateError(f"template body is missing the {{{name}}} placeholder")
             text = self.body.replace("{instruction_block}", self.instruction)
             object.__setattr__(self, "_parts", _compile(text))  # what _render joins
             self._render(("0",) * len(_PLACEHOLDERS))
+        except TemplateError:
+            raise
         except KeyError as exc:
             raise TemplateError(f"template references unknown placeholder {exc}") from None
         except ValueError as exc:

@@ -254,9 +254,10 @@ def _parse_plain_csv(text: str) -> np.ndarray | None:
     """The matrix of a signal CSV with no quotes and only finite cells, else None."""
     if '"' in text or "\0" in text:  # csv unquotes; Python 3.10's csv refuses NUL
         return None
-    # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells.
+    # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells,
+    # which never starts with one of "-./0123456789".
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rows = [row for row in lines if row.replace(",", "").strip()]
+    rows = [row for row in lines if "-" <= row[:1] <= "9" or row.replace(",", "").strip()]
     if not rows or max(map(len, rows)) > csv.field_size_limit():
         return None
     try:

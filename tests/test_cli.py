@@ -200,6 +200,18 @@ def test_runtime_error_template_that_cannot_render(tmp_path, capsys, extra):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.mark.parametrize("body", ["Values: {{neighbor_block}}\n{instruction_block}",
+                                  "{neighbor_block}\n{{instruction_block}}"])
+def test_runtime_error_template_with_an_escaped_required_placeholder(tmp_path, capsys, body):
+    template = tmp_path / "bad.txt"
+    template.write_text(body)
+    code = run_cli("run", "--manifest", TOY, "--predictor", "mock",
+                   "--template", str(template), "--out", str(tmp_path / "never"))
+    assert code == 2
+    assert "template body is missing the {" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_runtime_error_template_with_a_field_in_a_format_spec(tmp_path, capsys):
     template = tmp_path / "bad.txt"
     template.write_text("{neighbor_block}\n{instruction_block}\n{node_id:{units}}")

@@ -15,6 +15,7 @@ from graphfill.graphs import (
     write_coordinates,
     write_edge_list,
 )
+from graphfill.harness import graph_sha256
 
 
 def triangle():
@@ -55,6 +56,48 @@ def test_graph_rejects_out_of_range_node():
 def test_graph_rejects_negative_weight():
     with pytest.raises(ValueError):
         Graph(2, [(0, 1, -0.5)])
+
+
+def test_graph_refuses_a_non_integer_node_id_naming_the_edge():
+    # Such an id was once truncated: (0.7, 2.9) built the edge (0, 2).
+    with pytest.raises(ValueError, match=r"edge \(0\.7, 2\.9\) has a non-integer node id"):
+        Graph(3, [(0.7, 2.9)])
+    with pytest.raises(ValueError, match="non-integer node id"):
+        Graph(3, [(0, 1), (np.float64(1.5), 2, 1.0)])
+    with pytest.raises(ValueError, match="non-integer node id"):
+        Graph(3, [("1", 2)])
+
+
+def test_graph_keeps_integral_floats_and_numpy_ids():
+    g = Graph(3, [(2.0, np.int64(1)), (np.int32(0), np.float64(2.0), np.float32(0.5))])
+    assert g.edges == ((0, 2, 0.5), (1, 2, 1.0))
+    assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+    assert g == Graph(3, [(1, 2), (0, 2, 0.5)])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ([(0, 1), (2, 5), (1, 1)], "edge (2, 5) references a node outside [0, 3)"),
+    ([(0, 1), (1, 1), (2, 5)], "explicit self-loop on node 1 is not allowed"),
+    ([(0, 1, float("nan")), (0, 1)], "edge (0, 1) has invalid weight nan"),
+    ([(0, 1), (0, 1, -1.0)], "edge (0, 1) has invalid weight -1.0"),  # the weight is checked first
+    ([(-1, 1, float("inf"))], "edge (-1, 1) references a node outside [0, 3)"),
+    ([(0, 1), (0, 10**30)], "edge (0, 1000000000000000000000000000000) references a node outside [0, 3)"),
+    ([(0, 3), ("a", 1)], "edge (0, 3) references a node outside [0, 3)"),  # before the bad id
+    ([(0, 1), ("a", 1)], "invalid literal for int() with base 10: 'a'"),
+    ([(0, 1), (0, 1, 2, 3)], "edge must be (u, v) or (u, v, w), got (0, 1, 2, 3)"),
+])
+def test_graph_names_the_first_faulty_edge(edges, message):
+    with pytest.raises(ValueError) as caught:
+        Graph(3, edges)
+    assert str(caught.value) == message
+
+
+def test_graph_edges_are_sorted_and_weights_keep_input_order():
+    g = Graph(4, [(3, 2, 0.5), (1, 0), (2, 0, 2.0)])
+    assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (2, 3, 0.5))
+    assert list(g._weights) == [(2, 3), (0, 1), (0, 2)]
+    assert [g.neighbors(v) for v in range(4)] == [(1, 2), (0,), (0, 3), (2,)]
 
 
 def test_closed_neighbors_triangle():
@@ -239,6 +282,26 @@ def test_knn_ties_beyond_k_take_the_lower_ids():
     private = [(x * r, y * r) for x, y in ring for r in (1.1, 1.2)]
     g = knn_graph([(0.0, 0.0), *ring, *private], 2)
     assert g.neighbors(0) == (1, 2)
+
+
+# The benchmark's bundles: default_rng(0).random((N, 2)), 5 neighbors, Gaussian weights.
+@pytest.mark.parametrize("nodes, digest", [
+    (197, "3c14ea791ff34166c79eeff31512195a604e3e9e640b2688b687b3b78bc0fb6c"),
+    (1000, "0daf640d62e99c6ee1395a1160c6053f98a5e581aa2294d991e698a2680ecf57"),
+])
+def test_knn_graph_of_the_benchmark_recipe_keeps_its_fingerprint(nodes, digest):
+    coords = np.random.default_rng(0).random((nodes, 2))
+    assert graph_sha256(knn_graph(coords, 5, weight_mode="gaussian")) == digest
+
+
+def test_laplacian_sums_each_degree_in_sorted_edge_order():
+    # In sorted edge order node 1's degree is 1 + 2**-53 + 2**-53, which rounds
+    # to 1.0; with its u-end terms first it would be 2**-52 + 1 = 1 + 2**-52.
+    tiny = 2.0**-53
+    lap = laplacian(Graph(4, [(1, 3, tiny), (0, 1, 1.0), (1, 2, tiny)]))
+    assert lap[1, 1] == 1.0
+    assert lap[0, 1] == lap[1, 0] == -1.0
+    assert lap[1, 2] == lap[2, 1] == -tiny == -lap[2, 2]
 
 
 def test_knn_matches_brute_force():

@@ -179,6 +179,18 @@ def test_template_requires_neighbor_block():
         PromptTemplate(body="just text {instruction_block}")
 
 
+@pytest.mark.parametrize("body, name", [
+    ("Values: {{neighbor_block}}\n{instruction_block}", "neighbor_block"),
+    ("{neighbor_block}\n{{instruction_block}}", "instruction_block"),
+    ("{neighbor_block!r}\n{instruction_block}", "neighbor_block"),
+])
+def test_template_with_an_escaped_required_placeholder_is_refused(body, name):
+    # An escaped placeholder is literal text: every prompt would show "{neighbor_block}" itself.
+    with pytest.raises(TemplateError) as caught:
+        PromptTemplate(body=body)
+    assert str(caught.value) == f"template body is missing the {{{name}}} placeholder"
+
+
 def test_template_guards_instruction_marks():
     lowered = PromptTemplate.instruction.lower()
     for mark in ("single decimal number", "chat memory", "{time_index}"):

@@ -385,6 +385,131 @@ def test_knn_graph_matches_former_build_on_a_few_hundred_points():
         assert_same_knn(coords, k, weight_mode)
 
 
+# ---------------------------------------------------------------- graph build and Laplacian
+
+
+class FormerGraph(Graph):
+    """A graph built by the former per-edge loop, plus the refusal of a non-integer id."""
+
+    def __init__(self, num_nodes, edges=()):
+        num_nodes = int(num_nodes)
+        if num_nodes < 1:
+            raise ValueError("graph needs at least one node")
+        weights = {}
+        for spec in edges:
+            if len(spec) == 2:
+                u, v = spec
+                w = 1.0
+            elif len(spec) == 3:
+                u, v, w = spec
+            else:
+                raise ValueError(f"edge must be (u, v) or (u, v, w), got {spec!r}")
+            iu, iv = int(u), int(v)
+            if iu != u or iv != v:  # the one new rule
+                raise ValueError(f"edge {spec!r} has a non-integer node id")
+            u, v, w = iu, iv, float(w)
+            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+                raise ValueError(f"edge ({u}, {v}) references a node outside [0, {num_nodes})")
+            if u == v:
+                raise ValueError(f"explicit self-loop on node {u} is not allowed")
+            if not np.isfinite(w) or w < 0:
+                raise ValueError(f"edge ({u}, {v}) has invalid weight {w!r}")
+            key = (u, v) if u < v else (v, u)
+            if key in weights:
+                raise ValueError(f"duplicate edge {key}")
+            weights[key] = w
+        self._num_nodes = num_nodes
+        self._weights = weights
+        adjacency = [[] for _ in range(num_nodes)]
+        for u, v in weights:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+
+    @property
+    def edges(self):
+        return tuple((u, v, self._weights[(u, v)]) for u, v in sorted(self._weights))
+
+
+def former_laplacian(g):
+    n = g.num_nodes
+    lap = np.zeros((n, n))
+    for (u, v), w in sorted(g._weights.items()):
+        lap[u, v] -= w
+        lap[v, u] -= w
+        lap[u, u] += w
+        lap[v, v] += w
+    return lap
+
+
+NODE_ID_TYPES = (int, np.int64, np.intp, float)  # each gives a well-formed id
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge lists in every accepted form, each with a chance of one or two of every fault the check names."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    weight = st.one_of(st.just(1.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0).map(np.float64),
+                       st.sampled_from([0.0, -0.0, 5e-324, 1e300, 2, np.float32(0.25)]))
+    specs = []
+    chosen = st.lists(st.sampled_from(pairs), unique_by=lambda p: (min(p), max(p)), max_size=12)
+    for u, v in draw(chosen) if pairs else []:
+        u, v = (draw(st.sampled_from(NODE_ID_TYPES))(x) for x in (u, v))
+        specs.append((u, v, draw(weight)) if draw(st.booleans()) else (u, v))
+    faults = st.one_of(
+        st.integers(0, n - 1).map(lambda u: (u, u)),  # a self-loop
+        st.tuples(st.sampled_from([-1, n, n + 5, 10**30, -(2**70)]), st.integers(0, n - 1)),
+        st.tuples(st.sampled_from([0.5, np.float64(1.5), -0.25]), st.integers(0, n - 1)),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.sampled_from([-1.0, -5e-324, math.inf, -math.inf, math.nan])),
+        st.lists(st.integers(0, n - 1), max_size=4).filter(lambda ids: len(ids) not in (2, 3)).map(tuple),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        listed = [spec for spec in specs if len(spec) >= 2]
+        if listed and draw(st.booleans()):  # a repeat, in either orientation
+            u, v, *rest = draw(st.sampled_from(listed))
+            fault = (v, u, *rest) if draw(st.booleans()) else (u, v, *rest)
+        else:
+            fault = draw(faults)
+        specs.insert(draw(st.integers(0, len(specs))), fault)
+    return n, specs
+
+
+@settings(deadline=None, max_examples=600)
+@given(edge_lists())
+def test_graph_matches_the_former_per_edge_build(case):
+    n, specs = case
+    try:
+        want = FormerGraph(n, specs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            Graph(n, specs)
+        assert str(caught.value) == str(exc)
+        return
+    got = Graph(n, specs)
+    assert repr(got.edges) == repr(want.edges)
+    assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
+    assert got == want and want == got and hash(got) == hash(want)
+    assert repr(list(got._weights.items())) == repr(list(want._weights.items()))
+
+
+@st.composite
+def laplacian_graphs(draw):
+    n = draw(st.integers(1, 16))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    # Magnitudes far apart, so a sum in another order would round differently.
+    weight = st.sampled_from([0.0, -0.0, 1.0, 5e-324]) | st.floats(0.0, 1e3) | st.floats(0.0, 1e290)
+    return Graph(n, [(u, v, draw(weight)) for u, v in draw(st.permutations(chosen))])
+
+
+@settings(deadline=None, max_examples=400)
+@given(laplacian_graphs())
+def test_laplacian_matches_the_former_loop_bit_for_bit(g):
+    assert graphs.laplacian(g).tobytes() == former_laplacian(g).tobytes()
+
+
 # ---------------------------------------------------------------- signal CSV
 
 
