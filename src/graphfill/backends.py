@@ -115,6 +115,10 @@ class BackendConfig:
             raise ValueError("max_in_flight must be at least 1")
         if int(self.max_retries) < 0:
             raise ValueError("max_retries must be nonnegative")
+        if not (math.isfinite(float(self.timeout_s)) and self.timeout_s > 0):
+            raise ValueError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
+        if not (math.isfinite(float(self.backoff_base_s)) and self.backoff_base_s >= 0):
+            raise ValueError(f"backoff_base_s must be a finite number >= 0, got {self.backoff_base_s}")
 
 
 def check_temperature(temperature: float) -> float:
@@ -135,8 +139,9 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
     Returns ``alpha * previous estimate + (1 - alpha) * neighbor mean`` as
     plain decimal text; whichever side is absent drops out and the other takes
     full weight. An infeasible task, or a mean or blend that overflows to a
-    non-finite value, yields the literal text "NaN": the caller counts it as a
-    parse failure and falls back, so the fallback path is exercised end to end.
+    non-finite value, yields the literal text "NaN", which parses as a
+    ``nan-literal`` failure. ``MessengerPredictor`` never sends an infeasible
+    task: it falls back without a request.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:

@@ -89,8 +89,6 @@ def _add_backend_options(p: _Parser) -> None:
     p.add_argument("--mock-alpha", type=float, default=0.5,
                    help="mock backend blend between previous estimate and neighbor mean")
     p.add_argument("--replay-file", default=None, help="replay JSONL for the replay backend")
-    p.add_argument("--record", default=None,
-                   help="also append every response to this replay JSONL")
     p.add_argument("--batch", action="store_true",
                    help="send each step's node tasks as one batched request")
 
@@ -170,8 +168,8 @@ def _build_backend(args):
         **extra,
     )
     backend = make_backend(cfg)
-    if args.record:
-        backend = RecordingBackend(backend, args.record)
+    if args.command == "replay-record":
+        backend = RecordingBackend(backend, args.replay_out)
     return backend
 
 
@@ -322,7 +320,6 @@ def cmd_replay_record(args) -> int:
         raise UsageError("replay-record only makes sense with --predictor llm (or mock for drills)")
     if args.predictor == "llm":
         args.backend = "remote"
-    args.record = args.replay_out
     status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")
     return status

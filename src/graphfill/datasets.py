@@ -199,48 +199,41 @@ def load_bundle(manifest_path: str | Path) -> LoadedBundle:
     The signal fixes the node count; the graph is then read (or built from
     coordinates) against that count, so a graph referencing out-of-range
     nodes or a coordinate file of the wrong length fails here rather than
-    deep inside an experiment.
+    deep inside an experiment. Every failure, a reader's or ``knn_graph``'s
+    too, is a :class:`DatasetError`, with the message it was raised with.
     """
     bundle = parse_manifest(manifest_path)
-    if not bundle.signal_path.is_file():
-        raise DatasetError(f"signal file not found: {bundle.signal_path}")
     try:
+        if not bundle.signal_path.is_file():
+            raise DatasetError(f"signal file not found: {bundle.signal_path}")
         series = read_signal_csv(bundle.signal_path, units=bundle.units)
-    except ValueError as exc:
-        raise DatasetError(f"signal {bundle.signal_path}: {exc}") from exc
-
-    n = series.num_nodes
-    if bundle.expected_nodes is not None and n != bundle.expected_nodes:
-        raise DatasetError(
-            f"bundle {bundle.manifest_path}: signal has {n} rows, expected {bundle.expected_nodes} nodes"
-        )
-    if bundle.expected_steps is not None and series.num_steps != bundle.expected_steps:
-        raise DatasetError(
-            f"bundle {bundle.manifest_path}: signal has {series.num_steps} columns, "
-            f"expected {bundle.expected_steps} steps"
-        )
-
-    if bundle.edges_path is not None:
-        if not bundle.edges_path.is_file():
-            raise DatasetError(f"edge list not found: {bundle.edges_path}")
-        try:
-            graph = read_edge_list(bundle.edges_path, num_nodes=n)
-        except ValueError as exc:
-            raise DatasetError(f"edges {bundle.edges_path}: {exc}") from exc
-    else:
-        if not bundle.coordinates_path.is_file():
-            raise DatasetError(f"coordinate file not found: {bundle.coordinates_path}")
-        try:
-            coords = read_coordinates(bundle.coordinates_path)
-        except ValueError as exc:
-            raise DatasetError(f"coordinates {bundle.coordinates_path}: {exc}") from exc
-        if coords.shape[0] != n:
+        n = series.num_nodes
+        if bundle.expected_nodes is not None and n != bundle.expected_nodes:
             raise DatasetError(
-                f"bundle {bundle.manifest_path}: {coords.shape[0]} coordinate rows "
-                f"for {n} signal rows"
+                f"bundle {bundle.manifest_path}: signal has {n} rows, expected {bundle.expected_nodes} nodes"
             )
-        graph = knn_graph(coords, bundle.knn_k, weight_mode=bundle.knn_weights)
-
+        if bundle.expected_steps is not None and series.num_steps != bundle.expected_steps:
+            raise DatasetError(
+                f"bundle {bundle.manifest_path}: signal has {series.num_steps} columns, "
+                f"expected {bundle.expected_steps} steps"
+            )
+        if bundle.edges_path is not None:
+            if not bundle.edges_path.is_file():
+                raise DatasetError(f"edge list not found: {bundle.edges_path}")
+            graph = read_edge_list(bundle.edges_path, num_nodes=n)
+        else:
+            if not bundle.coordinates_path.is_file():
+                raise DatasetError(f"coordinate file not found: {bundle.coordinates_path}")
+            coords = read_coordinates(bundle.coordinates_path)
+            if coords.shape[0] != n:
+                raise DatasetError(
+                    f"bundle {bundle.manifest_path}: {coords.shape[0]} coordinate rows for {n} signal rows"
+                )
+            graph = knn_graph(coords, bundle.knn_k, weight_mode=bundle.knn_weights)
+    except DatasetError:
+        raise
+    except ValueError as exc:  # a reader's message names its file
+        raise DatasetError(str(exc)) from exc
     return LoadedBundle(graph=graph, series=series, units=bundle.units)
 
 

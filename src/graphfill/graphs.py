@@ -38,7 +38,7 @@ class Graph:
     passes one array check of its edges, which names the first faulty edge.
     """
 
-    __slots__ = ("_num_nodes", "_weights", "_edges", "_adjacency", "_spectrum", "_sha256")
+    __slots__ = ("_num_nodes", "_edges", "_adjacency", "_spectrum", "_sha256")
 
     def __init__(self, num_nodes: int, edges: Iterable[Sequence] = ()) -> None:
         ends, weights, fault = [], [], None
@@ -80,7 +80,6 @@ class Graph:
         bounds = np.cumsum(np.bincount(ends, minlength=n)).tolist()
         nbrs = others[order].tolist()
         self._num_nodes = n
-        self._weights = dict(zip(zip(lo.tolist(), hi.tolist()), w.tolist()))  # in input order
         self._edges = tuple(column[order[order < len(lo)]] for column in (lo, hi, w))
         self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip([0, *bounds], bounds))
         self._spectrum: SpectralBasis | None = None
@@ -92,7 +91,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._weights)
+        return len(self._edges[0])
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -114,16 +113,17 @@ class Graph:
 
     def weight(self, u: int, v: int) -> float:
         u, v = self.check_node(u), self.check_node(v)
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._weights[key]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
+        lo, hi, w = self._edges
+        a, b = min(u, v), max(u, v)
+        start, stop = np.searchsorted(lo, (a, a + 1))  # the edges (a, x), in x order
+        i = start + np.searchsorted(hi[start:stop], b)
+        if i == stop or hi[i] != b:
+            raise ValueError(f"no edge between {u} and {v}")
+        return float(w[i])
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self.check_node(u), self.check_node(v)
-        key = (u, v) if u < v else (v, u)
-        return key in self._weights
+        u = self.check_node(u)
+        return self.check_node(v) in self._adjacency[u]
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self._num_nodes, self._num_nodes))
@@ -140,10 +140,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._num_nodes == other._num_nodes and self._weights == other._weights
+        return self._num_nodes == other._num_nodes and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self._num_nodes, tuple(sorted(self._weights.items()))))
+        return hash((self._num_nodes, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self._num_nodes}, num_edges={self.num_edges})"
@@ -325,9 +325,13 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     cannot represent trailing isolated nodes; pass it explicitly when known.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     triples: list[tuple[int, int, float]] = []
     max_id = -1
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -360,31 +364,34 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 def read_coordinates(path: str | Path) -> np.ndarray:
     """Read a coordinates CSV ``node_id,x,y[,z...]`` (header required, BOM allowed) into N x d."""
     path = Path(path)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty coordinates file") from None
-        if not header or header[0].strip().lower() != "node_id":
-            raise ValueError(f"{path}: first column of the header must be 'node_id'")
-        dim = len(header) - 1
-        if dim < 1:
-            raise ValueError(f"{path}: header lists no coordinate columns")
-        rows: dict[int, list[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                node = int(row[0])
-                point = [float(cell) for cell in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if node in rows:
-                raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
-            rows[node] = point
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty coordinates file") from None
+            if not header or header[0].strip().lower() != "node_id":
+                raise ValueError(f"{path}: first column of the header must be 'node_id'")
+            dim = len(header) - 1
+            if dim < 1:
+                raise ValueError(f"{path}: header lists no coordinate columns")
+            rows: dict[int, list[float]] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != dim + 1:
+                    raise ValueError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
+                try:
+                    node = int(row[0])
+                    point = [float(cell) for cell in row[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if node in rows:
+                    raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
+                rows[node] = point
+    except (csv.Error, UnicodeDecodeError) as exc:  # a row that csv refuses, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
     n = len(rows)
     if n == 0:
         raise ValueError(f"{path}: no coordinate rows")

@@ -213,15 +213,15 @@ class MessengerPredictor(Predictor):
     (every node's value, its text and its prompt line), the only step input
     of ``build_task`` and ``render_prompt``, which run once per hidden node.
     Every request carries the task it was rendered from; its outcome is the
-    reply text or the ``BackendError`` that failed it. Any failure along the
-    way (backend error, unparseable or NaN reply, infeasible task surfacing
-    as a NaN reply) is replaced through the total fallback cascade and
-    counted. With ``keep_prompts=True`` a run keeps its prompts in
-    ``prompt_log``, so it can be audited for leaks. With ``batch=True`` each
-    step's tasks go to the backend as one batch through
-    :func:`batch_complete`, whose count guard fails every item when the
-    number of replies is wrong. Temperature and ``max_tokens`` are checked
-    here, once, so each request is built without a second check.
+    reply text or the ``BackendError`` that failed it. An infeasible task
+    (no previous estimate, no neighbor value) is never sent; it, a backend
+    error and an unparseable or NaN reply are each replaced through the
+    total fallback cascade and counted. With ``keep_prompts=True`` a run
+    keeps its prompts in ``prompt_log``, so it can be audited for leaks.
+    With ``batch=True`` each step's tasks go to the backend as one batch
+    through :func:`batch_complete`, whose count guard fails every item when
+    the number of replies is wrong. Temperature and ``max_tokens`` are
+    checked here, once, so each request is built without a second check.
     """
 
     def __init__(

@@ -196,18 +196,18 @@ class StepTable:
 
     - ``entries[u]`` is the ``(u, value, observed)`` triple that a
       neighboring node's task lists, or None when ``u`` offers nothing;
-    - ``lines[u]`` is that triple's prompt line (None for a non-finite
-      value, which every task refuses);
+    - ``lines[u]`` is that triple's prompt line, or None;
     - ``prev[u]`` is ``u``'s previous estimate, or None on a cold start;
     - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
       node, the same string its stale line shows, and None otherwise.
 
-    Each value is formatted once per step, however many tasks show it. The table covers
-    every node of ``graph``, in lists indexed by node id, and with ``time_index`` it is all
-    that :func:`build_task` reads. ``finite`` records once per step whether all are finite.
+    Each value is checked and formatted once per step, however many tasks show
+    it: an observation is finite, and a non-finite previous estimate is refused
+    here, naming its node. The table covers every node of ``graph``, in lists
+    indexed by node id, and with ``time_index`` it is all that :func:`build_task` reads.
     """
 
-    __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts", "finite")
+    __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts")
 
     def __init__(self, obs: Observation, prev: Sequence[float] | None, g: Graph,
                  mode: str = "observed-plus-stale"):
@@ -220,8 +220,9 @@ class StepTable:
             prev = np.asarray(prev, dtype=float)
             if prev.shape != (n,):
                 raise ValueError(f"previous estimates have shape {prev.shape}, expected ({n},)")
+            if np.count_nonzero(np.isfinite(prev)) != n:
+                raise ValueError(f"previous estimate for node {int(np.argmin(np.isfinite(prev)))} is non-finite")
         self.time_index, self.graph = obs.time_index, g
-        self.finite = prev is None or np.count_nonzero(np.isfinite(prev)) == n
         self.prev = [None] * n if prev is None else prev.tolist()
         self.entries, self.lines, self.prev_texts = [None] * n, [None] * n, [None] * n
         stale = mode == "observed-plus-stale"
@@ -230,37 +231,30 @@ class StepTable:
                 if before is None:
                     continue
                 x = before
-                # A non-finite estimate gets no text: any task holding it refuses it.
-                text = self.prev_texts[u] = format_value(x) if math.isfinite(x) else None
+                text = self.prev_texts[u] = format_value(x)
                 if not stale:
                     continue
             else:
                 text = format_value(x)
             self.entries[u] = (u, x, observed)
-            if text is not None:
-                self.lines[u] = _neighbor_line(u, text, observed)
+            self.lines[u] = _neighbor_line(u, text, observed)
 
 
 def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
-    """Collect the local context for missing node ``v`` from its step's table.
+    """Collect the local context for missing node ``v`` from its step's :class:`StepTable`.
 
-    ``table`` is the :class:`StepTable` of the step's observation, the
-    previous estimates, the graph and the neighbor mode; a caller building
-    every task of a step makes it once. Neighbors observed right now always
-    enter as ``(u, current value, True)``. In ``observed-plus-stale`` mode,
-    unobserved neighbors additionally enter as ``(u, previous-step estimate,
-    False)``. Triples follow the graph's ascending neighbor order. The node's
-    own previous estimate is attached whenever the table has one. Only ``v`` is
-    checked here: the graph and the table made the other fields right, so the task
-    of an all-finite table skips the :class:`NodeTask` checks, and any other takes them.
+    Neighbors observed now enter as ``(u, current value, True)``; in
+    ``observed-plus-stale`` mode unobserved ones also enter as ``(u,
+    previous-step estimate, False)``, in the graph's ascending neighbor order.
+    The node's own previous estimate is attached whenever the table has one.
+    Only ``v`` is checked here: the graph and the table made every other field
+    right, so the task skips the :class:`NodeTask` checks.
     """
     g = table.graph
     v = g.check_node(v)
     entries = table.entries
     # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.
     neighbors = tuple(filter(None, map(entries.__getitem__, g.neighbors(v))))
-    if not table.finite:
-        return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
     return _checked(NodeTask, node_id=v, time_index=table.time_index, prev_estimate=table.prev[v],
                     neighbor_values=neighbors, units=units)
 

@@ -250,77 +250,64 @@ def write_signal_csv(series: SignalSeries, path: str | Path) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
-def _parse_plain_csv(text: str) -> np.ndarray | None:
-    """The matrix of a signal CSV with no quotes and only finite cells, else None."""
-    if '"' in text or "\0" in text:  # csv unquotes; Python 3.10's csv refuses NUL
-        return None
-    # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells,
-    # which never starts with one of "-./0123456789".
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rows = [row for row in lines if "-" <= row[:1] <= "9" or row.replace(",", "").strip()]
-    if not rows or max(map(len, rows)) > csv.field_size_limit():
-        return None
-    try:
-        [float(cell) for cell in rows[0].split(",")]
-    except ValueError:
-        rows = rows[1:]  # a header
-    cells = itertools.chain.from_iterable(row.split(",") for row in rows)  # a row's strings at a time
-    try:
-        values = np.fromiter(map(float, cells), dtype=float)
-    except ValueError:
-        return None
-    ok = len({row.count(",") for row in rows}) == 1 and np.isfinite(values).all()
-    return values.reshape(len(rows), -1) if ok else None
-
-
 def read_signal_csv(path: str | Path, units: str = "") -> SignalSeries:
     """Read a signal CSV (optional ``t0,t1,...`` header; row order = node id).
 
     The first non-blank row is a header when any of its cells is not a number.
-    Blank rows are skipped and a leading UTF-8 byte order mark is allowed. Any
-    cell that fails to parse as a finite number is a load error reported with
-    its row and column; missing data never enters through files.
+    Cells may be quoted, as csv quotes them. Blank rows are skipped and a
+    leading UTF-8 byte order mark is allowed. Any cell that fails to parse as a
+    finite number is a load error reported with its row and column; missing
+    data never enters through files.
     """
     path = Path(path)
-    with path.open(encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    values = _parse_plain_csv(text)  # one pass; the csv reader below names an error's cell
-    if values is not None:
-        return SignalSeries(values=values, units=units)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    raw_rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not raw_rows:
-        raise ValueError(f"{path}: empty signal file")
-
-    def parse_row(row: list[str], lineno: int) -> list[float]:
-        out = []
-        for col, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: row {lineno}, column {col + 1}: not a number: {cell!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}: row {lineno}, column {col + 1}: non-finite cell {cell!r}")
-            out.append(v)
-        return out
-
-    first = raw_rows[0]
-    has_header = False
     try:
-        [float(cell) for cell in first]
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+        if '"' in text:  # csv unquotes
+            rows = [row for row in csv.reader(io.StringIO(text, newline="")) if any(map(str.strip, row))]
+            split = list
+        else:  # csv's row rules; each row is split only when it is read
+            # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells,
+            # which never starts with one of "-./0123456789".
+            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            rows = [row for row in lines if "-" <= row[:1] <= "9" or row.replace(",", "").strip()]
+            split = lambda row: row.split(",")
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty signal file")
+    first = 1
+    try:
+        [float(cell) for cell in split(rows[0])]
     except ValueError:
-        has_header = True
-    data_rows = raw_rows[1:] if has_header else raw_rows
-    if not data_rows:
+        rows, first = rows[1:], 2  # a header
+    if not rows:
         raise ValueError(f"{path}: header but no data rows")
-    width = len(data_rows[0])
-    matrix = []
-    for idx, row in enumerate(data_rows):
-        lineno = idx + (2 if has_header else 1)
-        if len(row) != width:
-            raise ValueError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
-        matrix.append(parse_row(row, lineno))
-    return SignalSeries(values=np.array(matrix), units=units)
+    widths: list[int] = []
+
+    def cells(row) -> list[str]:
+        row = split(row)
+        widths.append(len(row))
+        return row
+
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(map(cells, rows))), dtype=float)
+        ok = len(set(widths)) == 1 and np.isfinite(values).all()
+    except ValueError:
+        ok = False
+    if not ok:  # name the first fault in file order
+        width = len(split(rows[0]))
+        for lineno, row in enumerate(map(split, rows), start=first):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
+            for col, cell in enumerate(row, start=1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}")
+    return SignalSeries(values=values.reshape(len(rows), -1), units=units)
 
 
 def write_mask_file(mask: SamplingMask, path: str | Path) -> None:

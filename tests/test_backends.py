@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import socket
 import threading
 import time
@@ -197,6 +198,26 @@ def test_config_validation():
         BackendConfig(kind="mock", mock_alpha=1.5)
     with pytest.raises(ValueError):
         BackendConfig(kind="mock", max_in_flight=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timeout_s", 0.0), ("timeout_s", -1.0), ("timeout_s", math.nan), ("timeout_s", math.inf),
+    ("backoff_base_s", -0.5), ("backoff_base_s", math.nan), ("backoff_base_s", math.inf),
+])
+def test_config_refuses_a_timeout_or_backoff_that_cannot_be_waited(field, value):
+    # Built, each raised a ValueError that is not a BackendError at the first connect or retry.
+    with pytest.raises(ValueError, match=field):
+        BackendConfig(kind="remote", **{field: value})
+
+
+def test_config_accepts_a_zero_backoff(monkeypatch):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    replies = iter([(500, {}), (200, ok_body("2"))])
+    slept = []
+    backend = RemoteBackend(BackendConfig(kind="remote", backoff_base_s=0.0, timeout_s=0.5),
+                            transport=lambda *a: next(replies), sleep=slept.append)
+    assert backend.complete(req("hello")) == "2"
+    assert slept == [0.0]
 
 
 # ---------------------------------------------------------------- remote

@@ -231,6 +231,58 @@ def test_runtime_error_missing_manifest(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def write_bundle(tmp_path, signal="1,2\n3,4\n5,6\n", edges=None, coords=None):
+    """A three-node bundle with the given file texts; edges, else coordinates, else a path graph."""
+    (tmp_path / "signal.csv").write_text(signal)
+    lines = ["signal = signal.csv"]
+    if coords is not None:
+        (tmp_path / "coords.csv").write_text(coords)
+        lines += ["coordinates = coords.csv", "knn_k = 1"]
+    else:
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n" if edges is None else edges)
+        lines.append("edges = edges.txt")
+    (tmp_path / "manifest.txt").write_text("\n".join(lines) + "\n")
+    return str(tmp_path / "manifest.txt")
+
+
+LONG_CELL = "1" * 200_000  # longer than csv's field limit of 131,072 characters
+
+
+@pytest.mark.parametrize("name, files", [
+    ("signal.csv", {"signal": f"{LONG_CELL},2\n3,4\n5,6\n"}),  # not csv-parsed: a non-finite cell
+    ("signal.csv", {"signal": f'"{LONG_CELL}",2\n3,4\n5,6\n'}),
+    ("coords.csv", {"coords": f'node_id,x\n0,"{LONG_CELL}"\n1,1\n2,2\n'}),
+])
+def test_runtime_error_over_long_csv_field(tmp_path, capsys, name, files):
+    code = run_cli("run", "--manifest", write_bundle(tmp_path, **files), "--predictor", "zero",
+                   "--out", str(tmp_path / "never"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("name, files, reason", [
+    ("signal.csv", {"signal": "t0,t1\n1,2\n3,x\n5,6\n"}, "row 3, column 2: not a number: 'x'"),
+    ("edges.txt", {"edges": "0 1\n1 z\n"}, ":2: invalid literal for int() with base 10: 'z'"),
+    ("coords.csv", {"coords": "node_id,x\n0,0\n1,abc\n2,2\n"}, ":3: could not convert string to float: 'abc'"),
+])
+def test_runtime_error_bad_bundle_file_is_named_once(tmp_path, capsys, name, files, reason):
+    code = run_cli("run", "--manifest", write_bundle(tmp_path, **files), "--predictor", "zero",
+                   "--out", str(tmp_path / "never"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count(str(tmp_path / name)) == 1
+    assert err.startswith(f"error: {tmp_path / name}") and reason in err
+
+
+def test_run_has_no_record_option(tmp_path, capsys):
+    # replay-record is the one way to capture a replay file
+    assert run_cli("run", "--manifest", TOY, "--record", str(tmp_path / "r.jsonl"), "--out", str(tmp_path)) == 1
+    assert "unrecognized arguments: --record" in capsys.readouterr().err
+
+
 def test_runtime_error_missing_credential(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
     code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "remote",

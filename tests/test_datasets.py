@@ -191,3 +191,14 @@ def test_signal_file_missing(tmp_path):
     (tmp_path / "edges.txt").write_text("0 1\n")
     with pytest.raises(DatasetError, match="signal file not found"):
         load_bundle(manifest)
+
+
+@pytest.mark.parametrize("name", ["signal.csv", "edges.txt", "coords.csv"])
+def test_file_that_is_not_utf8_is_a_load_error_naming_it(tmp_path, name):
+    graph_source = "coordinates = coords.csv\nknn_k = 1\n" if name == "coords.csv" else "edges = edges.txt\n"
+    manifest = write_bundle(tmp_path, "signal = signal.csv\n" + graph_source)
+    (tmp_path / "coords.csv").write_text("node_id,x\n0,0.0\n1,1.0\n")
+    (tmp_path / name).write_bytes(b"\xff\xfe1,2\n")
+    with pytest.raises(DatasetError) as caught:
+        load_bundle(manifest)
+    assert str(caught.value).startswith(f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff")

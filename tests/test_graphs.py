@@ -93,10 +93,9 @@ def test_graph_names_the_first_faulty_edge(edges, message):
     assert str(caught.value) == message
 
 
-def test_graph_edges_are_sorted_and_weights_keep_input_order():
+def test_graph_edges_and_neighbors_are_sorted():
     g = Graph(4, [(3, 2, 0.5), (1, 0), (2, 0, 2.0)])
     assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (2, 3, 0.5))
-    assert list(g._weights) == [(2, 3), (0, 1), (0, 2)]
     assert [g.neighbors(v) for v in range(4)] == [(1, 2), (0,), (0, 3), (2,)]
 
 

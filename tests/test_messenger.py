@@ -86,15 +86,14 @@ def test_build_task_never_includes_non_neighbors_or_self():
     assert ids <= set(g.neighbors(0))
 
 
-def test_build_task_non_finite_estimates_reach_the_task_check():
+def test_step_table_refuses_a_non_finite_estimate():
     obs = obs_of(1, [2.0, None, None])
-    prev = np.array([np.nan, 0.5, np.inf])
-    # node 0's estimate is unused (it is observed); node 2's only enters as a stale value
-    assert build_task(1, StepTable(obs, prev, path3(), "observed-only")).neighbor_values == ((0, 2.0, True),)
-    with pytest.raises(ValueError, match="neighbor value for node 2 is non-finite"):
-        build_task(1, StepTable(obs, prev, path3(), "observed-plus-stale"))
-    with pytest.raises(ValueError, match="previous estimate is non-finite"):
-        build_task(2, StepTable(obs, prev, path3(), "observed-only"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="previous estimate for node 2 is non-finite"):
+            StepTable(obs, np.array([0.5, 0.5, bad]), path3(), "observed-only")
+    # also where it would go unused: node 0 is observed
+    with pytest.raises(ValueError, match="previous estimate for node 0 is non-finite"):
+        StepTable(obs, np.array([np.nan, 0.5, np.inf]), path3(), "observed-plus-stale")
 
 
 def test_build_task_rejects_unknown_mode():

@@ -434,7 +434,7 @@ class FormerGraph(Graph):
 def former_laplacian(g):
     n = g.num_nodes
     lap = np.zeros((n, n))
-    for (u, v), w in sorted(g._weights.items()):
+    for u, v, w in g.edges:
         lap[u, v] -= w
         lap[v, u] -= w
         lap[u, u] += w
@@ -491,7 +491,15 @@ def test_graph_matches_the_former_per_edge_build(case):
     assert repr(got.edges) == repr(want.edges)
     assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
     assert got == want and want == got and hash(got) == hash(want)
-    assert repr(list(got._weights.items())) == repr(list(want._weights.items()))
+    for u in range(n):
+        for v in range(n):
+            key = (min(u, v), max(u, v))
+            assert got.has_edge(u, v) == (key in want._weights)
+            if key in want._weights:
+                assert repr(got.weight(u, v)) == repr(want._weights[key])
+            else:
+                with pytest.raises(ValueError, match=f"no edge between {u} and {v}"):
+                    got.weight(u, v)
 
 
 @st.composite
@@ -583,6 +591,9 @@ def signal_csv_texts(draw):
 @given(signal_csv_texts())
 @example("1,9\r,2\n3,4,5\n")  # a lone "\r" ends a row: csv reads "1,9" and ",2"
 @example('"1",2\n3,4\n')  # unquoted, this first row is data, not a header
+@example('t0,t1\n"1,5",2\n3,4\n')  # a quoted cell that holds a comma
+@example('"t0","t1"\n1,2\n3,4\n')  # a quoted header
+@example((",".join(["1.5"] * 40_000) + "\n") * 2)  # quote-free rows over csv's 131,072-character field limit
 def test_read_signal_csv_matches_former_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "signal.csv"
