@@ -63,14 +63,15 @@ class TransportFailure(Exception):
     """Connection-level failure (timeout, refused connection); retryable."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class CompletionRequest:
     """One self-contained completion call; never carries conversation history.
 
     ``task`` is the :class:`NodeTask` the prompt was rendered from. The mock
     backend answers from it; every other backend sends only the prompt. It
     takes no part in equality or the repr, and a request that joins several
-    prompts (a remote batch) has none.
+    prompts (a remote batch) has none. Its one constructor checks the
+    temperature and ``max_tokens``, which leave the program with the prompt.
     """
 
     prompt: str
@@ -155,7 +156,7 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
     # np.mean's own reduction and division, so the bits match np.mean exactly
     values = [x for _, x, _ in task.neighbor_values]
     # errstate costs more than the sum: skip it unless a partial sum (about n * max|x| at most) could overflow.
-    if max(map(abs, values)) * len(values) < 2.0**1023:
+    if float(max(map(abs, values))) * len(values) < 2.0**1023:
         value = float(np.add.reduce(values)) / len(values)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf - inf, answers "NaN" below
@@ -202,7 +203,7 @@ def read_replay_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     records: dict[str, str] = {}
     first_seen: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -107,7 +107,7 @@ def parse_manifest(path: str | Path) -> DatasetBundle:
     base = path.parent
     seen: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

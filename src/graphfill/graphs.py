@@ -296,8 +296,10 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
         # picked in, so sigma is the same to the last bit.
         sigma = float(np.mean(np.sqrt(picked_d2.ravel())))
         if sigma > 0:  # else all points coincide
+            d2 = picked_d2.ravel()[first]
             with np.errstate(divide="ignore", invalid="ignore"):  # inf distances: NaN weights, refused
-                weights = np.exp(-picked_d2.ravel()[first] / sigma**2)
+                # Below about 1e-161, sigma**2 underflows to 0: scale each distance by sigma first.
+                weights = np.exp(-d2 / sigma**2 if sigma**2 else -(np.sqrt(d2) / sigma) ** 2)
     graph = Graph.__new__(Graph)
     graph._build(n, keys // n, keys % n, weights)
     return graph
@@ -326,7 +328,7 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     triples: list[tuple[int, int, float]] = []

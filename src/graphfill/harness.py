@@ -33,7 +33,6 @@ from .messenger import (
     NEIGHBOR_MODES,
     PromptTemplate,
     StepTable,
-    _checked,
     build_task,
     fallback_value,
     parse_response,
@@ -221,7 +220,8 @@ class MessengerPredictor(Predictor):
     With ``batch=True`` each step's tasks go to the backend as one batch
     through :func:`batch_complete`, whose count guard fails every item when
     the number of replies is wrong. Temperature and ``max_tokens`` are
-    checked here, once, so each request is built without a second check.
+    checked here, before any run, and again by each request built from them;
+    a task's values were checked where they were made, in the step table.
     """
 
     def __init__(
@@ -289,9 +289,8 @@ class MessengerPredictor(Predictor):
             prompt = render_prompt(task, self.template, table)
             if self.keep_prompts:
                 self.prompt_log.append({"t": t, "node": v, "prompt": prompt})
-            request = _checked(CompletionRequest, prompt=prompt, model=self.model, temperature=self.temperature,
-                               max_tokens=self.max_tokens, request_id=f"run{self._run_index}-t{t}-node{v}",
-                               task=task)
+            request_id = f"run{self._run_index}-t{t}-node{v}"
+            request = CompletionRequest(prompt, self.model, self.temperature, self.max_tokens, request_id, task)
             pending.append((slot, request))
 
         if self.batch:

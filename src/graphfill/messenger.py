@@ -9,7 +9,7 @@ import string
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,24 +33,18 @@ __all__ = [
 NEIGHBOR_MODES = ("observed-only", "observed-plus-stale")
 
 
-def _checked(cls, **fields):
-    """``cls(**fields)`` without its ``__post_init__``, for fields the caller has already checked."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
-@dataclass(frozen=True)
-class NodeTask:
+class NodeTask(NamedTuple):
     """Everything a predictor may see for one missing node at one time step.
 
     ``neighbor_values`` holds one ``(node_id, value, observed)`` triple per
     one-hop neighbor that has a value: ``observed`` is True for a reading at
     this time step and False for that neighbor's estimate from the previous
-    step. Neighbor ids are distinct and never the node's own, every value is
-    finite, and a task never contains the node's own current ground truth. A
-    task with no previous estimate and no neighbor values is infeasible; the
-    caller falls back instead of predicting.
+    step. A task with no previous estimate and no neighbor values is
+    infeasible; the caller falls back instead of predicting. A plain record,
+    checked where its values are made: :func:`build_task` reads them from a
+    graph and a :class:`StepTable`, which make neighbor ids distinct,
+    ascending and never the node's own (so never its current ground truth),
+    and every value a finite ``float``.
     """
 
     node_id: int
@@ -58,27 +52,6 @@ class NodeTask:
     prev_estimate: float | None
     neighbor_values: tuple[tuple[int, float, bool], ...]
     units: str = ""
-
-    def __post_init__(self):
-        node_id = int(self.node_id)
-        object.__setattr__(self, "node_id", node_id)
-        object.__setattr__(self, "time_index", int(self.time_index))
-        if self.prev_estimate is not None:
-            prev = float(self.prev_estimate)
-            if not math.isfinite(prev):
-                raise ValueError("previous estimate is non-finite")
-            object.__setattr__(self, "prev_estimate", prev)
-        entries = tuple([(int(u), float(x), bool(observed)) for u, x, observed in self.neighbor_values])
-        seen = set()
-        for u, x, _ in entries:  # in order, to name the first fault
-            if u == node_id:
-                raise ValueError(f"task for node {node_id} lists itself as a neighbor")
-            if u in seen:
-                raise ValueError(f"duplicate neighbor {u} in task")
-            if not math.isfinite(x):
-                raise ValueError(f"neighbor value for node {u} is non-finite")
-            seen.add(u)
-        object.__setattr__(self, "neighbor_values", entries)
 
     @property
     def is_feasible(self) -> bool:
@@ -159,7 +132,7 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplate":
-        return cls(body=Path(path).read_text())
+        return cls(body=Path(path).read_text(encoding="utf-8-sig"))
 
     @classmethod
     def default(cls) -> "PromptTemplate":
@@ -247,16 +220,17 @@ def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
     ``observed-plus-stale`` mode unobserved ones also enter as ``(u,
     previous-step estimate, False)``, in the graph's ascending neighbor order.
     The node's own previous estimate is attached whenever the table has one.
-    Only ``v`` is checked here: the graph and the table made every other field
-    right, so the task skips the :class:`NodeTask` checks.
+    Only ``v`` is checked here. The :class:`Graph` refuses self-loops and
+    repeated edges, the observation and the table refuse non-finite values,
+    and the table's ``.tolist()`` values are plain ``float`` and ``bool``, so
+    every other field of the :class:`NodeTask` is already right.
     """
     g = table.graph
     v = g.check_node(v)
     entries = table.entries
     # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.
     neighbors = tuple(filter(None, map(entries.__getitem__, g.neighbors(v))))
-    return _checked(NodeTask, node_id=v, time_index=table.time_index, prev_estimate=table.prev[v],
-                    neighbor_values=neighbors, units=units)
+    return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
 
 
 def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | None = None) -> str:
@@ -293,23 +267,14 @@ FAILURE_CONFLICT = "multiple-conflicting"
 FAILURE_REASONS = (FAILURE_NON_NUMERIC, FAILURE_NAN, FAILURE_EMPTY, FAILURE_CONFLICT)
 
 
-@dataclass(frozen=True)
-class ParsedPrediction:
-    """Outcome of parsing a completion: a finite value or a failure reason."""
+class ParsedPrediction(NamedTuple):
+    """Outcome of parsing a completion: a finite value or a failure reason.
+
+    A plain record; :func:`parse_response`, its only maker, sets exactly one.
+    """
 
     value: float | None = None
     failure: str | None = None
-
-    def __post_init__(self):
-        if (self.value is None) == (self.failure is None):
-            raise ValueError("exactly one of value and failure must be set")
-        if self.failure is not None and self.failure not in FAILURE_REASONS:
-            raise ValueError(f"unknown failure reason {self.failure!r}")
-        if self.value is not None:
-            v = float(self.value)
-            if not math.isfinite(v):
-                raise ValueError("parsed value must be finite")
-            object.__setattr__(self, "value", v)
 
     @property
     def ok(self) -> bool:
@@ -332,7 +297,7 @@ def parse_response(text: str | None) -> ParsedPrediction:
     if text is not None and _NUMBER_RE.fullmatch(text):
         value = float(text)
         if math.isfinite(value):
-            return _checked(ParsedPrediction, value=value, failure=None)
+            return ParsedPrediction(value)
     return _scan_response(text)
 
 

@@ -317,7 +317,7 @@ def write_mask_file(mask: SamplingMask, path: str | Path) -> None:
 
 def read_mask_file(path: str | Path) -> SamplingMask:
     path = Path(path)
-    tokens = path.read_text().split()
+    tokens = path.read_text(encoding="utf-8-sig").split()
     if not tokens:
         raise ValueError(f"{path}: empty mask file")
     flags = []

@@ -8,6 +8,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from graphfill.backends import (
@@ -81,6 +82,8 @@ def test_mock_overflow_returns_nan_text():
     assert mock_predict(task_with(None, [1e308, 1e308]), 0.5) == "NaN"
     assert mock_predict(task_with(1e308, [1e308, 1e308]), 1.0) == "NaN"  # 0 * inf
     assert mock_predict(task_with(1.7e308, [1.7e308]), 0.5) == "1.7e+308"
+    # A task built by hand may hold numpy floats; the overflow test must not overflow on them.
+    assert mock_predict(task_with(None, [np.float64(1e308), np.float64(1e308)]), 0.5) == "NaN"
 
 
 def test_mock_alpha_extremes():

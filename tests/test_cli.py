@@ -9,9 +9,11 @@ from xml.dom import minidom
 
 import pytest
 
+from graphfill import backends, harness
 from graphfill.cli import build_parser, main
 from graphfill.datasets import load_bundle
 from graphfill.harness import RunResult
+from graphfill.messenger import PromptTemplate
 from graphfill.signals import read_mask_file
 
 ROOT = Path(__file__).parent.parent
@@ -114,6 +116,56 @@ def test_svg_title_is_escaped(tmp_path):
     doc = minidom.parse(str(tmp_path / f"{name}.svg"))  # raises on malformed XML
     texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
     assert texts[-1] == name
+
+
+def bundle_copy(tmp_path):
+    """The toy bundle, a mask file and the default template as files under ``tmp_path``."""
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    for src in Path(TOY).parent.iterdir():
+        (bundle / src.name).write_bytes(src.read_bytes())
+    (bundle / "mask.txt").write_text("1 0 1\n")
+    (bundle / "template.txt").write_text(PromptTemplate.default().body)
+    return bundle
+
+
+@pytest.mark.parametrize("name", ["manifest.txt", "edges.txt", "signal.csv", "mask.txt", "template.txt",
+                                  "replay.jsonl"])
+def test_every_input_file_may_start_with_a_byte_order_mark(tmp_path, name):
+    bundle = bundle_copy(tmp_path)
+    inputs = ["--manifest", str(bundle / "manifest.txt"), "--mask-file", str(bundle / "mask.txt"),
+              "--template", str(bundle / "template.txt"), "--runs", "1"]
+    assert run_cli("replay-record", *inputs, "--predictor", "mock", "--out", str(tmp_path / "record"),
+                   "--replay-out", str(bundle / "replay.jsonl")) == 0
+    args = ["run", *inputs, "--predictor", "llm", "--backend", "replay", "--replay-file", str(bundle / "replay.jsonl")]
+
+    def outputs(out):
+        assert run_cli(*args, "--out", str(out)) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    plain = outputs(tmp_path / "plain")
+    path = bundle / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert outputs(tmp_path / "bom") == plain
+
+
+def test_toy_mock_run_calls_each_wrapped_stage_once_per_node(tmp_path, monkeypatch):
+    # Traced benchmark runs wrap these module names to time the per-node stages,
+    # so a run must call each of them, under that name, once per node.
+    calls = {}
+    for module, name in ((harness, "build_task"), (harness, "render_prompt"), (harness, "parse_response"),
+                         (backends, "mock_predict")):
+        def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run_cli("run", "--manifest", TOY, "--predictor", "mock", "--runs", "1", "--out", str(tmp_path)) == 0
+    (run,) = json.loads((tmp_path / "mock.json").read_text())["runs"]
+    hidden = run["mask_observed"].count(0) * len(run["estimates"][0])
+    feasible = hidden - run["stats"]["infeasible_tasks"]
+    assert hidden > 0
+    assert calls == {"build_task": hidden, "render_prompt": feasible, "parse_response": feasible,
+                     "mock_predict": feasible}
 
 
 # ---------------------------------------------------------------- replay

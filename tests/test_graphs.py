@@ -330,6 +330,14 @@ def test_knn_gaussian_weights():
         assert w == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
+def test_knn_gaussian_weights_when_sigma_squared_underflows():
+    # Eleven coincident points and one 3e-162 away: sigma is that distance / 12,
+    # and sigma**2 underflows to 0.
+    coords = [[0.0]] * 11 + [[3e-162]]
+    g = knn_graph(coords, 1, weight_mode="gaussian")
+    assert g.edges == (*((0, v, 1.0) for v in range(1, 11)), (0, 11, float(np.exp(-144.0))))
+
+
 def test_knn_rejects_unknown_weight_mode():
     with pytest.raises(ValueError):
         knn_graph([[0.0], [1.0]], 1, weight_mode="inverse")

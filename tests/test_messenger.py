@@ -101,32 +101,6 @@ def test_build_task_rejects_unknown_mode():
         build_task(1, StepTable(obs_of(0, [1.0, None, 2.0]), None, path3(), "all"))
 
 
-def test_node_task_rejects_self_neighbor():
-    with pytest.raises(ValueError, match="itself"):
-        NodeTask(1, 0, None, ((1, 2.0, True),))
-
-
-def test_node_task_rejects_duplicate_neighbor():
-    with pytest.raises(ValueError, match="duplicate"):
-        NodeTask(1, 0, None, ((0, 2.0, True), (0, 2.0, False)))
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_node_task_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError, match="non-finite"):
-        NodeTask(1, 0, None, ((0, bad, True),))
-    with pytest.raises(ValueError, match="non-finite"):
-        NodeTask(1, 0, bad, ())
-
-
-def test_node_task_stores_plain_triples():
-    task = NodeTask(np.int64(1), 0, np.float64(0.5), [(np.intp(0), np.float64(2.0), np.bool_(True))])
-    assert task.neighbor_values == ((0, 2.0, True),)
-    (u, x, observed), = task.neighbor_values
-    assert (type(u), type(x), type(observed)) == (int, float, bool)
-    assert type(task.prev_estimate) is float
-
-
 # ---------------------------------------------------------------- rendering
 
 
