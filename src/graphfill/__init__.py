@@ -8,9 +8,7 @@ aggregator that answers localized prompts built from neighborhood values.
 from .graphs import (
     Graph,
     SpectralBasis,
-    closed_neighbors,
     eigendecompose,
-    is_connected,
     knn_graph,
     laplacian,
     read_coordinates,
@@ -96,9 +94,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # graphs
-    "Graph", "SpectralBasis", "closed_neighbors", "eigendecompose", "is_connected",
-    "knn_graph", "laplacian", "read_coordinates", "read_edge_list",
-    "write_coordinates", "write_edge_list",
+    "Graph", "SpectralBasis", "eigendecompose", "knn_graph", "laplacian",
+    "read_coordinates", "read_edge_list", "write_coordinates", "write_edge_list",
     # signals
     "MaskSpec", "Observation", "SamplingMask", "SignalSeries", "generate_mask",
     "observation_from_column", "read_mask_file", "read_signal_csv",

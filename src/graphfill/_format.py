@@ -1,8 +1,18 @@
-"""Decimal text rendering shared by prompts, mock replies, and file writers."""
+"""Text shared across modules: decimal rendering for prompts, mock replies and
+file writers, and the one whole-file read of the line-based input files."""
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
+
+
+def read_text(path: Path, error: type[ValueError] = ValueError) -> str:
+    """The text of a UTF-8 file, a leading byte order mark dropped; other bytes are an ``error`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def format_value(value: float) -> str:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._format import format_value
+from ._format import format_value, read_text
 from .messenger import NodeTask
 
 logger = logging.getLogger(__name__)
@@ -203,7 +203,7 @@ def read_replay_file(path: str | Path) -> dict[str, str]:
     path = Path(path)
     records: dict[str, str] = {}
     first_seen: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
+from ._format import read_text
 from .graphs import Graph, knn_graph, read_coordinates, read_edge_list, write_edge_list
 from .signals import SignalSeries, read_signal_csv, write_signal_csv
 
@@ -107,7 +108,7 @@ def parse_manifest(path: str | Path) -> DatasetBundle:
     base = path.parent
     seen: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path, DatasetError).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

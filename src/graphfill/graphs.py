@@ -1,4 +1,4 @@
-"""Undirected weighted graphs: closed neighborhoods, Laplacians, spectra, k-NN construction."""
+"""Undirected weighted graphs: neighborhoods, Laplacians, spectra, k-NN construction."""
 
 from __future__ import annotations
 
@@ -9,16 +9,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._format import format_value
+from ._format import format_value, read_text
 
 __all__ = [
     "Graph",
     "SpectralBasis",
-    "closed_neighbors",
     "laplacian",
     "eigendecompose",
     "knn_graph",
-    "is_connected",
     "read_edge_list",
     "write_edge_list",
     "read_coordinates",
@@ -29,13 +27,13 @@ __all__ = [
 class Graph:
     """Undirected graph on nodes ``0..num_nodes-1`` with nonnegative edge weights.
 
-    Self-loop edges are never stored; every node is implicitly its own closed
-    neighbor (see :func:`closed_neighbors`). Instances are immutable once built
-    and safe to share across threads. A graph keeps its Laplacian spectrum and
-    its fingerprint once computed (``filters.graph_spectrum``, ``harness.graph_sha256``):
-    the edges never change, so neither goes stale, and two threads filling one
-    at once only compute the same value twice. Every graph, ``knn_graph``'s too,
-    passes one array check of its edges, which names the first faulty edge.
+    Self-loop edges are never stored, so ``neighbors(v)`` never holds ``v``.
+    Instances are immutable once built and safe to share across threads. A
+    graph keeps its Laplacian spectrum and its fingerprint once computed
+    (``filters.graph_spectrum``, ``harness.graph_sha256``): the edges never
+    change, so neither goes stale, and two threads filling one at once only
+    compute the same value twice. Every graph, ``knn_graph``'s too, passes one
+    array check of its edges, which names the first faulty edge.
     """
 
     __slots__ = ("_num_nodes", "_edges", "_adjacency", "_spectrum", "_sha256")
@@ -173,15 +171,6 @@ class SpectralBasis:
         return self.eigenvectors[:, :count]
 
 
-def closed_neighbors(g: Graph, v: int) -> list[int]:
-    """``v`` together with its one-hop neighbors, ascending.
-
-    Always contains ``v`` itself, so the result has length 1 + degree(v).
-    """
-    v = g.check_node(v)
-    return sorted((v, *g.neighbors(v)))
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian ``degree - adjacency`` as a dense symmetric matrix.
 
@@ -305,21 +294,6 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     return graph
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability check from node 0."""
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors(u):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return len(seen) == g.num_nodes
-
-
 def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     """Parse an edge-list file: one ``u v [w]`` per line, ``#`` comments, 0-based ids.
 
@@ -327,10 +301,7 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
     cannot represent trailing isolated nodes; pass it explicitly when known.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = read_text(path)
     triples: list[tuple[int, int, float]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):

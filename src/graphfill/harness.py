@@ -121,17 +121,24 @@ class EstimateState:
     def history(self, v: int) -> np.ndarray:
         return self._view[v, : self.steps_completed]
 
-    def append(self, column: np.ndarray) -> None:
-        """Check the column (shape, finite entries, a step left) and store it."""
-        column = np.asarray(column, dtype=float)
-        if column.shape != self._values.shape[:1]:
-            raise ValueError(f"column shape {column.shape} does not match {self.num_nodes} nodes")
-        if np.count_nonzero(np.isfinite(column)) != column.size:
+    def append(self, data: np.ndarray, missing: np.ndarray, proposals: np.ndarray) -> None:
+        """Store the next column in place: ``data`` with ``proposals`` at the ``missing`` rows.
+
+        ``data`` (an observation's) and ``missing`` (its run's mask index) were
+        checked by their makers. Only the proposals are new, so only they are
+        checked, for one finite value per missing node; a step must be left.
+        """
+        proposals = np.asarray(proposals, dtype=float)
+        if proposals.shape != missing.shape:
+            raise ValueError(f"proposals {proposals.shape} must hold one value per missing node {missing.shape}")
+        if np.count_nonzero(np.isfinite(proposals)) != proposals.size:
             raise ValueError("assembled estimate contains non-finite entries")
         t = self.steps_completed
         if t == self._values.shape[1]:
             raise ValueError(f"all {t} time steps are already filled")
-        self._values[:, t] = column
+        column = self._values[:, t]
+        column[:] = data
+        column[missing] = proposals
         self.steps_completed = t + 1
 
     def matrix(self) -> np.ndarray:
@@ -587,7 +594,9 @@ def run_online(
     reads it only through the causal guard), so no estimate can depend on
     future columns. ``mask`` (one mask for every run, or a :class:`MaskSpec`)
     gives each run's mask, which carries its missing index, and the recorded
-    policy. Every step builds a checked observation and appends a checked column.
+    policy. Each value is checked once, by its maker: series and mask when made,
+    each step's observation shapes by :func:`observation_from_column`, and
+    the predictor's proposals by :meth:`EstimateState.append`.
     """
     if truth.num_nodes != g.num_nodes:
         raise ValueError(f"truth covers {truth.num_nodes} nodes, graph has {g.num_nodes}")
@@ -611,12 +620,7 @@ def run_online(
         for t in range(truth.num_steps):
             view.advance(t)
             obs = observation_from_column(view.column(t), run_mask, t)
-            proposals = predictor.predict_missing(t, obs, state)
-            if np.shape(proposals) != missing.shape:
-                raise ValueError(f"{predictor.name} must propose one value per missing node")
-            column = obs.data.copy()
-            column[missing] = proposals
-            state.append(column)
+            state.append(obs.data, missing, predictor.predict_missing(t, obs, state))
         estimates.append(state.matrix())
         masks_used.append(run_mask)
         stats = dict(getattr(predictor, "stats", {}) or {})

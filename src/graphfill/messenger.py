@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._format import format_value
+from ._format import format_value, read_text
 from .graphs import Graph
 from .signals import Observation
 
@@ -132,7 +132,7 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, path: str | Path) -> "PromptTemplate":
-        return cls(body=Path(path).read_text(encoding="utf-8-sig"))
+        return cls(body=read_text(Path(path), TemplateError))
 
     @classmethod
     def default(cls) -> "PromptTemplate":

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import format_value
+from ._format import format_value, read_text
 from .graphs import Graph, eigendecompose, laplacian
 
 __all__ = [
@@ -115,9 +115,11 @@ class Observation:
 
     ``present`` marks the observed nodes and is the only marker of absence.
     ``data`` holds the observed values there and 0.0 at every absent node,
-    so it never carries a hidden value. Each observation checks its shapes and
-    its observed entries; a read-only bool array that owns its memory, such as
-    ``SamplingMask.observed``, is shared as ``present`` rather than copied.
+    so it never carries a hidden value. This constructor, for library callers,
+    checks the time index, the shapes and every observed entry (the loop's
+    :func:`observation_from_column` checks only the shapes); a read-only bool
+    array that owns its memory, such as ``SamplingMask.observed``, is shared
+    as ``present`` rather than copied.
     """
 
     __slots__ = ("time_index", "data", "present")
@@ -193,8 +195,23 @@ class MaskSpec:
 
 
 def observation_from_column(column: Sequence[float], mask: SamplingMask, time_index: int) -> Observation:
-    """Build an observation from one signal column, hiding the masked nodes."""
-    return Observation(time_index, column, mask.observed)
+    """Build an observation from one signal column, hiding the masked nodes.
+
+    The loop's one maker of an observation. A :class:`SignalSeries` column is
+    finite and ``mask.observed`` a read-only bool array, each checked where it
+    was made, so only the shapes are checked here (``time_index`` is a
+    nonnegative int). ``data`` has the bits of ``np.where(mask.observed,
+    column, 0.0)``, and ``present`` is ``mask.observed`` itself.
+    """
+    data = np.array(column, dtype=float)
+    if data.shape != mask.observed.shape:
+        raise ValueError(f"observation needs matching non-empty 1-D data and presence, "
+                         f"got shapes {data.shape} and {mask.observed.shape}")
+    data[mask.missing] = 0.0
+    data.setflags(write=False)
+    obs = Observation.__new__(Observation)
+    obs.time_index, obs.data, obs.present = time_index, data, mask.observed
+    return obs
 
 
 def synth_bandlimited(
@@ -317,7 +334,7 @@ def write_mask_file(mask: SamplingMask, path: str | Path) -> None:
 
 def read_mask_file(path: str | Path) -> SamplingMask:
     path = Path(path)
-    tokens = path.read_text(encoding="utf-8-sig").split()
+    tokens = read_text(path).split()
     if not tokens:
         raise ValueError(f"{path}: empty mask file")
     flags = []

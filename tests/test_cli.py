@@ -149,6 +149,22 @@ def test_every_input_file_may_start_with_a_byte_order_mark(tmp_path, name):
     assert outputs(tmp_path / "bom") == plain
 
 
+@pytest.mark.parametrize("name", ["manifest.txt", "mask.txt", "template.txt", "replay.jsonl"])
+def test_an_input_file_that_is_not_utf8_is_a_load_error_naming_it(tmp_path, capsys, name):
+    bundle = bundle_copy(tmp_path)
+    inputs = ["--manifest", str(bundle / "manifest.txt"), "--mask-file", str(bundle / "mask.txt"),
+              "--template", str(bundle / "template.txt"), "--runs", "1"]
+    assert run_cli("replay-record", *inputs, "--predictor", "mock", "--out", str(tmp_path / "record"),
+                   "--replay-out", str(bundle / "replay.jsonl")) == 0
+    path = bundle / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    capsys.readouterr()
+    assert run_cli("run", *inputs, "--predictor", "llm", "--backend", "replay",
+                   "--replay-file", str(bundle / "replay.jsonl"), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), err
+
+
 def test_toy_mock_run_calls_each_wrapped_stage_once_per_node(tmp_path, monkeypatch):
     # Traced benchmark runs wrap these module names to time the per-node stages,
     # so a run must call each of them, under that name, once per node.

@@ -5,9 +5,7 @@ import pytest
 
 from graphfill.graphs import (
     Graph,
-    closed_neighbors,
     eigendecompose,
-    is_connected,
     knn_graph,
     laplacian,
     read_coordinates,
@@ -97,37 +95,6 @@ def test_graph_edges_and_neighbors_are_sorted():
     g = Graph(4, [(3, 2, 0.5), (1, 0), (2, 0, 2.0)])
     assert g.edges == ((0, 1, 1.0), (0, 2, 2.0), (2, 3, 0.5))
     assert [g.neighbors(v) for v in range(4)] == [(1, 2), (0,), (0, 3), (2,)]
-
-
-def test_closed_neighbors_triangle():
-    assert closed_neighbors(triangle(), 0) == [0, 1, 2]
-
-
-def test_closed_neighbors_path_leaf():
-    assert closed_neighbors(path3(), 0) == [0, 1]
-
-
-def test_closed_neighbors_isolated():
-    g = Graph(4, [(0, 1)])
-    assert closed_neighbors(g, 3) == [3]
-
-
-def test_closed_neighbors_out_of_range():
-    with pytest.raises(ValueError):
-        closed_neighbors(path3(), 3)
-
-
-def test_closed_neighbors_contains_self_and_degree():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n = int(rng.integers(2, 9))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-        g = Graph(n, pairs)
-        for v in range(n):
-            nb = closed_neighbors(g, v)
-            assert v in nb
-            assert len(nb) == 1 + g.degree(v)
-            assert nb == sorted(nb)
 
 
 # ---------------------------------------------------------------- laplacian
@@ -385,8 +352,3 @@ def test_coordinates_allow_a_byte_order_mark(tmp_path):
     path = tmp_path / "coords.csv"
     path.write_bytes(b"\xef\xbb\xbfnode_id,x,y\n0,0.5,1.25\n1,2.0,-3.5\n")
     assert np.array_equal(read_coordinates(path), [[0.5, 1.25], [2.0, -3.5]])
-
-
-def test_is_connected():
-    assert is_connected(path3())
-    assert not is_connected(Graph(3, [(0, 1)]))

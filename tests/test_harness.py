@@ -81,8 +81,8 @@ def test_estimate_state_history_accumulates():
     state = EstimateState(2, 3)
     assert state.estimates is None
     assert state.history(0).size == 0
-    state.append(np.array([1.0, 2.0]))
-    state.append(np.array([3.0, 4.0]))
+    state.append(np.array([1.0, 0.0]), np.array([1]), np.array([2.0]))
+    state.append(np.array([3.0, 4.0]), np.array([], dtype=np.intp), np.array([]))
     assert state.steps_completed == 2
     assert np.array_equal(state.estimates, [3.0, 4.0])
     assert np.array_equal(state.history(0), [1.0, 3.0])
@@ -93,13 +93,17 @@ def test_estimate_state_history_accumulates():
 
 def test_estimate_state_rejects_bad_columns():
     state = EstimateState(2, 1)
-    with pytest.raises(ValueError):
-        state.append(np.array([1.0]))
-    with pytest.raises(ValueError):
-        state.append(np.array([1.0, np.nan]))
-    state.append(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        state.append(np.array([3.0, 4.0]))  # past the last time step
+    data, missing = np.array([1.0, 0.0]), np.array([1])
+    with pytest.raises(ValueError, match="one value per missing node"):
+        state.append(data, missing, np.array([2.0, 3.0]))
+    with pytest.raises(ValueError, match="one value per missing node"):
+        state.append(data, missing, np.float64(2.0))  # would broadcast
+    with pytest.raises(ValueError, match="non-finite"):
+        state.append(data, missing, np.array([np.nan]))
+    assert state.steps_completed == 0
+    state.append(data, missing, np.array([2.0]))
+    with pytest.raises(ValueError, match="already filled"):
+        state.append(data, missing, np.array([4.0]))  # past the last time step
     assert np.array_equal(state.matrix(), [[1.0], [2.0]])
 
 

@@ -77,7 +77,7 @@ def test_observation_from_column_keeps_present_and_zeroes_absent(case, t):
     obs = observation_from_column(column, SamplingMask(observed), t)
     assert obs.time_index == t
     assert np.array_equal(obs.present, observed)
-    assert np.array_equal(obs.data, np.where(observed, column, 0.0))
+    assert obs.data.tobytes() == np.where(observed, column, 0.0).tobytes()  # bits: -0.0 stays -0.0
     assert np.all(obs.data[~observed] == 0.0)
 
 
@@ -244,6 +244,83 @@ def test_online_loop_matches_former_loop_bit_for_bit(case):
         want = outcome(former_run, *case)
         got = outcome(current_run, *case)
     assert got == want
+
+
+def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):
+    """One run of the former loop whose proposals hold ``bad`` at ``slot`` of ``step``.
+
+    Returns the refusal's text, or None, and the bytes of every column stored before it.
+    """
+    if kind is not None:
+        proj = BandlimitedProjector.from_graph(g, bandwidth)
+        estimate = np.zeros(g.num_nodes)
+    values = np.zeros((g.num_nodes, truth.num_steps))
+    missing = ~mask.observed
+    for t in range(truth.num_steps):
+        obs = FormerObservation(t, np.array(truth.values[:, t]), mask.observed)
+        if kind is None:
+            proposals = np.zeros(mask.num_missing)
+        else:
+            estimate = former_filter_step(kind, estimate, obs, proj, mu)
+            proposals = estimate[missing]
+        if t == step:
+            proposals[slot] = bad
+        column = np.array(obs.data)
+        column[missing] = proposals
+        if not np.all(np.isfinite(column)):
+            return "assembled estimate contains non-finite entries", values[:, :t].tobytes()
+        values[:, t] = column
+    return None, values.tobytes()
+
+
+class PoisonedPredictor(Predictor):
+    """Proposes what ``inner`` proposes, but ``bad`` at ``slot`` of ``step``; keeps the run's state."""
+
+    def __init__(self, inner, step, slot, bad):
+        self.inner, self.step, self.slot, self.bad = inner, step, slot, bad
+        self.name = inner.name
+
+    def reset(self, g, mask, run_index=0):
+        super().reset(g, mask, run_index)
+        self.inner.reset(g, mask, run_index)
+
+    def predict_missing(self, t, obs, state):
+        self.state = state
+        proposals = np.array(self.inner.predict_missing(t, obs, state))
+        if t == self.step:
+            proposals[self.slot] = self.bad
+        return proposals
+
+
+@st.composite
+def poisoned_runs(draw):
+    g = draw(weighted_graphs())
+    n = g.num_nodes
+    steps = draw(st.integers(1, 6))
+    truth = SignalSeries(np.array(draw(st.lists(signal_values, min_size=n * steps, max_size=n * steps)))
+                         .reshape(n, steps))
+    observed = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda o: not all(o)))
+    mask = SamplingMask(np.array(observed))
+    kind = draw(st.sampled_from([*FILTER_KINDS, None]))
+    mu = draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 2.0))
+    bandwidth = draw(st.integers(1, n))
+    step = draw(st.integers(0, steps - 1))
+    slot = draw(st.integers(0, mask.num_missing - 1))
+    return kind, mu, bandwidth, g, truth, mask, step, slot, draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(poisoned_runs())
+def test_a_non_finite_proposal_is_refused_after_the_former_loops_columns(case):
+    kind, mu, bandwidth, g, truth, mask, step, slot, bad = case
+    inner = FilterPredictor(kind, FilterConfig(mu=mu, bandwidth=bandwidth)) if kind else ZeroPredictor()
+    predictor = PoisonedPredictor(inner, step, slot, bad)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 errors
+        want = former_poisoned_run(*case)
+        with pytest.raises(ValueError) as refused:
+            run_online(predictor, g, truth, mask)
+    assert want[0] is not None
+    assert (str(refused.value), predictor.state.matrix().tobytes()) == want
 
 
 # ---------------------------------------------------------------- filter and graph properties
@@ -965,7 +1042,7 @@ def predictor_step(obs, prev, g, mode, units, alpha, template):
     predictor.reset(g, SamplingMask(obs.present))
     state = EstimateState(g.num_nodes, 1)
     if prev is not None:
-        state.append(prev)
+        state.append(prev, np.array([], dtype=np.intp), np.array([]))
     proposals = predictor.predict_missing(obs.time_index, obs, state)
     seen = [(plain_task(task), prompt, reply) for task, prompt, reply in backend.seen]
     return seen, predictor.stats["infeasible_tasks"], proposals, predictor.prompt_log

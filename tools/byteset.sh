@@ -12,8 +12,10 @@
 # Recipe: the toy bundle and two synthetic ones (60 x 40, seed 3; 197 x 95,
 # seed 0, k = 5), each run with glms, gsign, mock, zero, mock --fixed-mask
 # --svg, mock --batch, mock observed-only, a 1-run mock replay-record and its
-# 1-run replay. One BLAS thread, since the synthetic signal's eigendecomposition
-# differs in the last bits between thread counts.
+# 1-run replay; the 197-node bundle also runs the filters at two corners of the
+# paper's step-size and bandwidth grid (glms --mu 1.5 --bandwidth 20, gsign
+# --mu 0.1 --bandwidth 80 --fixed-mask). One BLAS thread, since the synthetic
+# signal's eigendecomposition differs in the last bits between thread counts.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <repo> <outdir>" >&2; exit 1; }
 repo=$(cd "$1" && pwd)
@@ -40,4 +42,7 @@ for bundle in toy b60 b197; do
     gf run --manifest "$manifest" --predictor llm --backend replay --replay-file "$runs/replay.jsonl" \
         --runs 1 --out "$runs/replay"
 done
+gf run --manifest "$out/b197/manifest.txt" --predictor glms --mu 1.5 --bandwidth 20 --out "$out/runs/b197/glms-corner"
+gf run --manifest "$out/b197/manifest.txt" --predictor gsign --mu 0.1 --bandwidth 80 --fixed-mask \
+    --out "$out/runs/b197/gsign-corner"
 cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum
