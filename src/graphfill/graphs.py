@@ -106,9 +106,6 @@ class Graph:
         """Open neighborhood of ``v``: adjacent nodes, ascending, without ``v``."""
         return self._adjacency[self.check_node(v)]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def weight(self, u: int, v: int) -> float:
         u, v = self.check_node(u), self.check_node(v)
         lo, hi, w = self._edges

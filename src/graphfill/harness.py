@@ -14,12 +14,14 @@ import hashlib
 import io
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
+from ._format import read_text
 from .backends import (
     Backend,
     BackendError,
@@ -411,8 +413,10 @@ class RunResult:
     The canonical JSON payload (``to_json``) deliberately excludes volatile
     data (wall clock, access logs, prompt logs) so identical seeded runs
     serialize byte-identically; the excluded pieces stay available on the
-    in-memory object. Both writers share one ``repr`` text per ``truth`` value,
-    built by the first writer and rebuilt only when ``truth`` is replaced.
+    in-memory object. Each estimate is formatted once: both writers read each
+    run's N×T ``repr`` text from :meth:`_estimate_cells`, which copies the
+    truth text wherever the bits agree and keeps only the other cells' texts
+    between calls.
     """
 
     name: str
@@ -430,19 +434,22 @@ class RunResult:
     prompt_logs: list = field(default_factory=list, repr=False)
     truth: SignalSeries | None = field(default=None, repr=False)
     _truth_text: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _run_text: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def runs(self) -> int:
         return len(self.estimates)
 
-    def _payload(self) -> dict:
-        """The canonical JSON document, with each run's estimates as an ndarray."""
+    def _payload(self, text: bool = False) -> dict:
+        """The canonical JSON document; ``text`` gives each finite float64 estimate matrix as row texts."""
         per_run = []
-        for est, mask, mse, stats in zip(self.estimates, self.masks, self.per_run_mse, self.per_run_stats):
+        for r, (mask, mse, stats) in enumerate(zip(self.masks, self.per_run_mse, self.per_run_stats)):
+            mat = np.asarray(self.estimates[r])
+            rows = text and mat.ndim == 2 and mat.dtype == np.float64 and 0 not in mat.shape
             per_run.append(
                 {
                     "mask_observed": [1 if o else 0 for o in mask.observed],
-                    "estimates": np.asarray(est),
+                    "estimates": self._json_rows(r, mat) if rows and np.isfinite(mat).all() else mat.tolist(),
                     "mse": mse,
                     "stats": stats,
                 }
@@ -458,10 +465,7 @@ class RunResult:
         }
 
     def to_json_dict(self) -> dict:
-        payload = self._payload()
-        for run in payload["runs"]:
-            run["estimates"] = run["estimates"].tolist()
-        return payload
+        return self._payload()
 
     def _truth_cells(self) -> tuple | None:
         """``(values, text)``: the truth and its ``repr`` texts as N×T objects, built once per truth."""
@@ -471,13 +475,38 @@ class RunResult:
             self._truth_text = (truth, np.array(text, dtype=object).reshape(truth.values.shape))
         return None if truth is None else (truth.values, self._truth_text[1])
 
+    def _estimate_cells(self, r: int) -> np.ndarray:
+        """Run ``r``'s estimates, of the truth's shape, as N×T ``repr`` texts: the truth text where bits agree.
+
+        The other cells' texts are kept, newline-joined (no ``repr`` holds one),
+        until the run's estimate array or the truth is replaced.
+        """
+        est = self.estimates[r]
+        values, text = self._truth_cells()
+        mat = np.asarray(est, dtype=np.float64)
+        differ = mat.view(np.int64) != values.view(np.int64)  # bits, not ==: -0.0 against 0.0 stays -0.0
+        memo = self._run_text.get(r)
+        if memo is not None and memo[0] is est and memo[1] is self._truth_text:
+            cells = memo[2].split("\n") if memo[2] else []
+        else:
+            cells = list(map(repr, mat[differ].tolist()))
+            self._run_text[r] = (est, self._truth_text, "\n".join(cells))
+        out = text.copy()
+        out[differ] = cells
+        return out
+
+    def _json_rows(self, r: int, mat: np.ndarray):
+        """Run ``r``'s estimates ``mat`` as row texts, formatted when the JSON writer reaches them."""
+        same_shape = self.truth is not None and mat.shape == self.truth.values.shape
+        yield from self._estimate_cells(r).tolist() if same_shape else (map(repr, row.tolist()) for row in mat)
+
     def _write_json(self, fh: TextIO) -> None:
         """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
 
         The estimate matrices are streamed row by row instead of being built
-        as one nested list and one string.
+        as one nested list and one string, one run's text alive at a time.
         """
-        _write_json_value(fh, self._payload(), 0, self._truth_cells())
+        _write_json_value(fh, self._payload(text=True), 0)
         fh.write("\n")
 
     def to_json(self) -> str:
@@ -491,86 +520,81 @@ class RunResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunResult":
-        payload = json.loads(Path(path).read_text())
-        estimates = [np.array(run["estimates"], dtype=float) for run in payload["runs"]]
-        masks = [SamplingMask(np.array(run["mask_observed"], dtype=bool)) for run in payload["runs"]]
-        return cls(
-            name=payload["name"],
-            config=payload["config"],
-            context=payload["context"],
-            estimates=estimates,
-            masks=masks,
-            per_run_mse=[run["mse"] for run in payload["runs"]],
-            mse_all=float(payload["mse_all"]),
-            mse_missing=float(payload["mse_missing"]),
-            fallback_uses=int(payload["fallback_uses"]),
-            per_run_stats=[run["stats"] for run in payload["runs"]],
-        )
+        """The result :meth:`save` wrote; bad JSON or a missing or mistyped field is a ValueError naming the file."""
+        text = read_text(Path(path))
+        try:
+            payload = json.loads(text)
+            for key, kind in {"name": str, "config": dict, "context": dict, "runs": list}.items():
+                if not isinstance(payload[key], kind):
+                    raise TypeError(f"field {key!r} is not a {kind.__name__}")
+            runs = payload["runs"]
+            return cls(
+                name=payload["name"],
+                config=payload["config"],
+                context=payload["context"],
+                estimates=[np.array(run["estimates"], dtype=float) for run in runs],
+                masks=[SamplingMask(np.array(run["mask_observed"], dtype=bool)) for run in runs],
+                per_run_mse=[run["mse"] for run in runs],
+                mse_all=float(payload["mse_all"]),
+                mse_missing=float(payload["mse_missing"]),
+                fallback_uses=int(payload["fallback_uses"]),
+                per_run_stats=[run["stats"] for run in runs],
+            )
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValueError(f"{path}: not a saved result: {detail}") from None
 
     def write_per_step_csv(self, path: str | Path) -> None:
         """Long-form CSV with one row per (run, t, node): ``truth`` and estimate.
 
         Lines end in CRLF, as ``csv.writer`` ends them; no field ever needs
-        quoting, so each step's rows are written as one block of text. The truth
-        column and every estimate bit-equal to the truth reuse the truth text.
+        quoting, so each step's rows are one block of six pieces a row, whose
+        run-and-step, truth and estimate texts (:meth:`_estimate_cells`) are
+        filled per step by slice assignment.
         """
         truth = self.truth
         if truth is None:
             raise ValueError("ground truth is needed to write the per-step CSV")
-        mats = [np.asarray(est, dtype=np.float64) for est in self.estimates]
-        for r, mat in enumerate(mats):
-            if mat.shape != truth.values.shape:
-                raise ValueError(f"run {r} has shape {mat.shape}, truth has {truth.values.shape}")
-        values, text = self._truth_cells()
-        nodes = [f"{node}," for node in range(truth.num_nodes)]
+        for r, est in enumerate(self.estimates):
+            if np.shape(est) != truth.values.shape:
+                raise ValueError(f"run {r} has shape {np.shape(est)}, truth has {truth.values.shape}")
+        n = truth.num_nodes
+        pieces = [","] * (6 * n)
+        pieces[1::6] = [f"{node}," for node in range(n)]
+        pieces[5::6] = ["\r\n"] * n
+        truth_columns = self._truth_cells()[1].T.tolist()
         with Path(path).open("w", newline="") as fh:
             fh.write("run,t,node,truth,estimate\r\n")
-            for r, mat in enumerate(mats):
-                for t, (truth_cells, cells) in enumerate(zip(text.T, _float_rows(mat.T, values.T, text.T))):
-                    head = f"{r},{t},"
-                    fh.write("".join(
-                        f"{head}{n}{a},{b}\r\n" for n, a, b in zip(nodes, truth_cells.tolist(), cells)
-                    ))
+            for r in range(self.runs):
+                for t, (truth_cells, cells) in enumerate(zip(truth_columns, self._estimate_cells(r).T.tolist())):
+                    pieces[0::6] = [f"{r},{t},"] * n
+                    pieces[2::6] = truth_cells
+                    pieces[4::6] = cells
+                    fh.write("".join(pieces))
 
 
-def _float_rows(mat: np.ndarray, values: np.ndarray, text: np.ndarray):
-    """Each row of float64 ``mat`` as ``repr`` texts, copied from ``text`` where bits equal ``values``."""
-    same = mat.view(np.int64) == values.view(np.int64)  # bits, not ==: -0.0 against 0.0 stays -0.0
-    for row, eq, cells in zip(mat, same, text):
-        cells = cells.copy()
-        cells[~eq] = list(map(repr, row[~eq].tolist()))
-        yield cells.tolist()
-
-
-def _write_json_value(fh: TextIO, value, level: int, truth: tuple | None = None) -> None:
+def _write_json_value(fh: TextIO, value, level: int) -> None:
     """Write ``value`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out at depth ``level``.
 
-    Dicts and lists are walked here so that a finite float matrix can be
-    written row by row with ``repr``, which is json's own float text; every
-    other value and every key is rendered by ``json.dumps``. Given the
-    ``(values, text)`` of ``RunResult.truth``, a finite matrix of its shape
-    reuses the truth text through :func:`_float_rows`.
+    Dicts and lists are walked here so that an estimate matrix, given as an
+    iterator of its rows' ``repr`` texts (json's own float text, see
+    :meth:`RunResult._json_rows`), can be written row by row; every other
+    value and every key is rendered by ``json.dumps``.
     """
     inner = "\n" + "  " * (level + 1)
-    if isinstance(value, np.ndarray):
-        if value.ndim != 2 or value.dtype != np.float64 or 0 in value.shape or not np.isfinite(value).all():
-            _write_json_value(fh, value.tolist(), level)
-            return
+    if isinstance(value, Iterator):
         cell = inner + "  "
-        same_shape = truth is not None and truth[0].shape == value.shape
-        rows = _float_rows(value, *truth) if same_shape else (map(repr, row.tolist()) for row in value)
-        for i, cells in enumerate(rows):
-            text = ("," + cell).join(cells)
-            fh.write(("[" if i == 0 else ",") + inner + "[" + cell + text + inner + "]")
+        for i, cells in enumerate(value):
+            fh.write(("[" if i == 0 else ",") + inner + "[" + cell + ("," + cell).join(cells) + inner + "]")
     elif isinstance(value, dict) and value:
         for i, key in enumerate(sorted(value)):
             # json's own text for the key, quoted even when it is not a string
             fh.write(("{" if i == 0 else ",") + inner + json.dumps({key: 0})[1:-4] + ": ")
-            _write_json_value(fh, value[key], level + 1, truth)
+            _write_json_value(fh, value[key], level + 1)
     elif isinstance(value, (list, tuple)) and value:
         for i, item in enumerate(value):
             fh.write(("[" if i == 0 else ",") + inner)
-            _write_json_value(fh, item, level + 1, truth)
+            _write_json_value(fh, item, level + 1)
     else:
         fh.write(json.dumps(value))
         return
@@ -622,6 +646,7 @@ def run_online(
             obs = observation_from_column(view.column(t), run_mask, t)
             state.append(obs.data, missing, predictor.predict_missing(t, obs, state))
         estimates.append(state.matrix())
+        estimates[-1].setflags(write=False)  # the writers keep its text, so it must not change
         masks_used.append(run_mask)
         stats = dict(getattr(predictor, "stats", {}) or {})
         per_run_stats.append(stats)

@@ -165,6 +165,28 @@ def test_an_input_file_that_is_not_utf8_is_a_load_error_naming_it(tmp_path, caps
     assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff"), err
 
 
+@pytest.mark.parametrize("edit, reason", [
+    (lambda text: b"\xef\xbb\xbf" + text, None),
+    (lambda text: text + b"\xff", "'utf-8' codec can't decode byte 0xff"),
+    (lambda text: text[: len(text) // 2], "not a saved result: "),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "runs"}).encode(),
+     "not a saved result: no field 'runs'"),
+    (lambda text: json.dumps([json.loads(text)]).encode(), "not a saved result: "),
+    (lambda text: b"[" * 100_000 + b"]" * 100_000, "not a saved result: maximum recursion depth"),
+], ids=["bom", "0xff", "truncated", "missing-key", "top-level-list", "deeply-nested"])
+def test_compare_names_a_result_file_it_cannot_read(tmp_path, capsys, edit, reason):
+    assert run_cli("run", "--manifest", TOY, "--predictor", "zero", "--runs", "1", "--out", str(tmp_path)) == 0
+    good, bad = tmp_path / "zero.json", tmp_path / "bad.json"
+    bad.write_bytes(edit(good.read_bytes()))
+    capsys.readouterr()
+    code = run_cli("compare", str(good), str(bad))
+    err = capsys.readouterr().err
+    if reason is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.startswith(f"error: {bad}: {reason}"), err
+
+
 def test_toy_mock_run_calls_each_wrapped_stage_once_per_node(tmp_path, monkeypatch):
     # Traced benchmark runs wrap these module names to time the per-node stages,
     # so a run must call each of them, under that name, once per node.

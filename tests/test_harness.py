@@ -127,6 +127,14 @@ def test_observed_nodes_clamped_exactly():
     assert np.array_equal(est[2, :], series.values[2, :])
 
 
+def test_estimate_matrices_are_read_only():
+    # The writers keep each run's estimate text, so the matrices must not change under them.
+    result = run_online(mock_predictor(), path3(), toy_series(), MaskSpec(fraction=0.4, seed=0), runs=2)
+    for est in result.estimates:
+        with pytest.raises(ValueError, match="read-only"):
+            est[0, 0] = 1.0
+
+
 def test_hand_traced_constant_signal_zero_error():
     # Node 1 is missing; its observed neighbors always read 25.0, matching its
     # own truth. With alpha=1 the mock bootstraps from the neighbor mean at
