@@ -7,7 +7,6 @@ aggregator that answers localized prompts built from neighborhood values.
 
 from .graphs import (
     Graph,
-    SpectralBasis,
     eigendecompose,
     knn_graph,
     laplacian,
@@ -31,7 +30,6 @@ from .signals import (
 )
 from .filters import (
     FILTER_KINDS,
-    BandlimitedProjector,
     FilterConfig,
     default_bandwidth,
     filter_step,
@@ -94,14 +92,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # graphs
-    "Graph", "SpectralBasis", "eigendecompose", "knn_graph", "laplacian",
+    "Graph", "eigendecompose", "knn_graph", "laplacian",
     "read_coordinates", "read_edge_list", "write_coordinates", "write_edge_list",
     # signals
     "MaskSpec", "Observation", "SamplingMask", "SignalSeries", "generate_mask",
     "observation_from_column", "read_mask_file", "read_signal_csv",
     "synth_bandlimited", "write_mask_file", "write_signal_csv",
     # filters
-    "FILTER_KINDS", "BandlimitedProjector", "FilterConfig", "default_bandwidth", "filter_step",
+    "FILTER_KINDS", "FilterConfig", "default_bandwidth", "filter_step",
     # messenger
     "NodeTask", "ParsedPrediction", "PromptTemplate", "StepTable", "TemplateError",
     "build_task", "fallback_value", "parse_response", "render_prompt",

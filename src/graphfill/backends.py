@@ -233,7 +233,7 @@ def append_replay_record(
         "model": model,
         "temperature": float(temperature),
     }
-    with Path(path).open("a") as fh:
+    with Path(path).open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -197,7 +197,7 @@ def _write_mse_curve(curves, path: Path) -> None:
     lines = ["t,mse_all,mse_missing"]
     for t, a, m in zip(steps, all_curve, missing_curve):
         lines.append(f"{int(t)},{float(a)!r},{float(m)!r}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_svg(name: str, curves, path: Path) -> None:
@@ -225,7 +225,7 @@ def _write_svg(name: str, curves, path: Path) -> None:
         f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">{escape(name)}</text>',
         "</svg>",
     ]
-    path.write_text("\n".join(svg) + "\n")
+    path.write_text("\n".join(svg) + "\n", encoding="utf-8")
 
 
 def cmd_synth(args) -> int:
@@ -351,7 +351,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    # Arguments are UTF-8 text, as every file written is, also where an ASCII
+    # locale decoded their bytes as escapes.
+    sys.exit(main([os.fsencode(arg).decode("utf-8", "surrogateescape") for arg in sys.argv[1:]]))
 
 
 if __name__ == "__main__":

@@ -258,5 +258,5 @@ def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries, units
         lines.append(f"units = {units}")
     lines.append(f"expected_nodes = {series.num_nodes}")
     lines.append(f"expected_steps = {series.num_steps}")
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

@@ -1,4 +1,9 @@
-"""Online adaptive graph-filter baselines: least-mean-squares and sign-error updates."""
+"""Online adaptive graph-filter baselines: least-mean-squares and sign-error updates.
+
+GLMS (Di Lorenzo et al., 2016) and G-Sign (Yan, Kuruoglu and Altinkaya,
+2022) each step ``x <- x + mu * U_F U_F^T e``, where the basis ``U_F`` is the
+N x F block of the first F Laplacian eigenvectors, passed as a plain array.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, SpectralBasis, eigendecompose, laplacian
+from .graphs import Graph, eigendecompose, laplacian
 from .signals import Observation
 
 __all__ = [
-    "BandlimitedProjector",
     "FilterConfig",
     "FILTER_KINDS",
     "default_bandwidth",
@@ -21,55 +25,16 @@ __all__ = [
 FILTER_KINDS = ("glms", "gsign")
 
 
-def graph_spectrum(g: Graph) -> SpectralBasis:
-    """The spectrum of the Laplacian of ``g``, decomposed on first use and kept on ``g``.
+def graph_spectrum(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``eigendecompose(laplacian(g))``: decomposed on first use and kept on ``g``.
 
-    The basis lives exactly as long as the graph: a graph loaded again is
-    decomposed again.
+    The read-only ``(eigenvalues, eigenvectors)`` pair lives exactly as long
+    as the graph: a graph loaded again is decomposed again.
     """
-    basis = g._spectrum
-    if basis is None:
-        basis = g._spectrum = eigendecompose(laplacian(g))
-    return basis
-
-
-@dataclass(frozen=True)
-class BandlimitedProjector:
-    """Orthogonal projection onto the span of the first F Laplacian eigenvectors.
-
-    Stored in factored form (the N x F basis block); ``apply`` computes
-    ``U (U^T z)`` without materializing the N x N projection matrix.
-    """
-
-    basis_block: np.ndarray
-
-    def __post_init__(self):
-        block = np.asarray(self.basis_block, dtype=float)
-        if block.ndim != 2 or block.shape[1] < 1 or block.shape[1] > block.shape[0]:
-            raise ValueError(f"basis block has invalid shape {block.shape}")
-        block = np.array(block)
-        block.setflags(write=False)
-        object.__setattr__(self, "basis_block", block)
-
-    @classmethod
-    def from_graph(cls, g: Graph, bandwidth: int) -> "BandlimitedProjector":
-        return cls(graph_spectrum(g).leading(bandwidth))
-
-    @property
-    def num_nodes(self) -> int:
-        return self.basis_block.shape[0]
-
-    @property
-    def bandwidth(self) -> int:
-        return self.basis_block.shape[1]
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """``U (U^T z)`` by ``ndarray.dot``: the BLAS calls of ``@`` with less dispatch."""
-        return self.basis_block.dot(self.basis_block.T.dot(z))
-
-    def matrix(self) -> np.ndarray:
-        """Dense N x N projection matrix (test and small-scale use)."""
-        return self.basis_block @ self.basis_block.T
+    spectrum = g._spectrum
+    if spectrum is None:
+        spectrum = g._spectrum = eigendecompose(laplacian(g))
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -105,30 +70,33 @@ def filter_step(
     kind: str,
     estimate: np.ndarray,
     obs: Observation,
-    proj: BandlimitedProjector,
+    basis: np.ndarray,
     mu: float,
 ) -> np.ndarray:
-    """One online update toward the observed values: ``x + mu * P(e)``.
+    """One online update toward the observed values: ``x + mu * U (U^T e)`` for the N x F basis ``U``.
 
     The error ``e`` is zero at absent nodes. ``glms`` (least mean squares)
     uses it as is. ``gsign`` uses only its sign; sign(0) is 0, so a perfectly
     matched observation is a fixed point and the step norm is bounded by
-    ``mu * sqrt(#observed)``. Each call checks the kind and that estimate,
-    observation and projector cover the same nodes, reading the shapes directly.
+    ``mu * sqrt(#observed)`` when ``U`` has orthonormal columns. Each call
+    checks the kind, that the basis is 2-D, and that estimate, observation
+    and basis cover the same nodes, reading the shapes directly.
     """
     if kind not in FILTER_KINDS:
         raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
     estimate = np.asarray(estimate, dtype=float)
     n = estimate.shape[0]
-    if obs.data.shape[0] != n or proj.basis_block.shape[0] != n:
+    if basis.ndim != 2 or obs.data.shape[0] != n or basis.shape[0] != n:
         raise ValueError(
-            f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, projector {proj.num_nodes}"
+            f"dimension mismatch: estimate {n}, observation {obs.num_nodes}, basis {basis.shape}"
         )
     err = obs.data - estimate
     err *= obs.present  # zero the absent nodes in place, with no second array as np.where makes
     if kind == "gsign":
         np.sign(err, out=err)
-    step = proj.apply(err)  # then mu * P(e) + x in place: the bits of x + mu * P(e)
+    # U (U^T e) by ndarray.dot, the BLAS calls of @ with less dispatch; then
+    # mu * step + x in place: the bits of x + mu * U (U^T e).
+    step = basis.dot(basis.T.dot(err))
     step *= float(mu)
     step += estimate
     return step

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -13,7 +12,6 @@ from ._format import format_value, read_text
 
 __all__ = [
     "Graph",
-    "SpectralBasis",
     "laplacian",
     "eigendecompose",
     "knn_graph",
@@ -29,11 +27,12 @@ class Graph:
 
     Self-loop edges are never stored, so ``neighbors(v)`` never holds ``v``.
     Instances are immutable once built and safe to share across threads. A
-    graph keeps its Laplacian spectrum and its fingerprint once computed
-    (``filters.graph_spectrum``, ``harness.graph_sha256``): the edges never
-    change, so neither goes stale, and two threads filling one at once only
-    compute the same value twice. Every graph, ``knn_graph``'s too, passes one
-    array check of its edges, which names the first faulty edge.
+    graph keeps its Laplacian's read-only ``(eigenvalues, eigenvectors)`` pair
+    and its fingerprint once computed (``filters.graph_spectrum``,
+    ``harness.graph_sha256``): the edges never change, so neither goes stale,
+    and two threads filling one at once only compute the same value twice.
+    Every graph, ``knn_graph``'s too, passes one array check of its edges,
+    which names the first faulty edge.
     """
 
     __slots__ = ("_num_nodes", "_edges", "_adjacency", "_spectrum", "_sha256")
@@ -80,7 +79,7 @@ class Graph:
         self._num_nodes = n
         self._edges = tuple(column[order[order < len(lo)]] for column in (lo, hi, w))
         self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip([0, *bounds], bounds))
-        self._spectrum: SpectralBasis | None = None
+        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
         self._sha256: str | None = None
 
     @property
@@ -144,30 +143,6 @@ class Graph:
         return f"Graph(num_nodes={self._num_nodes}, num_edges={self.num_edges})"
 
 
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Eigendecomposition of a graph Laplacian.
-
-    ``eigenvalues`` is ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns, with the sign of each column fixed so
-    that its largest-magnitude entry is positive (first such entry on ties).
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def leading(self, count: int) -> np.ndarray:
-        """The first ``count`` eigenvector columns (lowest frequencies)."""
-        count = int(count)
-        if not 1 <= count <= self.num_nodes:
-            raise ValueError(f"bandwidth {count} outside [1, {self.num_nodes}]")
-        return self.eigenvectors[:, :count]
-
-
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian ``degree - adjacency`` as a dense symmetric matrix.
 
@@ -183,11 +158,15 @@ def laplacian(g: Graph) -> np.ndarray:
     return lap
 
 
-def eigendecompose(laplacian_matrix: np.ndarray) -> SpectralBasis:
+def eigendecompose(laplacian_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition with a deterministic sign convention.
 
-    Raises ValueError if the input is not symmetric within 1e-10 (max |A - A^T|)
-    and ArithmeticError if the solver fails to converge.
+    Returns the read-only pair ``(eigenvalues, eigenvectors)``: eigenvalues
+    ascending, and as columns their orthonormal eigenvectors, each signed so
+    that its largest-magnitude entry (the first on ties) is positive; the first
+    F columns span the F lowest graph frequencies. Raises ValueError if the
+    input is not symmetric within 1e-10 (max |A - A^T|) and ArithmeticError if
+    the solver fails to converge.
     """
     mat = np.asarray(laplacian_matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -208,7 +187,7 @@ def eigendecompose(laplacian_matrix: np.ndarray) -> SpectralBasis:
     # Read-only, since a graph shares its spectrum with every caller.
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return SpectralBasis(eigenvalues=values, eigenvectors=vectors)
+    return values, vectors
 
 
 # Largest difference tensor (chunk rows x n x d entries) built at once.
@@ -328,7 +307,7 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
     path = Path(path)
     lines = ["# edge list: u v weight (0-based node ids)"]
     lines.extend(f"{u} {v} {format_value(w)}" for u, v, w in g.edges)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_coordinates(path: str | Path) -> np.ndarray:
@@ -379,7 +358,7 @@ def write_coordinates(coords: np.ndarray, path: str | Path) -> None:
         coords = coords[:, None]
     path = Path(path)
     axis_names = ["x", "y", "z"] + [f"c{i}" for i in range(3, coords.shape[1])]
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", *axis_names[: coords.shape[1]]])
         for i, point in enumerate(coords):

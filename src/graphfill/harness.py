@@ -29,7 +29,7 @@ from .backends import (
     batch_complete,
     check_temperature,
 )
-from .filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
+from .filters import FILTER_KINDS, FilterConfig, filter_step, graph_spectrum
 from .graphs import Graph
 from .messenger import (
     NEIGHBOR_MODES,
@@ -197,12 +197,14 @@ class FilterPredictor(Predictor):
     def reset(self, g, mask, run_index=0):
         super().reset(g, mask, run_index)
         self._bandwidth = self.cfg.resolve_bandwidth(g.num_nodes)
-        self._proj = BandlimitedProjector.from_graph(g, self._bandwidth)
+        # A C-contiguous copy, not a strided view of the N x N eigenvectors:
+        # BLAS sums a view's products in another order, changing the last bits.
+        self._basis = np.array(graph_spectrum(g)[1][:, : self._bandwidth])
         self._mu = float(self.cfg.mu)
         self._estimate = np.zeros(g.num_nodes)
 
     def predict_missing(self, t, obs, state):
-        self._estimate = filter_step(self.kind, self._estimate, obs, self._proj, self._mu)
+        self._estimate = filter_step(self.kind, self._estimate, obs, self._basis, self._mu)
         return self._estimate[self._mask.missing]
 
     def config_snapshot(self):
@@ -479,18 +481,20 @@ class RunResult:
         """Run ``r``'s estimates, of the truth's shape, as N×T ``repr`` texts: the truth text where bits agree.
 
         The other cells' texts are kept, newline-joined (no ``repr`` holds one),
-        until the run's estimate array or the truth is replaced.
+        under a digest of those cells' bytes: a cell's text depends only on its
+        bits, so an estimate edited in place or a new truth is formatted anew.
         """
-        est = self.estimates[r]
         values, text = self._truth_cells()
-        mat = np.asarray(est, dtype=np.float64)
+        mat = np.asarray(self.estimates[r], dtype=np.float64)
         differ = mat.view(np.int64) != values.view(np.int64)  # bits, not ==: -0.0 against 0.0 stays -0.0
+        bits = mat[differ]
+        key = hashlib.sha256(bits.tobytes()).digest()
         memo = self._run_text.get(r)
-        if memo is not None and memo[0] is est and memo[1] is self._truth_text:
-            cells = memo[2].split("\n") if memo[2] else []
+        if memo is not None and memo[0] == key:
+            cells = memo[1].split("\n") if memo[1] else []
         else:
-            cells = list(map(repr, mat[differ].tolist()))
-            self._run_text[r] = (est, self._truth_text, "\n".join(cells))
+            cells = list(map(repr, bits.tolist()))
+            self._run_text[r] = (key, "\n".join(cells))
         out = text.copy()
         out[differ] = cells
         return out
@@ -515,7 +519,7 @@ class RunResult:
         return buf.getvalue()
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w") as fh:
+        with Path(path).open("w", encoding="utf-8") as fh:
             self._write_json(fh)
 
     @classmethod
@@ -563,7 +567,7 @@ class RunResult:
         pieces[1::6] = [f"{node}," for node in range(n)]
         pieces[5::6] = ["\r\n"] * n
         truth_columns = self._truth_cells()[1].T.tolist()
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
             fh.write("run,t,node,truth,estimate\r\n")
             for r in range(self.runs):
                 for t, (truth_cells, cells) in enumerate(zip(truth_columns, self._estimate_cells(r).T.tolist())):
@@ -716,7 +720,7 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
     def save_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "mse_all", "mse_missing", "fallback_uses", "config"])
             for row in self.rows:

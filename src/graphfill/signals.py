@@ -245,8 +245,7 @@ def synth_bandlimited(
     if t_len < 1:
         raise ValueError("t_len must be at least 1")
 
-    basis = eigendecompose(laplacian(g))
-    low_band = basis.leading(bandwidth)
+    low_band = eigendecompose(laplacian(g))[1][:, :bandwidth]
     rng = np.random.default_rng(int(seed))
     coeffs = np.empty((bandwidth, t_len))
     current = rng.standard_normal(bandwidth)
@@ -260,7 +259,7 @@ def synth_bandlimited(
 def write_signal_csv(series: SignalSeries, path: str | Path) -> None:
     """Write the node-by-time matrix as CSV: a ``t0,t1,...`` header, one exact-text row per node."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"t{t}" for t in range(series.num_steps)])
         for row in series.values:
@@ -329,7 +328,7 @@ def read_signal_csv(path: str | Path, units: str = "") -> SignalSeries:
 
 def write_mask_file(mask: SamplingMask, path: str | Path) -> None:
     """One line of space-separated 0/1 flags, 1 marking an observed node."""
-    Path(path).write_text(" ".join("1" if o else "0" for o in mask.observed) + "\n")
+    Path(path).write_text(" ".join("1" if o else "0" for o in mask.observed) + "\n", encoding="utf-8")
 
 
 def read_mask_file(path: str | Path) -> SamplingMask:

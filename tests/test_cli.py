@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 
@@ -36,6 +39,18 @@ def test_synth_writes_loadable_bundle(tmp_path, capsys):
     assert series.num_steps == 7
     assert units == "m/s"
     assert "12 nodes" in capsys.readouterr().out
+
+
+def test_synth_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: the unit label "°C" round-trips."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONCOERCECLOCALE": "0",
+           "LC_ALL": "C", "PYTHONUTF8": "0"}
+    out = tmp_path / "bundle"
+    done = subprocess.run([sys.executable, "-m", "graphfill.cli", "synth", "--out", str(out),
+                           "--nodes", "10", "--steps", "5", "--units", "°C"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert load_bundle(out / "manifest.txt")[2] == "°C"
 
 
 def test_mask_subcommand(tmp_path):
@@ -538,6 +553,15 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv[1:])  # a bad flag or value raises UsageError
         assert args.command == argv[1]
+
+
+def test_readme_library_example_runs(capsys):
+    """The "Library use" block runs as written: a removed or renamed export fails here."""
+    (block,) = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["model", "mse", "mse_missing", "fallbacks"]
+    assert {line.split()[0] for line in lines[2:4]} == {"glms", "mock"}
 
 
 def test_readme_flags_belong_to_the_cli():

@@ -1,14 +1,16 @@
-"""Adaptive filter baselines: projector algebra, update rules, online runs."""
+"""Adaptive filter baselines: basis algebra, update rules, online runs."""
+
+import re
 
 import numpy as np
 import pytest
 
 import graphfill.filters
 from graphfill.filters import (
-    BandlimitedProjector,
     FilterConfig,
     default_bandwidth,
     filter_step,
+    graph_spectrum,
 )
 from graphfill.graphs import Graph, eigendecompose, knn_graph, laplacian
 from graphfill.harness import FilterPredictor, run_online
@@ -31,31 +33,41 @@ def random_graph(rng, n):
     return Graph(n, pairs or [(0, 1)])
 
 
+def leading_basis(g, bandwidth):
+    """The former projector's block: a C-contiguous copy of the first ``bandwidth`` eigenvectors."""
+    return np.array(graph_spectrum(g)[1][:, :bandwidth])
+
+
+def project(basis, z):
+    """The former projector's ``apply``: ``U (U^T z)``."""
+    return basis.dot(basis.T.dot(z))
+
+
 def obs3(values):
     """Observation of three nodes; None marks an absent node."""
     present = [v is not None for v in values]
     return Observation(0, [0.0 if v is None else v for v in values], present)
 
 
-# ---------------------------------------------------------------- projector
+# ---------------------------------------------------------------- basis
 
 
 def test_projector_idempotent_symmetric_contractive():
     rng = np.random.default_rng(2)
     g = random_graph(rng, 8)
-    proj = BandlimitedProjector.from_graph(g, 3)
-    mat = proj.matrix()
+    basis = leading_basis(g, 3)
+    mat = basis @ basis.T
     assert np.abs(mat - mat.T).max() < 1e-12
     for _ in range(20):
         z = rng.standard_normal(8)
-        once = proj.apply(z)
-        assert np.abs(proj.apply(once) - once).max() < 1e-8
+        once = project(basis, z)
+        assert np.abs(project(basis, once) - once).max() < 1e-8
         assert np.linalg.norm(once) <= np.linalg.norm(z) * (1 + 1e-8)
 
 
 def test_projector_full_bandwidth_is_identity():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    assert np.abs(proj.matrix() - np.eye(3)).max() < 1e-10
+    basis = leading_basis(path3(), 3)
+    assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-10
 
 
 def test_default_bandwidth_rounding():
@@ -69,80 +81,87 @@ def test_default_bandwidth_rounding():
 
 def test_glms_zero_error_is_fixed_point():
     estimate = np.array([1.0, 2.0, 3.0])
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    out = filter_step("glms", estimate, obs3([1.0, None, 3.0]), proj, mu=0.7)
+    basis = leading_basis(path3(), 3)
+    out = filter_step("glms", estimate, obs3([1.0, None, 3.0]), basis, mu=0.7)
     assert np.allclose(out, estimate, atol=1e-12)
 
 
 def test_glms_mu_zero_no_motion():
     estimate = np.zeros(3)
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    out = filter_step("glms", estimate, obs3([5.0, -1.0, 2.0]), proj, mu=0.0)
+    basis = leading_basis(path3(), 3)
+    out = filter_step("glms", estimate, obs3([5.0, -1.0, 2.0]), basis, mu=0.0)
     assert np.array_equal(out, estimate)
 
 
 def test_glms_identity_projection_example():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    out = filter_step("glms", np.zeros(3), obs3([1.0, None, 2.0]), proj, mu=0.5)
+    basis = leading_basis(path3(), 3)
+    out = filter_step("glms", np.zeros(3), obs3([1.0, None, 2.0]), basis, mu=0.5)
     assert np.allclose(out, [0.5, 0.0, 1.0], atol=1e-12)
 
 
 def test_gsign_zero_error_is_fixed_point():
     estimate = np.array([4.0, 0.0, -1.0])
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    out = filter_step("gsign", estimate, obs3([4.0, None, -1.0]), proj, mu=0.3)
+    basis = leading_basis(path3(), 3)
+    out = filter_step("gsign", estimate, obs3([4.0, None, -1.0]), basis, mu=0.3)
     assert np.allclose(out, estimate, atol=1e-12)
 
 
 def test_gsign_identity_projection_example():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
-    out = filter_step("gsign", np.zeros(3), obs3([1.0, None, -2.0]), proj, mu=0.1)
+    basis = leading_basis(path3(), 3)
+    out = filter_step("gsign", np.zeros(3), obs3([1.0, None, -2.0]), basis, mu=0.1)
     assert np.allclose(out, [0.1, 0.0, -0.1], atol=1e-12)
 
 
 def test_step_dimension_mismatch():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
+    basis = leading_basis(path3(), 3)
     obs = Observation(0, [1.0, 2.0], [True, True])
     with pytest.raises(ValueError):
-        filter_step("glms", np.zeros(3), obs, proj, mu=0.5)
+        filter_step("glms", np.zeros(3), obs, basis, mu=0.5)
     with pytest.raises(ValueError):
-        filter_step("glms", np.zeros(2), obs, proj, mu=0.5)
+        filter_step("glms", np.zeros(2), obs, basis, mu=0.5)
 
 
 def test_step_dimension_mismatch_names_every_size():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
+    basis = leading_basis(path3(), 3)
     for estimate, obs in ((np.zeros(3), Observation(0, [1.0, 2.0], [True, True])),
                           (np.zeros(2), Observation(0, [1.0, 2.0], [True, True])),
                           (np.zeros(2), Observation(0, [1.0, 2.0, 3.0], [True, True, True]))):
-        with pytest.raises(ValueError, match="dimension mismatch: estimate .* projector 3"):
-            filter_step("gsign", estimate, obs, proj, mu=0.5)
+        with pytest.raises(ValueError, match=r"dimension mismatch: estimate .* basis \(3, 3\)"):
+            filter_step("gsign", estimate, obs, basis, mu=0.5)
+
+
+def test_step_refuses_a_basis_that_is_not_a_block():
+    # A 1-D basis of the right length would broadcast into a wrong step.
+    obs = obs3([1.0, 2.0, 3.0])
+    for basis in (np.ones(3), np.ones((3, 3, 1)), np.ones((2, 2))):
+        with pytest.raises(ValueError, match="estimate 3, observation 3, basis " + re.escape(str(basis.shape))):
+            filter_step("glms", np.zeros(3), obs, basis, mu=0.5)
 
 
 def test_updates_stay_bandlimited_from_zero_init():
     rng = np.random.default_rng(12)
     g = random_graph(rng, 7)
     bandwidth = 3
-    proj = BandlimitedProjector.from_graph(g, bandwidth)
-    basis = eigendecompose(laplacian(g))
-    high = basis.eigenvectors[:, bandwidth:]
+    basis = leading_basis(g, bandwidth)
+    high = eigendecompose(laplacian(g))[1][:, bandwidth:]
     mask = generate_mask(7, 0.3, seed=1)
     estimate = np.zeros(7)
     for t in range(20):
         obs = observation_from_column(rng.standard_normal(7), mask, t)
-        estimate = filter_step("glms", estimate, obs, proj, mu=0.4)
+        estimate = filter_step("glms", estimate, obs, basis, mu=0.4)
         assert np.abs(high.T @ estimate).max() < 1e-8
 
 
 def test_gsign_bounded_update():
     rng = np.random.default_rng(77)
     g = random_graph(rng, 6)
-    proj = BandlimitedProjector.from_graph(g, 4)
+    basis = leading_basis(g, 4)
     for _ in range(50):
         mask = generate_mask(6, 0.3, seed=int(rng.integers(1 << 16)))
         obs = observation_from_column(rng.standard_normal(6) * 10, mask, 0)
         estimate = rng.standard_normal(6)
         mu = float(rng.uniform(0.05, 2.0))
-        out = filter_step("gsign", estimate, obs, proj, mu)
+        out = filter_step("gsign", estimate, obs, basis, mu)
         delta = np.linalg.norm(out - estimate)
         assert delta <= mu * np.sqrt(mask.num_observed) + 1e-9
 
@@ -150,10 +169,10 @@ def test_gsign_bounded_update():
 # ---------------------------------------------------------------- oracle
 
 
-def dense_oracle_step(kind, estimate, column, observed, proj, mu):
+def dense_oracle_step(kind, estimate, column, observed, basis, mu):
     """Brute-force matrix form: x + mu * U U^T D e, with e from explicit loops."""
     n = estimate.shape[0]
-    mat = proj.matrix()
+    mat = basis @ basis.T
     err = np.zeros(n)
     for i in range(n):
         if observed[i]:
@@ -169,15 +188,15 @@ def test_steps_match_dense_oracle():
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n)
         bandwidth = int(rng.integers(1, n + 1))
-        proj = BandlimitedProjector.from_graph(g, bandwidth)
+        basis = leading_basis(g, bandwidth)
         mask = SamplingMask(rng.random(n) < 0.7)
         column = rng.standard_normal(n) * 5
         obs = observation_from_column(column, mask, 0)
         estimate = rng.standard_normal(n)
         mu = float(rng.uniform(0.1, 1.5))
         for kind in ("glms", "gsign"):
-            got = filter_step(kind, estimate, obs, proj, mu)
-            want = dense_oracle_step(kind, estimate, column, mask.observed, proj, mu)
+            got = filter_step(kind, estimate, obs, basis, mu)
+            want = dense_oracle_step(kind, estimate, column, mask.observed, basis, mu)
             assert np.abs(got - want).max() <= 1e-9
 
 
@@ -186,11 +205,11 @@ def test_steps_match_dense_oracle():
 
 def run_steps(kind, cfg, g, observations):
     """Unclamped filter estimates after each observation, from a zero start."""
-    proj = BandlimitedProjector.from_graph(g, cfg.resolve_bandwidth(g.num_nodes))
+    basis = leading_basis(g, cfg.resolve_bandwidth(g.num_nodes))
     estimate = np.zeros(g.num_nodes)
     estimates = []
     for obs in observations:
-        estimate = filter_step(kind, estimate, obs, proj, cfg.mu)
+        estimate = filter_step(kind, estimate, obs, basis, cfg.mu)
         estimates.append(estimate)
     return estimates
 
@@ -219,16 +238,19 @@ def test_run_filter_converges_on_static_bandlimited():
 
 
 def test_run_filter_rejects_unknown_kind():
-    proj = BandlimitedProjector.from_graph(path3(), 3)
+    basis = leading_basis(path3(), 3)
     with pytest.raises(ValueError):
-        filter_step("rls", np.zeros(3), obs3([1.0, 2.0, 3.0]), proj, mu=0.5)
+        filter_step("rls", np.zeros(3), obs3([1.0, 2.0, 3.0]), basis, mu=0.5)
 
 
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(mu=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidth must be at least 1"):
+        FilterConfig(bandwidth=0)
+    with pytest.raises(ValueError, match="bandwidth 5 exceeds node count 3"):
         FilterConfig(bandwidth=5).resolve_bandwidth(3)
+    assert FilterConfig(bandwidth=3).resolve_bandwidth(3) == 3
 
 
 # ---------------------------------------------------------------- spectrum cache
@@ -263,15 +285,14 @@ def test_one_eigendecomposition_per_graph(monkeypatch):
     run_online(FilterPredictor("glms"), again, series, spec, runs=5)
     assert len(calls) == 2
 
-    fresh = eigendecompose(laplacian(g)).leading(9)
-    block = BandlimitedProjector.from_graph(g, 9).basis_block
-    assert block.shape == fresh.shape
-    assert block.tobytes() == np.ascontiguousarray(fresh).tobytes()
+    # The cached pair holds the bits of a fresh decomposition.
+    for cached, fresh in zip(graph_spectrum(g), eigendecompose(laplacian(g))):
+        assert cached.shape == fresh.shape and cached.tobytes() == fresh.tobytes()
 
 
 def test_cached_spectrum_is_read_only():
-    basis = graphfill.filters.graph_spectrum(path3())
+    eigenvalues, eigenvectors = graph_spectrum(path3())
     with pytest.raises(ValueError):
-        basis.eigenvectors[0, 0] = 1.0
+        eigenvectors[0, 0] = 1.0
     with pytest.raises(ValueError):
-        basis.eigenvalues[0] = 1.0
+        eigenvalues[0] = 1.0

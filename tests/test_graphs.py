@@ -137,17 +137,17 @@ def test_laplacian_positive_semidefinite():
 
 def test_eigendecompose_analytic_2x2():
     lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    basis = eigendecompose(lap)
-    assert np.allclose(basis.eigenvalues, [0.0, 2.0], atol=1e-12)
+    values, vectors = eigendecompose(lap)
+    assert np.allclose(values, [0.0, 2.0], atol=1e-12)
     root = 1.0 / np.sqrt(2.0)
-    assert np.allclose(basis.eigenvectors[:, 0], [root, root], atol=1e-12)
-    assert np.allclose(basis.eigenvectors[:, 1], [root, -root], atol=1e-12)
+    assert np.allclose(vectors[:, 0], [root, root], atol=1e-12)
+    assert np.allclose(vectors[:, 1], [root, -root], atol=1e-12)
 
 
 def test_eigendecompose_zero_matrix():
-    basis = eigendecompose(np.zeros((3, 3)))
-    assert np.allclose(basis.eigenvalues, 0.0)
-    assert np.allclose(basis.eigenvectors, np.eye(3), atol=1e-12)
+    values, vectors = eigendecompose(np.zeros((3, 3)))
+    assert np.allclose(values, 0.0)
+    assert np.allclose(vectors, np.eye(3), atol=1e-12)
 
 
 def test_eigendecompose_residual_random_graph():
@@ -155,10 +155,10 @@ def test_eigendecompose_residual_random_graph():
     pairs = [(i, j) for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.5]
     g = Graph(6, pairs or [(0, 1)])
     lap = laplacian(g)
-    basis = eigendecompose(lap)
+    values, vectors = eigendecompose(lap)
     scale = max(np.abs(lap).max(), 1.0)
     for i in range(6):
-        residual = lap @ basis.eigenvectors[:, i] - basis.eigenvalues[i] * basis.eigenvectors[:, i]
+        residual = lap @ vectors[:, i] - values[i] * vectors[:, i]
         assert np.abs(residual).max() < 1e-7 * scale
 
 
@@ -168,40 +168,31 @@ def test_eigendecompose_properties():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
         g = Graph(n, pairs or [(0, 1)])
         lap = laplacian(g)
-        basis = eigendecompose(lap)
-        assert np.all(np.diff(basis.eigenvalues) >= -1e-10)
-        gram = basis.eigenvectors.T @ basis.eigenvectors
+        values, vectors = eigendecompose(lap)
+        assert np.all(np.diff(values) >= -1e-10)
+        gram = vectors.T @ vectors
         assert np.abs(gram - np.eye(n)).max() < 1e-8
-        recon = basis.eigenvectors @ np.diag(basis.eigenvalues) @ basis.eigenvectors.T
+        recon = vectors @ np.diag(values) @ vectors.T
         assert np.abs(recon - lap).max() < 1e-6
 
 
 def test_eigendecompose_connected_graph_null_eigenvalue():
-    basis = eigendecompose(laplacian(path3()))
-    assert abs(basis.eigenvalues[0]) < 1e-8
+    values, _ = eigendecompose(laplacian(path3()))
+    assert abs(values[0]) < 1e-8
 
 
 def test_eigendecompose_sign_convention():
     rng = np.random.default_rng(31)
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.4]
-    basis = eigendecompose(laplacian(Graph(7, pairs or [(0, 1)])))
+    _, vectors = eigendecompose(laplacian(Graph(7, pairs or [(0, 1)])))
     for i in range(7):
-        col = basis.eigenvectors[:, i]
+        col = vectors[:, i]
         assert col[np.argmax(np.abs(col))] > 0
 
 
 def test_eigendecompose_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_spectral_basis_leading_bounds():
-    basis = eigendecompose(laplacian(path3()))
-    assert basis.leading(2).shape == (3, 2)
-    with pytest.raises(ValueError):
-        basis.leading(0)
-    with pytest.raises(ValueError):
-        basis.leading(4)
 
 
 # ---------------------------------------------------------------- knn

@@ -23,7 +23,7 @@ from graphfill import graphs, harness
 from graphfill._format import format_value
 from graphfill.backends import MockBackend, mock_predict
 from graphfill.graphs import Graph, knn_graph
-from graphfill.filters import FILTER_KINDS, BandlimitedProjector, FilterConfig, filter_step
+from graphfill.filters import FILTER_KINDS, FilterConfig, filter_step, graph_spectrum
 from graphfill.harness import (
     EstimateState,
     FilterPredictor,
@@ -145,20 +145,27 @@ class FormerObservation:
         return self.data.shape[0]
 
 
-def former_filter_step(kind, estimate, obs, proj, mu):
+def former_projector(g, bandwidth):
+    """The former ``BandlimitedProjector.from_graph`` block: a C-contiguous copy of the first F eigenvectors."""
+    if not 1 <= bandwidth <= g.num_nodes:
+        raise ValueError(f"bandwidth {bandwidth} outside [1, {g.num_nodes}]")
+    return np.array(graph_spectrum(g)[1][:, :bandwidth])
+
+
+def former_filter_step(kind, estimate, obs, basis, mu):
     if kind not in FILTER_KINDS:
         raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
     estimate = np.asarray(estimate, dtype=float)
     n = estimate.shape[0]
-    if obs.num_nodes != n or proj.num_nodes != n:
+    if obs.num_nodes != n or basis.shape[0] != n:
         raise ValueError("dimension mismatch")
     err = (obs.data - estimate) * obs.present
     if kind == "gsign":
         err = np.sign(err)
-    err = np.asarray(err, dtype=float)  # the former BandlimitedProjector.apply
-    if err.shape != (proj.num_nodes,):
+    err = np.asarray(err, dtype=float)  # the former projector's apply: U (U^T e)
+    if err.shape != (basis.shape[0],):
         raise ValueError("vector shape does not match")
-    return estimate + float(mu) * (proj.basis_block @ (proj.basis_block.T @ err))
+    return estimate + float(mu) * (basis @ (basis.T @ err))
 
 
 def former_run(kind, mu, bandwidth, g, truth, mask, runs):
@@ -167,7 +174,7 @@ def former_run(kind, mu, bandwidth, g, truth, mask, runs):
     for r in range(runs):
         run_mask = mask.mask_for_run(r, g.num_nodes) if isinstance(mask, MaskSpec) else mask
         if kind is not None:
-            proj = BandlimitedProjector.from_graph(g, bandwidth)
+            basis = former_projector(g, bandwidth)
             estimate = np.zeros(g.num_nodes)
         values = np.zeros((g.num_nodes, truth.num_steps))
         missing = ~run_mask.observed
@@ -178,7 +185,7 @@ def former_run(kind, mu, bandwidth, g, truth, mask, runs):
             if kind is None:
                 proposals = np.zeros(run_mask.num_missing)
             else:
-                estimate = former_filter_step(kind, estimate, obs, proj, mu)
+                estimate = former_filter_step(kind, estimate, obs, basis, mu)
                 proposals = estimate[~run_mask.observed]
             column = np.array(obs.data)
             column[missing] = proposals
@@ -252,7 +259,7 @@ def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):
     Returns the refusal's text, or None, and the bytes of every column stored before it.
     """
     if kind is not None:
-        proj = BandlimitedProjector.from_graph(g, bandwidth)
+        basis = former_projector(g, bandwidth)
         estimate = np.zeros(g.num_nodes)
     values = np.zeros((g.num_nodes, truth.num_steps))
     missing = ~mask.observed
@@ -261,7 +268,7 @@ def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):
         if kind is None:
             proposals = np.zeros(mask.num_missing)
         else:
-            estimate = former_filter_step(kind, estimate, obs, proj, mu)
+            estimate = former_filter_step(kind, estimate, obs, basis, mu)
             proposals = estimate[missing]
         if t == step:
             proposals[slot] = bad
@@ -341,8 +348,8 @@ def gsign_steps(draw):
 @given(gsign_steps())
 def test_gsign_step_norm_is_at_most_mu_sqrt_observed(case):
     g, bandwidth, obs, estimate, mu = case
-    proj = BandlimitedProjector.from_graph(g, bandwidth)
-    out = filter_step("gsign", estimate, obs, proj, mu)
+    basis = former_projector(g, bandwidth)
+    out = filter_step("gsign", estimate, obs, basis, mu)
     bound = mu * math.sqrt(np.count_nonzero(obs.present))
     # the projection's rounding, and the rounding of x + step at |x| <= 1e3
     assert np.linalg.norm(out - estimate) <= bound * (1 + 1e-9) + 1e-9
@@ -837,6 +844,24 @@ def test_truth_text_follows_a_replaced_truth(tmp_path):
             assert expect != before
             assert written(result, tmp_path, csv_first) == expect
             assert result.to_json() == former_json(result)
+
+
+@pytest.mark.parametrize("csv_first", [False, True])
+def test_estimate_text_follows_an_in_place_edit(tmp_path, csv_first):
+    est = np.array([[1.0, 2.5], [3.0, 4.0]])
+    result = RunResult(
+        name="edit", config={}, context={}, estimates=[est], masks=[SamplingMask([True, False])],
+        per_run_mse=[{}], mse_all=0.0, mse_missing=0.0, fallback_uses=0, per_run_stats=[{}],
+        truth=SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]])),
+    )
+    written(result, tmp_path, csv_first)
+    # The first edit keeps one differing cell, the second adds one.
+    for cell, value in (((0, 1), 9.75), ((1, 1), 7.0)):
+        est[cell] = value
+        expect = written(dataclasses.replace(result), tmp_path)
+        assert f",{value!r}\r\n".encode() in expect[1]
+        assert written(result, tmp_path, csv_first) == expect
+        assert result.to_json() == former_json(result)
 
 
 @pytest.mark.parametrize("csv_first", [False, True])

@@ -16,8 +16,12 @@
 # paper's step-size and bandwidth grid (glms --mu 1.5 --bandwidth 20, gsign
 # --mu 0.1 --bandwidth 80 --fixed-mask). A fourth bundle at the large benchmark
 # shape (1000 x 100, seed 0, k = 5) runs glms --runs 3, so the writers are also
-# checked multi-run at that size. One BLAS thread, since the synthetic signal's
-# eigendecomposition differs in the last bits between thread counts.
+# checked multi-run at that size. On the 197-node bundle, compare --csv ranks
+# the glms, gsign, mock and zero results, and a mask file sampled with mask
+# --seed 4 drives a glms run --mask-file: the comparison, mask writer, mask
+# reader and explicit-mask policy. 110 files in all. One BLAS thread, since the
+# synthetic signal's eigendecomposition differs in the last bits between thread
+# counts.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <repo> <outdir>" >&2; exit 1; }
 repo=$(cd "$1" && pwd)
@@ -48,5 +52,10 @@ done
 gf run --manifest "$out/b197/manifest.txt" --predictor glms --mu 1.5 --bandwidth 20 --out "$out/runs/b197/glms-corner"
 gf run --manifest "$out/b197/manifest.txt" --predictor gsign --mu 0.1 --bandwidth 80 --fixed-mask \
     --out "$out/runs/b197/gsign-corner"
+runs="$out/runs/b197"
+gf compare "$runs/glms/glms.json" "$runs/gsign/gsign.json" "$runs/mock/mock.json" "$runs/zero/zero.json" \
+    --csv "$runs/compare.csv"
+gf mask --manifest "$out/b197/manifest.txt" --seed 4 --out "$runs/mask.txt"
+gf run --manifest "$out/b197/manifest.txt" --predictor glms --mask-file "$runs/mask.txt" --out "$runs/glms-mask-file"
 gf run --manifest "$out/b1000/manifest.txt" --predictor glms --runs 3 --out "$out/runs/b1000/glms"
 cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum
