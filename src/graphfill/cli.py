@@ -320,6 +320,7 @@ def cmd_replay_record(args) -> int:
         raise UsageError("replay-record only makes sense with --predictor llm (or mock for drills)")
     if args.predictor == "llm":
         args.backend = "remote"
+    Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
     status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")
     return status
@@ -351,8 +352,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    # Arguments are UTF-8 text, as every file written is, also where an ASCII
-    # locale decoded their bytes as escapes.
+    # Arguments are UTF-8 text, as every file written is, also where an ASCII locale
+    # decoded them as escapes; there stdout, like stderr, escapes what it cannot encode.
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(main([os.fsencode(arg).decode("utf-8", "surrogateescape") for arg in sys.argv[1:]]))
 
 

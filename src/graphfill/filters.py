@@ -48,8 +48,8 @@ class FilterConfig:
     bandwidth: int | None = None
 
     def __post_init__(self):
-        if not float(self.mu) > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0 < float(self.mu) < np.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.bandwidth is not None and int(self.bandwidth) < 1:
             raise ValueError(f"bandwidth must be at least 1, got {self.bandwidth}")
 

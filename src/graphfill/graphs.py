@@ -105,28 +105,9 @@ class Graph:
         """Open neighborhood of ``v``: adjacent nodes, ascending, without ``v``."""
         return self._adjacency[self.check_node(v)]
 
-    def weight(self, u: int, v: int) -> float:
-        u, v = self.check_node(u), self.check_node(v)
-        lo, hi, w = self._edges
-        a, b = min(u, v), max(u, v)
-        start, stop = np.searchsorted(lo, (a, a + 1))  # the edges (a, x), in x order
-        i = start + np.searchsorted(hi[start:stop], b)
-        if i == stop or hi[i] != b:
-            raise ValueError(f"no edge between {u} and {v}")
-        return float(w[i])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        u = self.check_node(u)
-        return self.check_node(v) in self._adjacency[u]
-
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self._num_nodes, self._num_nodes))
-        u, v, w = self._edges
-        a[u, v] = a[v, u] = w
-        return a
-
     def canonical_text(self) -> str:
-        """Stable text form, used for fingerprints and edge-list files."""
+        """The node count, then a ``u v weight`` line per sorted edge: fingerprints hash
+        this text, and ``write_edge_list`` writes its edge lines, formatted nowhere else."""
         lines = [f"{self._num_nodes}"]
         lines.extend(f"{u} {v} {format_value(w)}" for u, v, w in self.edges)
         return "\n".join(lines)
@@ -304,10 +285,10 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
-    path = Path(path)
-    lines = ["# edge list: u v weight (0-based node ids)"]
-    lines.extend(f"{u} {v} {format_value(w)}" for u, v, w in g.edges)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write a comment header, then the edge lines of ``g.canonical_text()``, one per edge."""
+    lines = g.canonical_text().split("\n")
+    lines[0] = "# edge list: u v weight (0-based node ids)"  # in place of the node count
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_coordinates(path: str | Path) -> np.ndarray:

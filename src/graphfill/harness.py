@@ -112,10 +112,6 @@ class EstimateState:
         self.steps_completed = 0
 
     @property
-    def num_nodes(self) -> int:
-        return self._values.shape[0]
-
-    @property
     def estimates(self) -> np.ndarray | None:
         t = self.steps_completed
         return None if t == 0 else self._view[:, t - 1]
@@ -408,7 +404,7 @@ def signal_sha256(series: SignalSeries) -> str:
     return digest.hexdigest()
 
 
-@dataclass
+@dataclass(eq=False)  # holds arrays: equality is identity
 class RunResult:
     """Everything one experiment produced, repeatable from the config snapshot.
 

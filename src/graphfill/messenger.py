@@ -103,12 +103,12 @@ def _compile(text: str, names: tuple[str, ...] = _PLACEHOLDERS) -> tuple:
 class PromptTemplate:
     """Prompt skeleton with named placeholders, checked and compiled once, when it is built.
 
-    The body must reference ``{neighbor_block}`` and ``{instruction_block}``;
-    the latter is replaced by ``instruction``, which demands a single decimal
-    number, no chat memory and the current time step only. Any other field is a
-    placeholder ``render_prompt`` fills, with an optional conversion and spec; one
-    that is positional, unknown, uses attribute or index access or nests a field,
-    or a ``text`` that fails to render, raises :class:`TemplateError`.
+    The body must reference ``{neighbor_block}`` and plain ``{instruction_block}``
+    fields. Body and ``instruction`` (a single decimal number, no chat memory, this
+    time step only) are compiled once each, the instruction's parts in place of each
+    ``{instruction_block}``. Any other field is a placeholder ``render_prompt`` fills,
+    with an optional conversion and spec; one that is positional, unknown, uses attribute
+    or index access or nests a field, or a body that fails to render, is a :class:`TemplateError`.
     """
 
     body: str
@@ -117,11 +117,15 @@ class PromptTemplate:
     def __post_init__(self):
         try:
             fields = _compile(self.body, _BODY_NAMES)  # a plain field is its index; escaped text is literal
+            block = _BODY_NAMES.index("instruction_block")
+            if any(part.__class__ is tuple and part[0] == block for part in fields):
+                raise TemplateError("template field {instruction_block} takes no conversion or format spec")
             for name in ("neighbor_block", "instruction_block"):
                 if _BODY_NAMES.index(name) not in fields:
                     raise TemplateError(f"template body is missing the {{{name}}} placeholder")
-            text = self.body.replace("{instruction_block}", self.instruction)
-            object.__setattr__(self, "_parts", _compile(text))  # what _render joins
+            instruction = _compile(self.instruction)  # its parts take the place of each block field
+            parts = [piece for part in fields for piece in (instruction if part == block else (part,))]
+            object.__setattr__(self, "_parts", tuple(parts))  # what _render joins
             self._render(("0",) * len(_PLACEHOLDERS))
         except TemplateError:
             raise
@@ -140,7 +144,7 @@ class PromptTemplate:
         return cls(body=body)
 
     def _render(self, values: Sequence[str]) -> str:
-        """The body, with the instruction spliced in and each field filled from ``values``."""
+        """The compiled body and instruction, each field filled from ``values``."""
         return "".join([part if part.__class__ is str else values[part] if part.__class__ is int
                         else format(part[1](values[part[0]]), part[2]) for part in self._parts])
 
@@ -156,10 +160,6 @@ class PromptTemplate:
 _NEIGHBOR_LABELS = {True: "observed at this time step", False: "estimate from the previous time step"}
 
 
-def _neighbor_line(u: int, text: str, observed: bool) -> str:
-    return f"- station {u}: {text} ({_NEIGHBOR_LABELS[observed]})"
-
-
 class StepTable:
     """The context every task of one time step draws on, gathered once.
 
@@ -169,7 +169,7 @@ class StepTable:
 
     - ``entries[u]`` is the ``(u, value, observed)`` triple that a
       neighboring node's task lists, or None when ``u`` offers nothing;
-    - ``lines[u]`` is that triple's prompt line, or None;
+    - ``lines[u]`` is that triple's prompt line (formatted nowhere else), or None;
     - ``prev[u]`` is ``u``'s previous estimate, or None on a cold start;
     - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
       node, the same string its stale line shows, and None otherwise.
@@ -177,7 +177,7 @@ class StepTable:
     Each value is checked and formatted once per step, however many tasks show
     it: an observation is finite, and a non-finite previous estimate is refused
     here, naming its node. The table covers every node of ``graph``, in lists
-    indexed by node id, and with ``time_index`` it is all that :func:`build_task` reads.
+    indexed by node id: with ``time_index``, all that :func:`build_task` and :func:`render_prompt` read.
     """
 
     __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts")
@@ -210,7 +210,7 @@ class StepTable:
             else:
                 text = format_value(x)
             self.entries[u] = (u, x, observed)
-            self.lines[u] = _neighbor_line(u, text, observed)
+            self.lines[u] = f"- station {u}: {text} ({_NEIGHBOR_LABELS[observed]})"
 
 
 def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
@@ -233,28 +233,24 @@ def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
     return NodeTask(v, table.time_index, table.prev[v], neighbors, units)
 
 
-def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable | None = None) -> str:
+def render_prompt(task: NodeTask, template: PromptTemplate, table: StepTable) -> str:
     """Deterministically instantiate the template for one task.
 
     The text lists every neighbor value, labelled as observed now or as a
     previous-step estimate, and the node's previous estimate when present; it
     never contains values from any other node or any later time step because
-    the task itself cannot hold them. The lines and the previous estimate's
-    text come from ``table``, the :class:`StepTable` the task was built from;
-    without one, they are formatted from the task, to the same text. The
-    template was checked when it was built, and every value here is non-empty.
+    the task itself cannot hold them. The lines and the previous estimate's text
+    are read from ``table``, the required :class:`StepTable` the task was built
+    from; an observed node's previous estimate, which no line shows, is formatted
+    from ``table.prev``. The template was checked when built; no value is empty.
     """
     v = task.node_id
     if task.prev_estimate is not None:
-        text = (table and table.prev_texts[v]) or format_value(task.prev_estimate)
+        text = table.prev_texts[v] or format_value(table.prev[v])
         prev_block = f"Previous estimate for station {v} (time step {task.time_index - 1}): {text}"
     else:
         prev_block = f"No previous estimate is available for station {v}."
-    if table is None:
-        lines = [_neighbor_line(u, format_value(x), observed) for u, x, observed in task.neighbor_values]
-    else:
-        lines = [table.lines[entry[0]] for entry in task.neighbor_values]
-    neighbor_block = "\n".join(lines)
+    neighbor_block = "\n".join([table.lines[entry[0]] for entry in task.neighbor_values])
     values = (str(v), str(task.time_index), task.units or "unspecified units", prev_block,
               neighbor_block or "(no neighbor values available)")
     return template._render(values)
@@ -264,7 +260,6 @@ FAILURE_NON_NUMERIC = "non-numeric"
 FAILURE_NAN = "nan-literal"
 FAILURE_EMPTY = "empty"
 FAILURE_CONFLICT = "multiple-conflicting"
-FAILURE_REASONS = (FAILURE_NON_NUMERIC, FAILURE_NAN, FAILURE_EMPTY, FAILURE_CONFLICT)
 
 
 class ParsedPrediction(NamedTuple):

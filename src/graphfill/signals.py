@@ -37,7 +37,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: equality is identity
 class SignalSeries:
     """Dense node-by-time signal matrix (row = node, column = time step)."""
 
@@ -70,7 +70,7 @@ class SignalSeries:
         return self.values[:, t]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equality is identity, so a mask is hashable
 class SamplingMask:
     """Which nodes are observed; fixed across every time step of a run.
 
@@ -79,7 +79,7 @@ class SamplingMask:
     """
 
     observed: np.ndarray
-    missing: np.ndarray = field(init=False, compare=False, repr=False)
+    missing: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=bool)
@@ -239,8 +239,8 @@ def synth_bandlimited(
     if not 0.0 <= temporal_rho <= 1.0:
         raise ValueError(f"temporal_rho must be in [0, 1], got {temporal_rho}")
     innovation_std = float(innovation_std)
-    if innovation_std < 0:
-        raise ValueError("innovation_std must be nonnegative")
+    if not 0 <= innovation_std < math.inf:
+        raise ValueError(f"innovation_std must be finite and nonnegative, got {innovation_std}")
     t_len = int(t_len)
     if t_len < 1:
         raise ValueError("t_len must be at least 1")

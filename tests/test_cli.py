@@ -41,16 +41,34 @@ def test_synth_writes_loadable_bundle(tmp_path, capsys):
     assert "12 nodes" in capsys.readouterr().out
 
 
-def test_synth_writes_utf8_under_an_ascii_locale(tmp_path):
-    """Files are UTF-8 whatever the locale: the unit label "°C" round-trips."""
+def run_under_an_ascii_locale(*argv):
+    """The command line in a child process whose locale's encoding is ASCII."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONCOERCECLOCALE": "0",
            "LC_ALL": "C", "PYTHONUTF8": "0"}
-    out = tmp_path / "bundle"
-    done = subprocess.run([sys.executable, "-m", "graphfill.cli", "synth", "--out", str(out),
-                           "--nodes", "10", "--steps", "5", "--units", "°C"],
+    return subprocess.run([sys.executable, "-m", "graphfill.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True)
+
+
+def test_synth_writes_utf8_under_an_ascii_locale(tmp_path):
+    """Files are UTF-8 whatever the locale: the unit label "°C" round-trips."""
+    out = tmp_path / "bundle"
+    done = run_under_an_ascii_locale("synth", "--out", out, "--nodes", "10", "--steps", "5", "--units", "°C")
     assert done.returncode == 0, done.stderr
     assert load_bundle(out / "manifest.txt")[2] == "°C"
+
+
+def test_compare_writes_its_csv_under_an_ascii_locale(tmp_path):
+    """stdout escapes what an ASCII terminal cannot show; the CSV is UTF-8 all the same."""
+    bundle, runs, table = tmp_path / "bundle", tmp_path / "runs", tmp_path / "table.csv"
+    assert run_under_an_ascii_locale("synth", "--out", bundle, "--nodes", "10", "--steps", "5",
+                                     "--units", "°C").returncode == 0
+    for predictor in ("mock", "zero"):
+        assert run_under_an_ascii_locale("run", "--manifest", bundle / "manifest.txt", "--predictor", predictor,
+                                         "--runs", "1", "--out", runs).returncode == 0
+    done = run_under_an_ascii_locale("compare", runs / "mock.json", runs / "zero.json", "--csv", table)
+    assert done.returncode == 0, done.stderr
+    assert "units=°C" in table.read_text(encoding="utf-8")
+    assert "units=\\xb0C" in done.stdout
 
 
 def test_mask_subcommand(tmp_path):
@@ -243,6 +261,14 @@ def test_replay_record_and_replay_back(tmp_path):
         assert run_a["estimates"] == run_b["estimates"]
 
 
+def test_replay_record_creates_the_directory_of_its_replay_file(tmp_path, capsys):
+    replay = tmp_path / "replays" / "new" / "replay.jsonl"
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
+                   "--replay-out", str(replay), "--out", str(tmp_path / "record")) == 0
+    assert len(replay.read_text(encoding="utf-8").splitlines()) > 0
+    assert f"replay file captured at {replay}" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- exit codes
 
 
@@ -283,6 +309,7 @@ def test_usage_error_name_that_is_not_a_plain_file_name(tmp_path, capsys, name):
     ["--predictor", "glms", "--mu", "0"],
     ["--predictor", "mock", "--mock-alpha", "2"],
     ["--predictor", "glms", "--bandwidth", "9"],
+    ["--predictor", "glms", "--mu", "inf"],
 ])
 def test_runtime_error_value_the_library_refuses(tmp_path, capsys, args):
     out = tmp_path / "never"

@@ -152,7 +152,7 @@ def test_coordinate_bundle(tmp_path):
     )
     graph, series, _ = load_bundle(manifest)
     assert graph.num_nodes == 3
-    assert graph.has_edge(0, 1) and graph.has_edge(1, 2)
+    assert [(u, v) for u, v, _ in graph.edges] == [(0, 1), (1, 2)]
 
 
 def test_coordinate_count_mismatch(tmp_path):

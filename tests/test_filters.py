@@ -246,6 +246,8 @@ def test_run_filter_rejects_unknown_kind():
 def test_filter_config_validation():
     with pytest.raises(ValueError):
         FilterConfig(mu=0.0)
+    with pytest.raises(ValueError, match="mu must be positive and finite, got inf"):
+        FilterConfig(mu=float("inf"))
     with pytest.raises(ValueError, match="bandwidth must be at least 1"):
         FilterConfig(bandwidth=0)
     with pytest.raises(ValueError, match="bandwidth 5 exceeds node count 3"):

@@ -31,7 +31,6 @@ from graphfill.harness import (
     mse_over_time,
     run_online,
 )
-from graphfill.messenger import render_prompt
 from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask
 
 
@@ -215,9 +214,23 @@ class RequestKeepingMock(MockBackend):
         return super().complete(req)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SignalSeries(np.ones((3, 2))),
+    lambda: SamplingMask([True, False, True]),
+    lambda: run_online(ZeroPredictor(), path3(), SignalSeries(np.ones((3, 2))), MaskSpec(fraction=0.4, seed=0)),
+], ids=["SignalSeries", "SamplingMask", "RunResult"])
+def test_array_holders_compare_by_identity_and_hash(make):
+    # A generated == would compare arrays, whose truth value is ambiguous, and arrays do not hash.
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("record", [False, True])
 def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, record):
+    from test_properties import former_render_prompt, former_task  # the former task-only formatter
+
     inner = RequestKeepingMock()
     backend = RecordingBackend(inner, tmp_path / "replay.jsonl") if record else inner
     predictor = MessengerPredictor(backend, units="m/s", batch=batch, keep_prompts=True)
@@ -231,7 +244,7 @@ def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, re
     for req in inner.requests:
         task = req.task
         assert req.request_id.endswith(f"-t{task.time_index}-node{task.node_id}")
-        assert req.prompt == render_prompt(task, predictor.template)
+        assert req.prompt == former_render_prompt(former_task(task), predictor.template)
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])

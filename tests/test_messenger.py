@@ -104,23 +104,26 @@ def test_build_task_rejects_unknown_mode():
 # ---------------------------------------------------------------- rendering
 
 
-def sample_task():
-    return NodeTask(
-        node_id=1,
-        time_index=4,
-        prev_estimate=3.5,
-        neighbor_values=((0, 2.25, True), (2, 1.75, False)),
-        units="m/s",
-    )
+def sample_step():
+    """Hidden node 1's task at step 4 and the table it was built from."""
+    table = StepTable(obs_of(4, [2.25, None, None]), np.array([2.0, 3.5, 1.75]), path3(), "observed-plus-stale")
+    task = build_task(1, table, "m/s")
+    assert task == NodeTask(1, 4, 3.5, ((0, 2.25, True), (2, 1.75, False)), "m/s")
+    return task, table
+
+
+def sample_prompt(template=None):
+    task, table = sample_step()
+    return render_prompt(task, template or PromptTemplate.default(), table)
 
 
 def test_render_deterministic():
     tpl = PromptTemplate.default()
-    assert render_prompt(sample_task(), tpl) == render_prompt(sample_task(), tpl)
+    assert sample_prompt(tpl) == sample_prompt(tpl)
 
 
 def test_render_lists_each_neighbor_once():
-    text = render_prompt(sample_task(), PromptTemplate.default())
+    text = sample_prompt()
     assert text.count("- station") == 2
     assert "2.25" in text and "1.75" in text
     assert "observed at this time step" in text
@@ -128,7 +131,7 @@ def test_render_lists_each_neighbor_once():
 
 
 def test_render_includes_prev_units_and_instruction():
-    text = render_prompt(sample_task(), PromptTemplate.default())
+    text = sample_prompt()
     assert "3.5" in text
     assert "m/s" in text
     assert "single decimal number" in text
@@ -137,9 +140,27 @@ def test_render_includes_prev_units_and_instruction():
 
 
 def test_render_no_neighbors_placeholder_line():
-    task = NodeTask(0, 2, 1.0, (), units="m/s")
-    text = render_prompt(task, PromptTemplate.default())
+    table = StepTable(obs_of(2, [None]), np.array([1.0]), Graph(1), "observed-plus-stale")
+    task = build_task(0, table, "m/s")
+    assert task == NodeTask(0, 2, 1.0, (), units="m/s")
+    text = render_prompt(task, PromptTemplate.default(), table)
     assert "(no neighbor values available)" in text
+
+
+def test_template_renders_an_escaped_instruction_block_as_literal_text():
+    tpl = PromptTemplate(body="{neighbor_block}\n{instruction_block}\nliteral {{instruction_block}}")
+    text = sample_prompt(tpl)
+    assert text.endswith("\n" + PromptTemplate.instruction.format(node_id=1, time_index=4)
+                         + "\nliteral {instruction_block}")
+    assert text.count("single decimal number") == 1
+
+
+@pytest.mark.parametrize("field", ["{instruction_block!r}", "{instruction_block:>80}", "{instruction_block!s:}"])
+def test_template_with_a_converted_instruction_block_is_refused(field):
+    # The instruction is compiled into the body, so a conversion or spec has nothing to act on.
+    for body in ("{neighbor_block}\n" + field, "{neighbor_block}\n{instruction_block}\n" + field):
+        with pytest.raises(TemplateError, match=r"\{instruction_block\}"):
+            PromptTemplate(body=body)
 
 
 def test_render_missing_placeholder_is_template_error():

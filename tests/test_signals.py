@@ -219,6 +219,14 @@ def test_synth_bandwidth_out_of_range():
     assert synth_bandlimited(ring(5), 5, 0.9, 0.1, 3, seed=0).values.shape == (5, 3)
 
 
+@pytest.mark.parametrize("innovation_std", [float("nan"), float("inf")])
+def test_synth_refuses_a_non_finite_innovation_std(innovation_std):
+    # Refused before the draw, naming the setting, not as a non-finite signal afterwards.
+    with pytest.raises(ValueError, match=f"innovation_std must be finite and nonnegative, got {innovation_std}"):
+        synth_bandlimited(ring(5), bandwidth=2, temporal_rho=0.9, innovation_std=innovation_std,
+                          t_len=3, seed=0)
+
+
 # ---------------------------------------------------------------- files
 
 

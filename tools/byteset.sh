@@ -19,9 +19,11 @@
 # checked multi-run at that size. On the 197-node bundle, compare --csv ranks
 # the glms, gsign, mock and zero results, and a mask file sampled with mask
 # --seed 4 drives a glms run --mask-file: the comparison, mask writer, mask
-# reader and explicit-mask policy. 110 files in all. One BLAS thread, since the
-# synthetic signal's eigendecomposition differs in the last bits between thread
-# counts.
+# reader and explicit-mask policy. A custom template file, with a padded and a
+# repr-converted field and escaped braces, drives a 1-run mock replay-record on
+# the toy bundle, whose replay file holds each prompt's hash. 115 files in all.
+# One BLAS thread, since the synthetic signal's eigendecomposition differs in
+# the last bits between thread counts.
 set -eu
 [ $# -eq 2 ] || { echo "usage: $0 <repo> <outdir>" >&2; exit 1; }
 repo=$(cd "$1" && pwd)
@@ -58,4 +60,8 @@ gf compare "$runs/glms/glms.json" "$runs/gsign/gsign.json" "$runs/mock/mock.json
 gf mask --manifest "$out/b197/manifest.txt" --seed 4 --out "$runs/mask.txt"
 gf run --manifest "$out/b197/manifest.txt" --predictor glms --mask-file "$runs/mask.txt" --out "$runs/glms-mask-file"
 gf run --manifest "$out/b1000/manifest.txt" --predictor glms --runs 3 --out "$out/runs/b1000/glms"
+printf '%s\n' 'Station {node_id:>4} in {units!r}, literal {{braces}}:' '{prev_estimate_block}' \
+    '{neighbor_block}' '{instruction_block}' > "$out/template.txt"
+gf replay-record --manifest "$repo/fixtures/toy/manifest.txt" --predictor mock --runs 1 --template "$out/template.txt" \
+    --replay-out "$out/runs/toy/template-replay.jsonl" --out "$out/runs/toy/template"
 cd "$out" && find . -type f | LC_ALL=C sort | xargs sha256sum
