@@ -79,11 +79,9 @@ from .harness import (
     run_online,
 )
 from .datasets import (
-    DatasetBundle,
     DatasetError,
     LoadedBundle,
     load_bundle,
-    parse_manifest,
     save_bundle,
 )
 
@@ -113,6 +111,5 @@ __all__ = [
     "FilterPredictor", "MessengerPredictor", "MseReport", "Predictor", "RunResult",
     "ZeroPredictor", "compare", "evaluate_mse", "mse_over_time", "run_online",
     # datasets
-    "DatasetBundle", "DatasetError", "LoadedBundle", "load_bundle",
-    "parse_manifest", "save_bundle",
+    "DatasetError", "LoadedBundle", "load_bundle", "save_bundle",
 ]

@@ -263,6 +263,7 @@ class RecordingBackend(Backend):
         self.inner = inner
         self.path = Path(path)
         self.kind = f"record+{inner.kind}"
+        self.alpha = getattr(inner, "alpha", None)  # a wrapped mock's, for the run's config
 
     def complete(self, req: CompletionRequest) -> str:
         text = self.inner.complete(req)

@@ -255,8 +255,7 @@ def cmd_mask(args) -> int:
         n = args.nodes
     mask = generate_mask(n, args.fraction, args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_mask_file(mask, out)
     print(f"wrote mask: {out} ({mask.num_missing}/{n} nodes hidden)")
     return 0
@@ -310,6 +309,7 @@ def cmd_compare(args) -> int:
     table = compare(results)
     sys.stdout.write(table.to_text())
     if args.csv:
+        Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         table.save_csv(args.csv)
         print(f"table written to {args.csv}")
     return 0

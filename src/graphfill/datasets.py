@@ -15,12 +15,12 @@ Recognized keys:
     expected_nodes / expected_steps   hard dimension checks
     paper_dataset true/false; true pins dimensions to 197 nodes x 95 steps
 
-Exactly one of ``edges`` / ``coordinates`` must be present.
+Exactly one of ``edges`` / ``coordinates`` must be present. The whole
+manifest is checked before the signal, and then the graph, is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,11 +30,9 @@ from .signals import SignalSeries, read_signal_csv, write_signal_csv
 
 __all__ = [
     "DatasetError",
-    "DatasetBundle",
     "LoadedBundle",
     "PAPER_NODES",
     "PAPER_STEPS",
-    "parse_manifest",
     "load_bundle",
     "save_bundle",
 ]
@@ -64,22 +62,6 @@ class DatasetError(ValueError):
     """Manifest or bundle content violates the format."""
 
 
-@dataclass(frozen=True)
-class DatasetBundle:
-    """Parsed manifest: resolved paths and load options, nothing read yet."""
-
-    manifest_path: Path
-    signal_path: Path
-    edges_path: Path | None
-    coordinates_path: Path | None
-    knn_k: int | None
-    knn_weights: str
-    units: str = ""
-    expected_nodes: int | None = None
-    expected_steps: int | None = None
-    paper_dataset: bool = False
-
-
 class LoadedBundle(NamedTuple):
     graph: Graph
     series: SignalSeries
@@ -96,16 +78,14 @@ def _parse_int(raw: str, key: str, line_no: int) -> int:
     return value
 
 
-def parse_manifest(path: str | Path) -> DatasetBundle:
-    """Read a key=value manifest and resolve its paths.
+def _read_manifest(path: Path) -> tuple[dict[str, str], dict[str, int]]:
+    """The ``key = value`` pass: each key's value and its line number.
 
     Unknown or duplicate keys are errors; silent typo tolerance would make a
     bundle load with the wrong graph.
     """
-    path = Path(path)
     if not path.is_file():
         raise DatasetError(f"manifest not found: {path}")
-    base = path.parent
     seen: dict[str, str] = {}
     lines: dict[str, int] = {}
     for line_no, raw in enumerate(read_text(path, DatasetError).splitlines(), start=1):
@@ -125,7 +105,21 @@ def parse_manifest(path: str | Path) -> DatasetBundle:
             raise DatasetError(f"manifest line {line_no}: key {key!r} has no value")
         seen[key] = value
         lines[key] = line_no
+    return seen, lines
 
+
+def load_bundle(manifest_path: str | Path) -> LoadedBundle:
+    """Load graph and series described by a manifest, enforcing its checks.
+
+    The whole manifest is checked first, before any data file is opened.
+    The signal then fixes the node count; the graph is read (or built from
+    coordinates) against that count, so a graph referencing out-of-range
+    nodes or a coordinate file of the wrong length fails here rather than
+    deep inside an experiment. Every failure, a reader's or ``knn_graph``'s
+    too, is a :class:`DatasetError`, with the message it was raised with.
+    """
+    path = Path(manifest_path)
+    seen, lines = _read_manifest(path)
     if "signal" not in seen:
         raise DatasetError(f"manifest {path}: missing required key 'signal'")
     has_edges = "edges" in seen
@@ -179,71 +173,56 @@ def parse_manifest(path: str | Path) -> DatasetBundle:
             )
         expected_nodes = PAPER_NODES
         expected_steps = PAPER_STEPS
+    knn_k = _parse_int(seen["knn_k"], "knn_k", lines["knn_k"]) if has_coords else None
 
-    return DatasetBundle(
-        manifest_path=path,
-        signal_path=base / seen["signal"],
-        edges_path=base / seen["edges"] if has_edges else None,
-        coordinates_path=base / seen["coordinates"] if has_coords else None,
-        knn_k=_parse_int(seen["knn_k"], "knn_k", lines["knn_k"]) if has_coords else None,
-        knn_weights=knn_weights,
-        units=seen.get("units", ""),
-        expected_nodes=expected_nodes,
-        expected_steps=expected_steps,
-        paper_dataset=paper,
-    )
-
-
-def load_bundle(manifest_path: str | Path) -> LoadedBundle:
-    """Load graph and series described by a manifest, enforcing its checks.
-
-    The signal fixes the node count; the graph is then read (or built from
-    coordinates) against that count, so a graph referencing out-of-range
-    nodes or a coordinate file of the wrong length fails here rather than
-    deep inside an experiment. Every failure, a reader's or ``knn_graph``'s
-    too, is a :class:`DatasetError`, with the message it was raised with.
-    """
-    bundle = parse_manifest(manifest_path)
+    base = path.parent
+    signal_path = base / seen["signal"]
+    units = seen.get("units", "")
     try:
-        if not bundle.signal_path.is_file():
-            raise DatasetError(f"signal file not found: {bundle.signal_path}")
-        series = read_signal_csv(bundle.signal_path, units=bundle.units)
+        if not signal_path.is_file():
+            raise DatasetError(f"signal file not found: {signal_path}")
+        series = read_signal_csv(signal_path, units=units)
         n = series.num_nodes
-        if bundle.expected_nodes is not None and n != bundle.expected_nodes:
+        if expected_nodes is not None and n != expected_nodes:
             raise DatasetError(
-                f"bundle {bundle.manifest_path}: signal has {n} rows, expected {bundle.expected_nodes} nodes"
+                f"bundle {path}: signal has {n} rows, expected {expected_nodes} nodes"
             )
-        if bundle.expected_steps is not None and series.num_steps != bundle.expected_steps:
+        if expected_steps is not None and series.num_steps != expected_steps:
             raise DatasetError(
-                f"bundle {bundle.manifest_path}: signal has {series.num_steps} columns, "
-                f"expected {bundle.expected_steps} steps"
+                f"bundle {path}: signal has {series.num_steps} columns, "
+                f"expected {expected_steps} steps"
             )
-        if bundle.edges_path is not None:
-            if not bundle.edges_path.is_file():
-                raise DatasetError(f"edge list not found: {bundle.edges_path}")
-            graph = read_edge_list(bundle.edges_path, num_nodes=n)
+        if has_edges:
+            edges_path = base / seen["edges"]
+            if not edges_path.is_file():
+                raise DatasetError(f"edge list not found: {edges_path}")
+            graph = read_edge_list(edges_path, n)
         else:
-            if not bundle.coordinates_path.is_file():
-                raise DatasetError(f"coordinate file not found: {bundle.coordinates_path}")
-            coords = read_coordinates(bundle.coordinates_path)
+            coordinates_path = base / seen["coordinates"]
+            if not coordinates_path.is_file():
+                raise DatasetError(f"coordinate file not found: {coordinates_path}")
+            coords = read_coordinates(coordinates_path)
             if coords.shape[0] != n:
                 raise DatasetError(
-                    f"bundle {bundle.manifest_path}: {coords.shape[0]} coordinate rows for {n} signal rows"
+                    f"bundle {path}: {coords.shape[0]} coordinate rows for {n} signal rows"
                 )
-            graph = knn_graph(coords, bundle.knn_k, weight_mode=bundle.knn_weights)
+            graph = knn_graph(coords, knn_k, weight_mode=knn_weights)
     except DatasetError:
         raise
     except ValueError as exc:  # a reader's message names its file
         raise DatasetError(str(exc)) from exc
-    return LoadedBundle(graph=graph, series=series, units=bundle.units)
+    return LoadedBundle(graph=graph, series=series, units=units)
 
 
 def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries, units: str = "") -> Path:
     """Write edges, signal and ``manifest.txt`` into a directory; returns the manifest path.
 
     Paired with load_bundle this round-trips exactly: values are written as
-    shortest exact decimal text.
+    shortest exact decimal text. A units label the manifest cannot hold (a line
+    break, leading or trailing whitespace) is refused before anything is written.
     """
+    if units != units.strip() or len(units.splitlines()) > 1:
+        raise DatasetError(f"units label {units!r} would not read back from the manifest unchanged")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if graph.num_nodes != series.num_nodes:

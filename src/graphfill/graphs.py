@@ -251,16 +251,11 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     return graph
 
 
-def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
-    """Parse an edge-list file: one ``u v [w]`` per line, ``#`` comments, 0-based ids.
-
-    When ``num_nodes`` is omitted it is inferred as ``max id + 1``, which
-    cannot represent trailing isolated nodes; pass it explicitly when known.
-    """
+def read_edge_list(path: str | Path, num_nodes: int) -> Graph:
+    """Parse an edge-list file: one ``u v [w]`` per line, ``#`` comments, 0-based ids below ``num_nodes``."""
     path = Path(path)
     text = read_text(path)
     triples: list[tuple[int, int, float]] = []
-    max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,12 +269,8 @@ def read_edge_list(path: str | Path, num_nodes: int | None = None) -> Graph:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         triples.append((u, v, w))
-        max_id = max(max_id, u, v)
-    n = int(num_nodes) if num_nodes is not None else max_id + 1
-    if n < 1:
-        raise ValueError(f"{path}: no nodes (empty edge list and no explicit node count)")
     try:
-        return Graph(n, triples)
+        return Graph(num_nodes, triples)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

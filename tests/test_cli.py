@@ -57,6 +57,13 @@ def test_synth_writes_utf8_under_an_ascii_locale(tmp_path):
     assert load_bundle(out / "manifest.txt")[2] == "°C"
 
 
+def test_synth_refuses_units_a_manifest_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "bundle"
+    assert run_cli("synth", "--out", str(out), "--nodes", "10", "--steps", "5", "--units", "m\ns") == 2
+    assert "'m\\ns'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_its_csv_under_an_ascii_locale(tmp_path):
     """stdout escapes what an ASCII terminal cannot show; the CSV is UTF-8 all the same."""
     bundle, runs, table = tmp_path / "bundle", tmp_path / "runs", tmp_path / "table.csv"
@@ -127,6 +134,15 @@ def test_run_glms_and_compare(tmp_path, capsys):
     text = capsys.readouterr().out
     assert text.count("\n[") == 3  # one config footnote per model
     assert (tmp_path / "table.csv").read_text().count("\n") == 4
+
+
+def test_compare_creates_the_directory_of_its_csv(tmp_path, capsys):
+    assert run_cli("run", "--manifest", TOY, "--predictor", "zero", "--runs", "1",
+                   "--out", str(tmp_path / "r")) == 0
+    table = tmp_path / "r" / "new" / "dir" / "t.csv"
+    assert run_cli("compare", str(tmp_path / "r" / "zero.json"), "--csv", str(table)) == 0
+    assert table.read_text(encoding="utf-8").startswith("model,mse_all,")
+    assert f"table written to {table}" in capsys.readouterr().out
 
 
 def test_run_byte_identical_outputs(tmp_path):
@@ -267,6 +283,16 @@ def test_replay_record_creates_the_directory_of_its_replay_file(tmp_path, capsys
                    "--replay-out", str(replay), "--out", str(tmp_path / "record")) == 0
     assert len(replay.read_text(encoding="utf-8").splitlines()) > 0
     assert f"replay file captured at {replay}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha", ["0.2", "0.9"])
+def test_replay_record_config_holds_the_mock_alpha(tmp_path, alpha):
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
+                   "--mock-alpha", alpha, "--replay-out", str(tmp_path / "replay.jsonl"),
+                   "--out", str(tmp_path / "record")) == 0
+    config = json.loads((tmp_path / "record" / "mock.json").read_text(encoding="utf-8"))["config"]
+    assert config["backend"] == "record+mock"
+    assert config["mock_alpha"] == float(alpha)
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,5 +1,6 @@
 """Manifest parsing and bundle loading."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ from graphfill.datasets import (
     PAPER_NODES,
     PAPER_STEPS,
     load_bundle,
-    parse_manifest,
     save_bundle,
 )
 from graphfill.graphs import Graph
@@ -46,40 +46,40 @@ def test_minimal_manifest(tmp_path):
 def test_manifest_unknown_key(tmp_path):
     manifest = write_bundle(tmp_path, "signal = signal.csv\nedges = edges.txt\ncolour = blue\n")
     with pytest.raises(DatasetError, match="unknown key"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_manifest_duplicate_key(tmp_path):
     manifest = write_bundle(tmp_path, "signal = a.csv\nsignal = b.csv\nedges = edges.txt\n")
     with pytest.raises(DatasetError, match="duplicate"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_manifest_requires_signal(tmp_path):
     manifest = write_bundle(tmp_path, "edges = edges.txt\n")
     with pytest.raises(DatasetError, match="signal"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_manifest_requires_one_graph_source(tmp_path):
     manifest = write_bundle(tmp_path, "signal = signal.csv\n")
     with pytest.raises(DatasetError, match="edges"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
     manifest.write_text("signal = signal.csv\nedges = edges.txt\ncoordinates = c.csv\nknn_k = 2\n")
     with pytest.raises(DatasetError, match="exactly one"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_manifest_coordinates_need_k(tmp_path):
     manifest = write_bundle(tmp_path, "signal = signal.csv\ncoordinates = coords.csv\n")
     with pytest.raises(DatasetError, match="knn_k"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_manifest_line_without_equals(tmp_path):
     manifest = write_bundle(tmp_path, "signal signal.csv\n")
     with pytest.raises(DatasetError, match="line 1"):
-        parse_manifest(manifest)
+        load_bundle(manifest)
 
 
 def test_expected_dims_enforced(tmp_path):
@@ -175,6 +175,14 @@ def test_save_load_round_trip(tmp_path):
     assert units == "m/s"
 
 
+@pytest.mark.parametrize("units", ["m\ns", "m\r", "a\x1cb", " m/s", "m/s "])
+def test_save_bundle_refuses_units_the_manifest_cannot_hold(tmp_path, units):
+    series = SignalSeries(np.ones((2, 2)))
+    with pytest.raises(DatasetError, match=re.escape(repr(units))):
+        save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), series, units=units)
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_save_bundle_rejects_mismatched_dims(tmp_path):
     with pytest.raises(DatasetError):
         save_bundle(tmp_path, Graph(2, [(0, 1)]), SignalSeries(np.ones((3, 2))))
@@ -182,7 +190,18 @@ def test_save_bundle_rejects_mismatched_dims(tmp_path):
 
 def test_manifest_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="not found"):
-        parse_manifest(tmp_path / "nope.txt")
+        load_bundle(tmp_path / "nope.txt")
+
+
+@pytest.mark.parametrize("signal", [b"\xff\xfe1,2\n", None])
+def test_the_manifest_is_checked_before_any_data_is_read(tmp_path, signal):
+    manifest = write_bundle(tmp_path, "signal = signal.csv\nedges = edges.txt\ncolour = blue\n")
+    if signal is None:
+        (tmp_path / "signal.csv").unlink()
+    else:
+        (tmp_path / "signal.csv").write_bytes(signal)
+    with pytest.raises(DatasetError, match=r"^manifest line 3: unknown key 'colour'$"):
+        load_bundle(manifest)
 
 
 def test_signal_file_missing(tmp_path):

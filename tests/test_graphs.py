@@ -318,13 +318,7 @@ def test_edge_list_error_carries_line_number(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("0 1\n0 one\n")
     with pytest.raises(ValueError, match=r"edges\.txt:2"):
-        read_edge_list(path)
-
-
-def test_edge_list_infers_node_count(tmp_path):
-    path = tmp_path / "edges.txt"
-    path.write_text("0 4\n")
-    assert read_edge_list(path).num_nodes == 5
+        read_edge_list(path, num_nodes=2)
 
 
 def test_coordinates_round_trip(tmp_path):

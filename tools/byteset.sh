@@ -21,7 +21,11 @@
 # --seed 4 drives a glms run --mask-file: the comparison, mask writer, mask
 # reader and explicit-mask policy. A custom template file, with a padded and a
 # repr-converted field and escaped braces, drives a 1-run mock replay-record on
-# the toy bundle, whose replay file holds each prompt's hash. 115 files in all.
+# the toy bundle, whose replay file holds each prompt's hash. The 197-node
+# bundle's station coordinates (synth's own, from its seed) are written next to
+# it with a coordinate manifest (k = 5, gaussian weights), and a glms run on
+# that manifest checks the coordinate loader: its files equal runs/b197/glms's.
+# 120 files in all.
 # One BLAS thread, since the synthetic signal's eigendecomposition differs in
 # the last bits between thread counts.
 set -eu
@@ -60,6 +64,11 @@ gf compare "$runs/glms/glms.json" "$runs/gsign/gsign.json" "$runs/mock/mock.json
 gf mask --manifest "$out/b197/manifest.txt" --seed 4 --out "$runs/mask.txt"
 gf run --manifest "$out/b197/manifest.txt" --predictor glms --mask-file "$runs/mask.txt" --out "$runs/glms-mask-file"
 gf run --manifest "$out/b1000/manifest.txt" --predictor glms --runs 3 --out "$out/runs/b1000/glms"
+python3 -c 'import sys, numpy as np; from graphfill.graphs import write_coordinates
+write_coordinates(np.random.default_rng(0).random((197, 2)), sys.argv[1])' "$out/b197/stations.csv"
+printf '%s\n' 'signal = signal.csv' 'coordinates = stations.csv' 'knn_k = 5' 'knn_weights = gaussian' \
+    > "$out/b197/coords-manifest.txt"
+gf run --manifest "$out/b197/coords-manifest.txt" --predictor glms --out "$out/runs/b197/coords-glms"
 printf '%s\n' 'Station {node_id:>4} in {units!r}, literal {{braces}}:' '{prev_estimate_block}' \
     '{neighbor_block}' '{instruction_block}' > "$out/template.txt"
 gf replay-record --manifest "$repo/fixtures/toy/manifest.txt" --predictor mock --runs 1 --template "$out/template.txt" \
