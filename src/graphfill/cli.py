@@ -262,8 +262,10 @@ def cmd_mask(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # The name becomes three file names inside --out, so it must be a plain one.
-    if args.name is not None and (args.name in ("", ".", "..") or "/" in args.name or os.sep in args.name):
+    # The name becomes three file names inside --out (four with --svg, whose text holds it too),
+    # so it must be a plain one that UTF-8 can encode: no surrogate.
+    if args.name is not None and (args.name in ("", ".", "..") or "/" in args.name or os.sep in args.name
+                                  or any("\ud800" <= c <= "\udfff" for c in args.name)):
         raise UsageError(f"--name must be a plain file name, got {args.name!r}")
     # Backend and template come next: a missing credential, broken replay
     # file or bad template must surface before any data is loaded or decomposed.

@@ -219,16 +219,15 @@ def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries, units
 
     Paired with load_bundle this round-trips exactly: values are written as
     shortest exact decimal text. A units label the manifest cannot hold (a line
-    break, leading or trailing whitespace) is refused before anything is written.
+    break, leading or trailing whitespace, a surrogate UTF-8 cannot encode) and
+    a graph and series of different sizes are refused before anything is written.
     """
-    if units != units.strip() or len(units.splitlines()) > 1:
+    if units != units.strip() or len(units.splitlines()) > 1 or any("\ud800" <= c <= "\udfff" for c in units):
         raise DatasetError(f"units label {units!r} would not read back from the manifest unchanged")
+    if graph.num_nodes != series.num_nodes:
+        raise DatasetError(f"graph has {graph.num_nodes} nodes, series has {series.num_nodes} rows")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if graph.num_nodes != series.num_nodes:
-        raise DatasetError(
-            f"graph has {graph.num_nodes} nodes, series has {series.num_nodes} rows"
-        )
     write_edge_list(graph, directory / "edges.txt")
     write_signal_csv(series, directory / "signal.csv")
     manifest = directory / "manifest.txt"

@@ -81,7 +81,7 @@ class CausalSignalView:
     """
 
     def __init__(self, series: SignalSeries):
-        self._series = series
+        self._values = series.values
         self._limit = -1
         self.access_log: list[tuple[int, int]] = []
 
@@ -89,24 +89,27 @@ class CausalSignalView:
         self._limit = int(t)
 
     def column(self, t: int) -> np.ndarray:
+        """Column ``t`` as a read-only view; a negative index is refused, not read from the end."""
         t = int(t)
         self.access_log.append((self._limit, t))
         if t > self._limit:
             raise CausalityError(f"read of time column {t} while the clock is at {self._limit}")
-        return self._series.column(t)
+        if not 0 <= t < self._values.shape[1]:
+            raise ValueError(f"time index {t} outside [0, {self._values.shape[1]})")
+        return self._values[:, t]
 
 
 class EstimateState:
-    """Reconstruction carried across steps: an N x T array filled column by column.
+    """Reconstruction carried across steps: a T x N array filled row by row.
 
-    Rows are nodes, so each node's history is one contiguous row prefix.
-    ``estimates`` is the latest assembled column (None before the first step);
-    ``history(v)`` holds every prior value for node v, which for observed
-    nodes means their observed values.
+    Rows are time steps; a node's history is a column. ``estimates`` is the
+    latest assembled row (None before the first step); ``history(v)`` holds
+    every prior value for node v, which for observed nodes means their
+    observed values. ``matrix`` gives the usual N x T layout.
     """
 
     def __init__(self, num_nodes: int, num_steps: int):
-        self._values = np.zeros((int(num_nodes), int(num_steps)))
+        self._values = np.zeros((int(num_steps), int(num_nodes)))
         self._view = self._values.view()  # what predictors get to read
         self._view.setflags(write=False)
         self.steps_completed = 0
@@ -114,13 +117,13 @@ class EstimateState:
     @property
     def estimates(self) -> np.ndarray | None:
         t = self.steps_completed
-        return None if t == 0 else self._view[:, t - 1]
+        return None if t == 0 else self._view[t - 1]
 
     def history(self, v: int) -> np.ndarray:
-        return self._view[v, : self.steps_completed]
+        return self._view[: self.steps_completed, v]
 
     def append(self, data: np.ndarray, missing: np.ndarray, proposals: np.ndarray) -> None:
-        """Store the next column in place: ``data`` with ``proposals`` at the ``missing`` rows.
+        """Store the next step's row in place: ``data`` with ``proposals`` at the ``missing`` nodes.
 
         ``data`` (an observation's) and ``missing`` (its run's mask index) were
         checked by their makers. Only the proposals are new, so only they are
@@ -132,16 +135,16 @@ class EstimateState:
         if np.count_nonzero(np.isfinite(proposals)) != proposals.size:
             raise ValueError("assembled estimate contains non-finite entries")
         t = self.steps_completed
-        if t == self._values.shape[1]:
+        if t == self._values.shape[0]:
             raise ValueError(f"all {t} time steps are already filled")
-        column = self._values[:, t]
-        column[:] = data
-        column[missing] = proposals
+        row = self._values[t]
+        row[:] = data
+        row[missing] = proposals
         self.steps_completed = t + 1
 
     def matrix(self) -> np.ndarray:
-        """All appended columns as an N x T array."""
-        return np.array(self._values[:, : self.steps_completed])
+        """All appended steps as a C-contiguous N x T array."""
+        return self._values[: self.steps_completed].T.copy()
 
 
 class Predictor:
@@ -197,11 +200,12 @@ class FilterPredictor(Predictor):
         # BLAS sums a view's products in another order, changing the last bits.
         self._basis = np.array(graph_spectrum(g)[1][:, : self._bandwidth])
         self._mu = float(self.cfg.mu)
+        self._missing = mask.missing
         self._estimate = np.zeros(g.num_nodes)
 
     def predict_missing(self, t, obs, state):
         self._estimate = filter_step(self.kind, self._estimate, obs, self._basis, self._mu)
-        return self._estimate[self._mask.missing]
+        return self._estimate[self._missing]
 
     def config_snapshot(self):
         return {
@@ -356,8 +360,9 @@ def evaluate_mse(
     ``estimates`` holds one N x T matrix per run. The all-nodes figure is
     ``sum of squared errors / (R * N * T)``; the missing-only figure averages
     each run's error over its own mask's missing rows (None without masks).
-    Each run's squared errors are summed once, and ``per_run`` reports the
-    same two figures for every run on its own.
+    Each run's differences are squared once, in one pass that sums them all
+    and then that run's missing rows, and ``per_run`` reports the same two
+    figures for every run on its own.
     """
     mats = [np.asarray(e, dtype=float) for e in estimates]
     if not mats:
@@ -367,25 +372,22 @@ def evaluate_mse(
         if m.shape != shape:
             raise ValueError(f"run {i} has shape {m.shape}, truth has {shape}")
     runs = len(mats)
-    sums = [float(np.sum((truth.values - m) ** 2)) for m in mats]
-    all_nodes = sum(sums) / (runs * shape[0] * shape[1])
-    per_run_all = [total / (shape[0] * shape[1]) for total in sums]
-
-    if masks is None:
-        return MseReport(all_nodes, None, tuple((a, None) for a in per_run_all))
-    mask_list = list(masks)
+    mask_list = [None] * runs if masks is None else list(masks)
     if len(mask_list) != runs:
         raise ValueError(f"{len(mask_list)} masks for {runs} runs")
-    per_run = []
+    sums, per_run = [], []
     for m, mask in zip(mats, mask_list):
-        if mask.num_nodes != shape[0]:
-            raise ValueError(f"mask covers {mask.num_nodes} nodes, truth has {shape[0]}")
-        rows = mask.missing
-        if not len(rows):
-            per_run.append(0.0)
-            continue
-        diff = truth.values[rows, :] - m[rows, :]
-        per_run.append(float(np.sum(diff**2)) / (len(rows) * shape[1]))
+        squares = (truth.values - m) ** 2
+        sums.append(float(np.sum(squares)))
+        if mask is not None:
+            if mask.num_nodes != shape[0]:
+                raise ValueError(f"mask covers {mask.num_nodes} nodes, truth has {shape[0]}")
+            rows = mask.missing  # squares[rows, :]: the elements, and layout, of (truth[rows] - m[rows]) ** 2
+            per_run.append(float(np.sum(squares[rows, :])) / (len(rows) * shape[1]) if len(rows) else 0.0)
+    all_nodes = sum(sums) / (runs * shape[0] * shape[1])
+    per_run_all = [total / (shape[0] * shape[1]) for total in sums]
+    if masks is None:
+        return MseReport(all_nodes, None, tuple((a, None) for a in per_run_all))
     return MseReport(all_nodes, float(np.mean(per_run)), tuple(zip(per_run_all, per_run)))
 
 
@@ -398,10 +400,12 @@ def graph_sha256(g: Graph) -> str:
 
 
 def signal_sha256(series: SignalSeries) -> str:
-    digest = hashlib.sha256()
-    digest.update(str(series.values.shape).encode())
-    digest.update(np.ascontiguousarray(series.values).tobytes())
-    return digest.hexdigest()
+    """SHA-256 of the series' shape text and value bytes, computed on first use and kept on ``series``."""
+    if series._sha256 is None:
+        digest = hashlib.sha256(str(series.values.shape).encode())
+        digest.update(np.ascontiguousarray(series.values).tobytes())
+        object.__setattr__(series, "_sha256", digest.hexdigest())  # the series is frozen
+    return series._sha256
 
 
 @dataclass(eq=False)  # holds arrays: equality is identity
@@ -620,7 +624,8 @@ def run_online(
     gives each run's mask, which carries its missing index, and the recorded
     policy. Each value is checked once, by its maker: series and mask when made,
     each step's observation shapes by :func:`observation_from_column`, and
-    the predictor's proposals by :meth:`EstimateState.append`.
+    the predictor's proposals by :meth:`EstimateState.append`. The per-step
+    calls are bound once per run, and each is made once per step.
     """
     if truth.num_nodes != g.num_nodes:
         raise ValueError(f"truth covers {truth.num_nodes} nodes, graph has {g.num_nodes}")
@@ -641,10 +646,12 @@ def run_online(
         view = CausalSignalView(truth)
         state = EstimateState(g.num_nodes, truth.num_steps)
         missing = run_mask.missing
+        advance, column, observe = view.advance, view.column, observation_from_column
+        predict, append = predictor.predict_missing, state.append
         for t in range(truth.num_steps):
-            view.advance(t)
-            obs = observation_from_column(view.column(t), run_mask, t)
-            state.append(obs.data, missing, predictor.predict_missing(t, obs, state))
+            advance(t)
+            obs = observe(column(t), run_mask, t)
+            append(obs.data, missing, predict(t, obs, state))
         estimates.append(state.matrix())
         estimates[-1].setflags(write=False)  # the writers keep its text, so it must not change
         masks_used.append(run_mask)

@@ -43,6 +43,7 @@ class SignalSeries:
 
     values: np.ndarray
     units: str = ""
+    _sha256: str | None = field(default=None, init=False, repr=False)  # kept by harness.signal_sha256
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -172,19 +173,24 @@ class MaskSpec:
     """Mask policy for repeated runs: resample per run (default) or reuse one mask.
 
     Run ``r`` uses seed ``seed + r`` when resampling, plain ``seed`` otherwise.
+    Each ``(n, seed)`` mask is drawn once per spec and kept on it; equality
+    and hash stay by the three fields.
     """
 
     fraction: float
     seed: int
     resample: bool = True
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= float(self.fraction) < 1.0:
             raise ValueError(f"fraction must be in [0, 1), got {self.fraction}")
 
     def mask_for_run(self, run_index: int, n: int) -> SamplingMask:
-        seed = int(self.seed) + int(run_index) if self.resample else int(self.seed)
-        return generate_mask(n, self.fraction, seed)
+        key = int(n), int(self.seed) + int(run_index) if self.resample else int(self.seed)
+        if key not in self._masks:
+            self._masks[key] = generate_mask(key[0], self.fraction, key[1])
+        return self._masks[key]
 
     def describe(self) -> dict:
         return {

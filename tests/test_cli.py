@@ -64,6 +64,14 @@ def test_synth_refuses_units_a_manifest_cannot_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_refuses_units_utf8_cannot_encode(tmp_path, capsys):
+    # The command line decodes the byte 0xff of --units $'\xff' as the lone surrogate "\udcff".
+    out = tmp_path / "bundle"
+    assert run_cli("synth", "--out", str(out), "--nodes", "10", "--steps", "5", "--units", "\udcff") == 2
+    assert "units label '\\udcff'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_writes_its_csv_under_an_ascii_locale(tmp_path):
     """stdout escapes what an ASCII terminal cannot show; the CSV is UTF-8 all the same."""
     bundle, runs, table = tmp_path / "bundle", tmp_path / "runs", tmp_path / "table.csv"
@@ -329,6 +337,15 @@ def test_usage_error_name_that_is_not_a_plain_file_name(tmp_path, capsys, name):
                    "--name", name, "--out", str(out))
     assert code == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_name_utf8_cannot_encode(tmp_path, capsys):
+    # With --svg the name is also written into the SVG's UTF-8 text.
+    out = tmp_path / "out"
+    code = run_cli("run", "--manifest", TOY, "--predictor", "zero", "--name", "\udcff", "--svg", "--out", str(out))
+    assert code == 1
+    assert "--name must be a plain file name, got '\\udcff'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -175,7 +175,7 @@ def test_save_load_round_trip(tmp_path):
     assert units == "m/s"
 
 
-@pytest.mark.parametrize("units", ["m\ns", "m\r", "a\x1cb", " m/s", "m/s "])
+@pytest.mark.parametrize("units", ["m\ns", "m\r", "a\x1cb", " m/s", "m/s ", "\udcff", "m\ud83d\ude00"])
 def test_save_bundle_refuses_units_the_manifest_cannot_hold(tmp_path, units):
     series = SignalSeries(np.ones((2, 2)))
     with pytest.raises(DatasetError, match=re.escape(repr(units))):
@@ -185,7 +185,8 @@ def test_save_bundle_refuses_units_the_manifest_cannot_hold(tmp_path, units):
 
 def test_save_bundle_rejects_mismatched_dims(tmp_path):
     with pytest.raises(DatasetError):
-        save_bundle(tmp_path, Graph(2, [(0, 1)]), SignalSeries(np.ones((3, 2))))
+        save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), SignalSeries(np.ones((3, 2))))
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_manifest_missing_file(tmp_path):

@@ -30,6 +30,7 @@ from graphfill.harness import (
     graph_sha256,
     mse_over_time,
     run_online,
+    signal_sha256,
 )
 from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask
 
@@ -71,6 +72,15 @@ def test_causal_view_blocks_future():
     with pytest.raises(CausalityError):
         view.column(2)
     assert view.access_log == [(1, 2)]
+
+
+def test_causal_view_refuses_a_negative_index():
+    # A bare slice at -1 would read the last column, the future.
+    view = CausalSignalView(toy_series())
+    view.advance(1)
+    with pytest.raises(ValueError, match=r"time index -1 outside \[0, 4\)"):
+        view.column(-1)
+    assert view.access_log == [(1, -1)]
 
 
 # ---------------------------------------------------------------- state
@@ -332,6 +342,33 @@ def test_filter_run_calls_each_traced_stage_once_per_step(monkeypatch):
                    MaskSpec(fraction=0.3, seed=1), runs=runs)
         steps = runs * series.num_steps
         assert calls == {"observation_from_column": steps, "filter_step": steps, "append": steps}
+
+
+def test_runs_sharing_one_mask_spec_match_runs_with_fresh_specs():
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.sin(np.arange(30.0)).reshape(5, 6))
+    shared = MaskSpec(fraction=0.4, seed=3)
+
+    def glms(spec):
+        result = run_online(FilterPredictor("glms", FilterConfig(mu=0.5, bandwidth=2)), g, series, spec, runs=3)
+        return [e.tobytes() for e in result.estimates], repr((result.mse_all, result.mse_missing, result.per_run_mse))
+
+    fresh = glms(MaskSpec(fraction=0.4, seed=3))
+    assert glms(shared) == fresh
+    assert glms(shared) == fresh  # the second job reads the masks the first one drew
+    assert glms(MaskSpec(fraction=0.4, seed=3)) == fresh
+
+
+def test_signal_sha256_is_kept_on_the_series(monkeypatch):
+    series = SignalSeries(np.arange(12.0).reshape(3, 4))
+    direct = hashlib.sha256(b"(3, 4)" + np.ascontiguousarray(series.values).tobytes()).hexdigest()
+    assert signal_sha256(series) == direct
+    digests, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(harness.hashlib, "sha256", lambda *a: digests.append(a) or sha256(*a))
+    assert signal_sha256(series) == direct
+    assert digests == []  # computed on the first call only
+    assert signal_sha256(SignalSeries(series.values)) == direct
+    assert len(digests) == 1
 
 
 class ConstantPredictor(Predictor):

@@ -1,5 +1,5 @@
 """Property tests: the reply parser round trip and its fast path, observations,
-the online loop's invariants, the G-Sign step bound, the kNN graph's shape,
+the online loop's invariants and its time-major estimate state, the G-Sign step bound, the kNN graph's shape,
 and the online loop, the kNN build, the signal CSV reader, the result writers
 and the messenger's tasks, prompts and mock replies (one node and whole steps)
 against their former code."""
@@ -251,6 +251,77 @@ def test_online_loop_matches_former_loop_bit_for_bit(case):
         want = outcome(former_run, *case)
         got = outcome(current_run, *case)
     assert got == want
+
+
+class FormerEstimateState:
+    """The former node-major state: an N x T array filled column by column."""
+
+    def __init__(self, num_nodes, num_steps):
+        self._values = np.zeros((num_nodes, num_steps))
+        self.steps_completed = 0
+
+    @property
+    def estimates(self):
+        t = self.steps_completed
+        return None if t == 0 else self._values[:, t - 1]
+
+    def history(self, v):
+        return self._values[v, : self.steps_completed]
+
+    def append(self, data, missing, proposals):
+        column = self._values[:, self.steps_completed]
+        column[:] = data
+        column[missing] = proposals
+        self.steps_completed += 1
+
+    def matrix(self):
+        return np.array(self._values[:, : self.steps_completed])
+
+
+state_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-1e3, 1e3),
+    st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    finite,
+)
+
+
+@st.composite
+def estimate_streams(draw):
+    """Node count and steps of ``(data, missing, proposals)``, as ``EstimateState.append`` takes them."""
+    n = draw(st.integers(1, 8))
+    steps = []
+    for _ in range(draw(st.integers(1, 24))):
+        data = np.array(draw(st.lists(state_values, min_size=n, max_size=n)))
+        missing = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        proposals = np.array(draw(st.lists(state_values, min_size=len(missing), max_size=len(missing))))
+        steps.append((data, missing, proposals))
+    return n, steps
+
+
+def long_stream(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    missing = np.array([0])
+    return n, [(rng.standard_normal(n) * 1e300, missing, rng.standard_normal(1) * 1e300) for _ in range(steps)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(estimate_streams())
+@example(long_stream(2, 300, 0))  # past numpy's 128-element pairwise-sum block
+def test_time_major_state_matches_the_former_node_major_state(stream):
+    n, steps = stream
+    state, former = EstimateState(n, len(steps)), FormerEstimateState(n, len(steps))
+    assert state.estimates is None
+    for data, missing, proposals in steps:
+        state.append(data, missing, proposals)
+        former.append(data, missing, proposals)
+        assert state.estimates.tobytes() == former.estimates.tobytes()
+        for v in range(n):
+            assert state.history(v).tobytes() == former.history(v).tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):  # sums of values near the largest float
+                assert np.mean(state.history(v)).tobytes() == np.mean(former.history(v)).tobytes()
+        got, want = state.matrix(), former.matrix()
+        assert got.flags.c_contiguous and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):

@@ -93,6 +93,22 @@ def test_mask_spec_resample_vs_fixed():
     assert np.array_equal(fixed.mask_for_run(0, 30).observed, fixed.mask_for_run(3, 30).observed)
 
 
+@pytest.mark.parametrize("resample", [True, False])
+def test_mask_spec_draws_each_mask_once_per_spec(resample):
+    spec, twin = MaskSpec(0.3, 7, resample), MaskSpec(0.3, 7, resample)
+    for r in range(4):
+        for n in (5, 30):
+            mask = spec.mask_for_run(r, n)
+            want = generate_mask(n, 0.3, 7 + r if resample else 7)
+            assert mask.observed.tobytes() == want.observed.tobytes()
+            assert spec.mask_for_run(r, n) is mask
+    assert (spec.mask_for_run(3, 30) is spec.mask_for_run(0, 30)) is not resample
+    assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+    twin.mask_for_run(0, 5)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != MaskSpec(0.3, 8, resample)
+
+
 def test_mask_ids_partition():
     mask = generate_mask(12, 0.25, seed=2)
     assert sorted(np.flatnonzero(mask.observed).tolist() + mask.missing.tolist()) == list(range(12))
