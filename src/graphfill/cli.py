@@ -68,6 +68,12 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _nonnegative_int(raw: str) -> int:
+    if int(raw) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw}")
+    return int(raw)
+
+
 def _fraction_arg(raw: str) -> float:
     value = float(raw)
     if not 0.0 <= value < 1.0:
@@ -102,7 +108,7 @@ def _add_run_options(p: _Parser) -> None:
     p.add_argument("--fraction", type=_fraction_arg, default=0.3,
                    help="fraction of nodes hidden per run (default 0.3)")
     p.add_argument("--runs", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--fixed-mask", action="store_true",
                    help="reuse one sampled mask for every run instead of resampling")
     p.add_argument("--mask-file", default=None,
@@ -128,7 +134,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rho", type=float, default=0.95, help="temporal correlation of the spectrum")
     p.add_argument("--innovation", type=float, default=0.1, help="innovation noise scale")
     p.add_argument("--knn", type=_positive_int, default=4, help="neighbors per node in the graph")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--units", default="", help="unit label stored in the manifest")
 
     p = sub.add_parser("mask", help="sample and write a mask file")
@@ -136,7 +142,7 @@ def build_parser() -> _Parser:
     group.add_argument("--nodes", type=_positive_int, help="node count")
     group.add_argument("--manifest", help="take the node count from this bundle")
     p.add_argument("--fraction", type=_fraction_arg, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True, help="mask file to write")
 
     p = sub.add_parser("run", help="run one predictor over a bundle")
@@ -169,6 +175,7 @@ def _build_backend(args):
     )
     backend = make_backend(cfg)
     if args.command == "replay-record":
+        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
         backend = RecordingBackend(backend, args.replay_out)
     return backend
 
@@ -267,8 +274,13 @@ def cmd_run(args) -> int:
     if args.name is not None and (args.name in ("", ".", "..") or "/" in args.name or os.sep in args.name
                                   or any("\ud800" <= c <= "\udfff" for c in args.name)):
         raise UsageError(f"--name must be a plain file name, got {args.name!r}")
-    # Backend and template come next: a missing credential, broken replay
-    # file or bad template must surface before any data is loaded or decomposed.
+    existing = next(path for path in (Path(args.out), *Path(args.out).parents) if os.path.lexists(path))
+    if not existing.is_dir():  # --out itself, or the nearest of its parents that exists
+        raise UsageError(f"--out must be a directory, but {str(existing)!r} exists and is not one")
+    if args.command == "replay-record" and os.path.isdir(args.replay_out):
+        raise UsageError(f"--replay-out must be a file, but {args.replay_out!r} is a directory")
+    # Backend and template come next, after the output paths: a missing credential, broken replay
+    # file or bad template must surface before any data is loaded or decomposed or a request is made.
     prepared = None
     if args.predictor in ("llm", "mock"):
         backend = _build_backend(args)
@@ -322,7 +334,6 @@ def cmd_replay_record(args) -> int:
         raise UsageError("replay-record only makes sense with --predictor llm (or mock for drills)")
     if args.predictor == "llm":
         args.backend = "remote"
-    Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
     status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")
     return status

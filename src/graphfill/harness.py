@@ -73,10 +73,10 @@ class CausalityError(RuntimeError):
 
 
 class CausalSignalView:
-    """Access-instrumented window onto the ground-truth series.
+    """Access-instrumented window onto the ground-truth series: the one reader of a truth column.
 
-    ``column(t)`` is only legal for ``t`` up to the current limit set by
-    ``advance``; every access is logged as ``(limit_at_access, requested_t)``
+    ``column(t)``, a read-only view of ``series.values``, is legal for ``t`` in ``[0, T)`` up to
+    the limit set by ``advance``; every access is logged as ``(limit_at_access, requested_t)``
     so a finished run can prove it never peeked ahead.
     """
 
@@ -412,13 +412,13 @@ def signal_sha256(series: SignalSeries) -> str:
 class RunResult:
     """Everything one experiment produced, repeatable from the config snapshot.
 
-    The canonical JSON payload (``to_json``) deliberately excludes volatile
-    data (wall clock, access logs, prompt logs) so identical seeded runs
-    serialize byte-identically; the excluded pieces stay available on the
-    in-memory object. Each estimate is formatted once: both writers read each
-    run's N×T ``repr`` text from :meth:`_estimate_cells`, which copies the
-    truth text wherever the bits agree and keeps only the other cells' texts
-    between calls.
+    The canonical JSON document (``to_json`` and ``save``), built only by
+    :meth:`_payload`, deliberately excludes volatile data (wall clock, access
+    logs, prompt logs) so identical seeded runs serialize byte-identically;
+    the excluded pieces stay available on the in-memory object. Each estimate
+    is formatted once: both writers read each run's N×T ``repr`` text from
+    :meth:`_estimate_cells`, which copies the truth text wherever the bits
+    agree and keeps only the other cells' texts between calls.
     """
 
     name: str
@@ -442,16 +442,19 @@ class RunResult:
     def runs(self) -> int:
         return len(self.estimates)
 
-    def _payload(self, text: bool = False) -> dict:
-        """The canonical JSON document; ``text`` gives each finite float64 estimate matrix as row texts."""
+    def _payload(self) -> dict:
+        """The one JSON document: a finite float64 estimate of the truth's shape is its rows' lazy texts
+        (:meth:`_json_rows`), any other its ``tolist()``, whose floats json writes as the same ``repr``."""
+        truth = self.truth
         per_run = []
         for r, (mask, mse, stats) in enumerate(zip(self.masks, self.per_run_mse, self.per_run_stats)):
             mat = np.asarray(self.estimates[r])
-            rows = text and mat.ndim == 2 and mat.dtype == np.float64 and 0 not in mat.shape
+            rows = (truth is not None and mat.dtype == np.float64 and mat.shape == truth.values.shape
+                    and np.isfinite(mat).all())
             per_run.append(
                 {
                     "mask_observed": [1 if o else 0 for o in mask.observed],
-                    "estimates": self._json_rows(r, mat) if rows and np.isfinite(mat).all() else mat.tolist(),
+                    "estimates": self._json_rows(r) if rows else mat.tolist(),
                     "mse": mse,
                     "stats": stats,
                 }
@@ -465,9 +468,6 @@ class RunResult:
             "mse_missing": self.mse_missing,
             "fallback_uses": self.fallback_uses,
         }
-
-    def to_json_dict(self) -> dict:
-        return self._payload()
 
     def _truth_cells(self) -> tuple | None:
         """``(values, text)``: the truth and its ``repr`` texts as N×T objects, built once per truth."""
@@ -499,18 +499,17 @@ class RunResult:
         out[differ] = cells
         return out
 
-    def _json_rows(self, r: int, mat: np.ndarray):
-        """Run ``r``'s estimates ``mat`` as row texts, formatted when the JSON writer reaches them."""
-        same_shape = self.truth is not None and mat.shape == self.truth.values.shape
-        yield from self._estimate_cells(r).tolist() if same_shape else (map(repr, row.tolist()) for row in mat)
+    def _json_rows(self, r: int):
+        """Run ``r``'s estimates as row texts, formatted when the JSON writer reaches them."""
+        yield from self._estimate_cells(r).tolist()
 
     def _write_json(self, fh: TextIO) -> None:
-        """Write ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2)`` and a newline.
+        """Write the document as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, and a newline.
 
         The estimate matrices are streamed row by row instead of being built
         as one nested list and one string, one run's text alive at a time.
         """
-        _write_json_value(fh, self._payload(text=True), 0)
+        _write_json_value(fh, self._payload(), 0)
         fh.write("\n")
 
     def to_json(self) -> str:

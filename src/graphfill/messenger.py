@@ -140,8 +140,8 @@ class PromptTemplate:
 
     @classmethod
     def default(cls) -> "PromptTemplate":
-        body = resources.files("graphfill").joinpath("templates/default_prompt.txt").read_text()
-        return cls(body=body)
+        """The built-in template file, read as :meth:`load` reads one: UTF-8, whatever the locale."""
+        return cls(body=read_text(resources.files("graphfill") / "templates" / "default_prompt.txt", TemplateError))
 
     def _render(self, values: Sequence[str]) -> str:
         """The compiled body and instruction, each field filled from ``values``."""

@@ -39,7 +39,9 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: equality is identity
 class SignalSeries:
-    """Dense node-by-time signal matrix (row = node, column = time step)."""
+    """Dense node-by-time signal matrix (row = node, column = time step), finite and read-only.
+
+    The online loop reads a column only through :class:`~graphfill.harness.CausalSignalView`."""
 
     values: np.ndarray
     units: str = ""
@@ -62,13 +64,6 @@ class SignalSeries:
     @property
     def num_steps(self) -> int:
         return self.values.shape[1]
-
-    def column(self, t: int) -> np.ndarray:
-        """Column ``t`` as a read-only view of the series (no copy)."""
-        t = int(t)
-        if not 0 <= t < self.values.shape[1]:
-            raise ValueError(f"time index {t} outside [0, {self.num_steps})")
-        return self.values[:, t]
 
 
 @dataclass(frozen=True, eq=False)  # equality is identity, so a mask is hashable
@@ -147,6 +142,12 @@ class Observation:
         return self.data.shape[0]
 
 
+def _seed(seed) -> int:
+    if int(seed) < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 def generate_mask(n: int, missing_fraction: float, seed: int) -> SamplingMask:
     """Draw a mask with exactly ``round(missing_fraction * n)`` missing nodes.
 
@@ -161,7 +162,7 @@ def generate_mask(n: int, missing_fraction: float, seed: int) -> SamplingMask:
     if not 0.0 <= missing_fraction < 1.0:
         raise ValueError(f"missing_fraction must be in [0, 1), got {missing_fraction}")
     count = int(math.floor(n * missing_fraction + 0.5))
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_seed(seed))
     missing = rng.choice(n, size=count, replace=False)
     observed = np.ones(n, dtype=bool)
     observed[missing] = False
@@ -185,6 +186,7 @@ class MaskSpec:
     def __post_init__(self):
         if not 0.0 <= float(self.fraction) < 1.0:
             raise ValueError(f"fraction must be in [0, 1), got {self.fraction}")
+        _seed(self.seed)
 
     def mask_for_run(self, run_index: int, n: int) -> SamplingMask:
         key = int(n), int(self.seed) + int(run_index) if self.resample else int(self.seed)
@@ -250,9 +252,10 @@ def synth_bandlimited(
     t_len = int(t_len)
     if t_len < 1:
         raise ValueError("t_len must be at least 1")
+    seed = _seed(seed)
 
     low_band = eigendecompose(laplacian(g))[1][:, :bandwidth]
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     coeffs = np.empty((bandwidth, t_len))
     current = rng.standard_normal(bandwidth)
     coeffs[:, 0] = current

@@ -121,7 +121,7 @@ def test_criterion_03_glms_converges_on_static_signal():
         basis = leading_basis(g, cfg.bandwidth)
         estimate, estimates = np.zeros(50), []  # unclamped, every node scored
         for t in range(200):
-            obs = observation_from_column(series.column(t), mask, t)
+            obs = observation_from_column(series.values[:, t], mask, t)
             estimate = filter_step("glms", estimate, obs, basis, cfg.mu)
             estimates.append(estimate)
         per_step = [float(np.mean((series.values[:, t] - estimates[t]) ** 2)) for t in range(200)]

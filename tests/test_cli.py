@@ -12,7 +12,8 @@ from xml.dom import minidom
 
 import pytest
 
-from graphfill import backends, harness
+import graphfill
+from graphfill import backends, cli, harness
 from graphfill.cli import build_parser, main
 from graphfill.datasets import load_bundle
 from graphfill.harness import RunResult
@@ -339,6 +340,57 @@ def test_usage_error_name_that_is_not_a_plain_file_name(tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--manifest", TOY, "--seed", "-1", "--out", "out"],
+    ["mask", "--nodes", "4", "--seed", "-2", "--out", "mask.txt"],
+    ["synth", "--seed", "-1", "--out", "bundle"],
+])
+def test_usage_error_negative_seed(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def never_run(*args, **kwargs):
+    raise AssertionError("run_online was called")
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("command", ["run", "replay-record"])
+def test_usage_error_out_that_is_a_file(tmp_path, monkeypatch, capsys, command, below):
+    monkeypatch.setattr(cli, "run_online", never_run)
+    out = tmp_path / "o1"
+    out.write_text("")
+    code = run_cli(command, "--manifest", TOY, "--predictor", "mock", "--runs", "2", "--out", str(out / below),
+                   *(["--replay-out", str(tmp_path / "new" / "r.jsonl")] if command == "replay-record" else []))
+    assert code == 1
+    assert f"--out must be a directory, but {str(out)!r} exists" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [out]  # no replay directory either
+
+
+def test_usage_error_replay_out_that_is_a_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_online", never_run)
+    replay = tmp_path / "replays"
+    replay.mkdir()
+    code = run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", str(replay),
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"--replay-out must be a file, but {str(replay)!r} is a directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [replay] and list(replay.iterdir()) == []
+
+
+def test_replay_record_without_a_credential_leaves_no_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_online", never_run)
+    monkeypatch.delenv("GRAPHFILL_UNSET_KEY", raising=False)
+    code = run_cli("replay-record", "--manifest", TOY, "--predictor", "llm", "--credential-env",
+                   "GRAPHFILL_UNSET_KEY", "--replay-out", str(tmp_path / "new" / "r.jsonl"),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "GRAPHFILL_UNSET_KEY" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_name_utf8_cannot_encode(tmp_path, capsys):
     # With --svg the name is also written into the SVG's UTF-8 text.
     out = tmp_path / "out"
@@ -632,6 +684,19 @@ def test_readme_library_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["model", "mse", "mse_missing", "fallbacks"]
     assert {line.split()[0] for line in lines[2:4]} == {"glms", "mock"}
+
+
+def test_package_names_are_each_modules_all():
+    modules = (graphfill.graphs, graphfill.signals, graphfill.filters, graphfill.messenger,
+               graphfill.backends, graphfill.harness, graphfill.datasets)
+    names = ["__version__"] + [name for module in modules for name in module.__all__]
+    assert graphfill.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(graphfill, name) is getattr(module, name)
+    assert {"graph_spectrum", "NEIGHBOR_MODES", "TransportFailure", "append_replay_record", "graph_sha256",
+            "signal_sha256", "PAPER_NODES", "PAPER_STEPS"} <= set(names)
 
 
 def test_readme_flags_belong_to_the_cli():

@@ -230,7 +230,7 @@ def test_run_filter_converges_on_static_bandlimited():
     series = synth_bandlimited(g, bandwidth=5, temporal_rho=1.0, innovation_std=0.0,
                                t_len=120, seed=2)
     mask = generate_mask(20, 0.3, seed=3)
-    stream = [observation_from_column(series.column(t), mask, t) for t in range(120)]
+    stream = [observation_from_column(series.values[:, t], mask, t) for t in range(120)]
     estimates = run_steps("glms", FilterConfig(mu=0.5, bandwidth=5), g, stream)
     first = float(np.mean((series.values[:, 0] - estimates[0]) ** 2))
     last = float(np.mean((series.values[:, -1] - estimates[-1]) ** 2))

@@ -83,6 +83,25 @@ def test_causal_view_refuses_a_negative_index():
     assert view.access_log == [(1, -1)]
 
 
+def test_causal_view_refuses_an_index_past_the_end():
+    view = CausalSignalView(toy_series())
+    view.advance(4)
+    with pytest.raises(ValueError, match=r"time index 4 outside \[0, 4\)"):
+        view.column(4)
+    assert view.access_log == [(4, 4)]
+
+
+def test_causal_view_column_is_a_read_only_view_of_the_series():
+    series = toy_series()
+    view = CausalSignalView(series)
+    view.advance(3)
+    col = view.column(1)
+    assert np.array_equal(col, series.values[:, 1])
+    assert np.shares_memory(col, series.values) and not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0] = 0.0
+
+
 # ---------------------------------------------------------------- state
 
 

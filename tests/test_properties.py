@@ -757,7 +757,13 @@ def test_read_signal_csv_matches_former_reader(text):
 
 
 def former_json(result):
-    return json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    """The result document from the result's public fields, laid out by ``json.dumps``."""
+    runs = [{"mask_observed": [int(o) for o in mask.observed], "estimates": np.asarray(est).tolist(),
+             "mse": mse, "stats": stats}
+            for est, mask, mse, stats in zip(result.estimates, result.masks, result.per_run_mse, result.per_run_stats)]
+    document = {"name": result.name, "config": result.config, "context": result.context, "runs": runs,
+                "mse_all": result.mse_all, "mse_missing": result.mse_missing, "fallback_uses": result.fallback_uses}
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
 def former_per_step_csv(result, path, truth):

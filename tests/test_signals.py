@@ -29,7 +29,7 @@ def ring(n):
 def test_series_shape_and_column():
     s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]]), units="m/s")
     assert s.num_nodes == 2 and s.num_steps == 2
-    assert np.array_equal(s.column(1), [2.0, 4.0])
+    assert np.array_equal(s.values[:, 1], [2.0, 4.0])
     assert s.units == "m/s"
 
 
@@ -41,12 +41,6 @@ def test_series_rejects_non_finite():
 def test_series_rejects_wrong_rank():
     with pytest.raises(ValueError):
         SignalSeries(np.zeros(4))
-
-
-def test_series_column_out_of_range():
-    s = SignalSeries(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        s.column(3)
 
 
 def test_series_values_read_only():
@@ -109,6 +103,15 @@ def test_mask_spec_draws_each_mask_once_per_spec(resample):
     assert spec != MaskSpec(0.3, 8, resample)
 
 
+def test_a_negative_seed_is_refused_by_name():
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        generate_mask(5, 0.2, seed=-1)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+        MaskSpec(fraction=0.2, seed=-2)
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+        synth_bandlimited(ring(6), bandwidth=2, temporal_rho=0.5, innovation_std=0.1, t_len=3, seed=-1)
+
+
 def test_mask_ids_partition():
     mask = generate_mask(12, 0.25, seed=2)
     assert sorted(np.flatnonzero(mask.observed).tolist() + mask.missing.tolist()) == list(range(12))
@@ -120,7 +123,7 @@ def test_mask_ids_partition():
 def test_apply_mask_all_observed_equals_column():
     s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]]))
     mask = SamplingMask(np.array([True, True]))
-    obs = observation_from_column(s.column(1), mask, 1)
+    obs = observation_from_column(s.values[:, 1], mask, 1)
     assert obs.time_index == 1
     assert np.array_equal(obs.data, [2.0, 4.0])
     assert np.array_equal(obs.present, [True, True])
@@ -129,7 +132,7 @@ def test_apply_mask_all_observed_equals_column():
 def test_apply_mask_indexing_example():
     s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     mask = SamplingMask(np.array([True, False, True]))
-    obs = observation_from_column(s.column(1), mask, 1)
+    obs = observation_from_column(s.values[:, 1], mask, 1)
     assert np.array_equal(obs.data, [2.0, 0.0, 6.0])
     assert np.array_equal(obs.present, [True, False, True])
     with pytest.raises(ValueError):
@@ -142,15 +145,9 @@ def test_apply_mask_hides_node_at_every_step():
     s = SignalSeries(np.arange(8.0).reshape(2, 4) + 1.0)
     mask = SamplingMask(np.array([False, True]))
     for t in range(4):
-        obs = observation_from_column(s.column(t), mask, t)
+        obs = observation_from_column(s.values[:, t], mask, t)
         assert not obs.present[0]
         assert obs.data[0] == 0.0
-
-
-def test_apply_mask_t_out_of_range():
-    s = SignalSeries(np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        s.column(2)
 
 
 def test_observation_rejects_non_finite_present_value():
@@ -171,14 +168,6 @@ def test_observation_shares_only_a_read_only_mask_that_owns_its_memory():
     for obs in kept:
         assert obs.present.tolist() == [True, False, True]
         assert not obs.present.flags.writeable
-
-
-def test_series_column_is_a_read_only_view():
-    s = SignalSeries(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    col = s.column(1)
-    assert np.shares_memory(col, s.values) and not col.flags.writeable
-    with pytest.raises(ValueError):
-        s.column(-1)
 
 
 def test_observation_dense_masks_absent():
