@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphfill.graphs import Graph, eigendecompose, laplacian
+from graphfill.harness import CausalSignalView
 from graphfill.signals import (
     MaskSpec,
     Observation,
@@ -41,6 +42,14 @@ def test_series_rejects_non_finite():
 def test_series_rejects_wrong_rank():
     with pytest.raises(ValueError):
         SignalSeries(np.zeros(4))
+
+
+def test_series_column_out_of_range():
+    # The causal view is the one reader of a truth column; past the last step it refuses.
+    view = CausalSignalView(SignalSeries(np.ones((2, 3))))
+    view.advance(3)
+    with pytest.raises(ValueError, match=r"time index 3 outside \[0, 3\)"):
+        view.column(3)
 
 
 def test_series_values_read_only():
@@ -148,6 +157,13 @@ def test_apply_mask_hides_node_at_every_step():
         obs = observation_from_column(s.values[:, t], mask, t)
         assert not obs.present[0]
         assert obs.data[0] == 0.0
+
+
+def test_apply_mask_t_out_of_range():
+    view = CausalSignalView(SignalSeries(np.ones((2, 2))))
+    view.advance(2)
+    with pytest.raises(ValueError, match=r"time index 2 outside \[0, 2\)"):
+        view.column(2)
 
 
 def test_observation_rejects_non_finite_present_value():
