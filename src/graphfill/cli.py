@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .backends import (
     BACKEND_KINDS,
+    DEFAULT_ENDPOINT,
     BackendConfig,
     BackendError,
     RecordingBackend,
@@ -87,7 +88,7 @@ def _add_backend_options(p: _Parser) -> None:
     p.add_argument("--model", default="gpt-3.5-turbo", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--max-tokens", type=_positive_int, default=16)
-    p.add_argument("--endpoint", default=None, help="chat-completions URL for the remote backend")
+    p.add_argument("--endpoint", default=DEFAULT_ENDPOINT, help="chat-completions URL for the remote backend")
     p.add_argument("--credential-env", default="OPENAI_API_KEY",
                    help="environment variable holding the API key (default OPENAI_API_KEY)")
     p.add_argument("--template", default=None, help="prompt template file (default: built-in)")
@@ -163,15 +164,12 @@ def build_parser() -> _Parser:
 def _build_backend(args):
     """Backend construction; remote credentials are checked here, first."""
     kind = "mock" if args.predictor == "mock" else args.backend
-    extra = {}
-    if args.endpoint:
-        extra["endpoint"] = args.endpoint
     cfg = BackendConfig(
         kind=kind,
+        endpoint=args.endpoint,
         credential_env=args.credential_env,
         mock_alpha=args.mock_alpha,
         replay_path=args.replay_file,
-        **extra,
     )
     backend = make_backend(cfg)
     if args.command == "replay-record":
@@ -209,9 +207,8 @@ def _write_mse_curve(curves, path: Path) -> None:
 
 def _write_svg(name: str, curves, path: Path) -> None:
     """Minimal standalone line chart of the missing-node error per step."""
-    from xml.sax.saxutils import escape  # imported on use: it loads urllib.request and ssl
-
     steps, _, curve = curves
+    title = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     width, height, pad = 640, 400, 48
     top = max(float(np.max(curve)), 1e-12)
     xs = pad + (width - 2 * pad) * steps / max(len(steps) - 1, 1)
@@ -229,13 +226,25 @@ def _write_svg(name: str, curves, path: Path) -> None:
         f'font-size="13">time step (0..{len(steps) - 1})</text>',
         f'<text x="14" y="{height // 2}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 14 {height // 2})">missing-node MSE (peak {top:.4g})</text>',
-        f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">{escape(name)}</text>',
+        f'<text x="{width // 2}" y="24" text-anchor="middle" font-size="14">{title}</text>',
         "</svg>",
     ]
     path.write_text("\n".join(svg) + "\n", encoding="utf-8")
 
 
+def _check_output(flag: str, path: str, directory: bool) -> None:
+    """Refuse, before any work is done, an output path that names or lies below a file of the wrong kind."""
+    if not directory and Path(path).is_dir():
+        raise UsageError(f"{flag} must be a file, but {path!r} is a directory")
+    folder = Path(path) if directory else Path(path).parent
+    existing = next(p for p in (folder, *folder.parents) if os.path.lexists(p))
+    if not existing.is_dir():  # the folder itself, or the nearest of its parents that exists
+        rule = "must be a directory" if directory else f"{path!r} must be in a directory"
+        raise UsageError(f"{flag} {rule}, but {str(existing)!r} exists and is not one")
+
+
 def cmd_synth(args) -> int:
+    _check_output("--out", args.out, directory=True)
     rng = np.random.default_rng(args.seed)
     coords = rng.random((args.nodes, 2))
     g = knn_graph(coords, args.knn, weight_mode="gaussian")
@@ -249,12 +258,13 @@ def cmd_synth(args) -> int:
         seed=args.seed + 1,
         units=args.units,
     )
-    manifest = save_bundle(args.out, g, series, units=args.units)
+    manifest = save_bundle(args.out, g, series)
     print(f"wrote bundle: {manifest} ({args.nodes} nodes, {args.steps} steps, F={bandwidth})")
     return 0
 
 
 def cmd_mask(args) -> int:
+    _check_output("--out", args.out, directory=False)
     if args.manifest:
         g, _, _ = load_bundle(args.manifest)
         n = g.num_nodes
@@ -274,11 +284,7 @@ def cmd_run(args) -> int:
     if args.name is not None and (args.name in ("", ".", "..") or "/" in args.name or os.sep in args.name
                                   or any("\ud800" <= c <= "\udfff" for c in args.name)):
         raise UsageError(f"--name must be a plain file name, got {args.name!r}")
-    existing = next(path for path in (Path(args.out), *Path(args.out).parents) if os.path.lexists(path))
-    if not existing.is_dir():  # --out itself, or the nearest of its parents that exists
-        raise UsageError(f"--out must be a directory, but {str(existing)!r} exists and is not one")
-    if args.command == "replay-record" and os.path.isdir(args.replay_out):
-        raise UsageError(f"--replay-out must be a file, but {args.replay_out!r} is a directory")
+    _check_output("--out", args.out, directory=True)
     # Backend and template come next, after the output paths: a missing credential, broken replay
     # file or bad template must surface before any data is loaded or decomposed or a request is made.
     prepared = None
@@ -319,6 +325,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.csv:
+        _check_output("--csv", args.csv, directory=False)
     results = [RunResult.load(p) for p in args.results]
     table = compare(results)
     sys.stdout.write(table.to_text())
@@ -334,6 +342,7 @@ def cmd_replay_record(args) -> int:
         raise UsageError("replay-record only makes sense with --predictor llm (or mock for drills)")
     if args.predictor == "llm":
         args.backend = "remote"
+    _check_output("--replay-out", args.replay_out, directory=False)
     status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")
     return status

@@ -2,18 +2,8 @@
 
 The manifest is a flat key=value text file living next to (or pointing at)
 the data it describes. Relative paths are resolved against the manifest's
-own directory, so a bundle can be moved as a unit.
-
-Recognized keys:
-
-    signal        path to the signal CSV (required)
-    edges         path to an edge list file
-    coordinates   path to a node-coordinate CSV (alternative to edges)
-    knn_k         neighbor count for graph construction from coordinates
-    knn_weights   'unit' or 'gaussian' (default unit)
-    units         unit label attached to the series (default empty)
-    expected_nodes / expected_steps   hard dimension checks
-    paper_dataset true/false; true pins dimensions to 197 nodes x 95 steps
+own directory, so a bundle can be moved as a unit. ``_KEYS`` is the format:
+each key that may appear, and the reader of its value.
 
 Exactly one of ``edges`` / ``coordinates`` must be present. The whole
 manifest is checked before the signal, and then the graph, is read.
@@ -41,22 +31,6 @@ __all__ = [
 PAPER_NODES = 197
 PAPER_STEPS = 95
 
-_KNOWN_KEYS = frozenset(
-    {
-        "signal",
-        "edges",
-        "coordinates",
-        "knn_k",
-        "knn_weights",
-        "units",
-        "expected_nodes",
-        "expected_steps",
-        "paper_dataset",
-    }
-)
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
 
 class DatasetError(ValueError):
     """Manifest or bundle content violates the format."""
@@ -68,25 +42,52 @@ class LoadedBundle(NamedTuple):
     units: str
 
 
-def _parse_int(raw: str, key: str, line_no: int) -> int:
+def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise DatasetError(f"manifest line {line_no}: {key} must be an integer, got {raw!r}") from None
+        raise ValueError(f"must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise DatasetError(f"manifest line {line_no}: {key} must be positive, got {value}")
+        raise ValueError(f"must be positive, got {value}")
     return value
 
 
-def _read_manifest(path: Path) -> tuple[dict[str, str], dict[str, int]]:
-    """The ``key = value`` pass: each key's value and its line number.
+def _weight_mode(raw: str) -> str:
+    if raw not in ("unit", "gaussian"):
+        raise ValueError("must be 'unit' or 'gaussian'")
+    return raw
 
-    Unknown or duplicate keys are errors; silent typo tolerance would make a
-    bundle load with the wrong graph.
+
+def _true_false(raw: str) -> bool:
+    word = raw.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError("must be true or false")
+    return word in ("true", "yes", "1")
+
+
+# Every key a manifest may hold and the reader of its value, whose ValueError says what it must be.
+_KEYS = {
+    "signal": str,  # signal CSV, required
+    "edges": str,  # edge list file
+    "coordinates": str,  # node-coordinate CSV, the alternative to edges
+    "knn_k": _positive_int,  # neighbor count for the graph built from coordinates
+    "knn_weights": _weight_mode,  # default unit
+    "units": str,  # unit label attached to the series, default empty
+    "expected_nodes": _positive_int,
+    "expected_steps": _positive_int,
+    "paper_dataset": _true_false,  # true pins the dimensions to PAPER_NODES x PAPER_STEPS
+}
+
+
+def _read_manifest(path: Path) -> tuple[dict, dict[str, int]]:
+    """The ``key = value`` pass: each key's read value and its line number.
+
+    Unknown or duplicate keys and bad values are errors naming the first faulty
+    line; silent typo tolerance would make a bundle load with the wrong graph.
     """
     if not path.is_file():
         raise DatasetError(f"manifest not found: {path}")
-    seen: dict[str, str] = {}
+    seen: dict = {}
     lines: dict[str, int] = {}
     for line_no, raw in enumerate(read_text(path, DatasetError).splitlines(), start=1):
         line = raw.strip()
@@ -97,13 +98,16 @@ def _read_manifest(path: Path) -> tuple[dict[str, str], dict[str, int]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise DatasetError(f"manifest line {line_no}: unknown key {key!r}")
         if key in seen:
             raise DatasetError(f"manifest line {line_no}: duplicate key {key!r}")
         if not value:
             raise DatasetError(f"manifest line {line_no}: key {key!r} has no value")
-        seen[key] = value
+        try:
+            seen[key] = _KEYS[key](value)
+        except ValueError as exc:
+            raise DatasetError(f"manifest line {line_no}: {key} {exc}") from None
         lines[key] = line_no
     return seen, lines
 
@@ -122,91 +126,43 @@ def load_bundle(manifest_path: str | Path) -> LoadedBundle:
     seen, lines = _read_manifest(path)
     if "signal" not in seen:
         raise DatasetError(f"manifest {path}: missing required key 'signal'")
-    has_edges = "edges" in seen
-    has_coords = "coordinates" in seen
-    if has_edges == has_coords:
+    if ("edges" in seen) == ("coordinates" in seen):
         raise DatasetError(f"manifest {path}: exactly one of 'edges' or 'coordinates' is required")
-    if has_coords and "knn_k" not in seen:
+    if "coordinates" in seen and "knn_k" not in seen:
         raise DatasetError(f"manifest {path}: 'coordinates' requires 'knn_k'")
-    if has_edges:
-        for key in ("knn_k", "knn_weights"):
-            if key in seen:
+    for key in ("knn_k", "knn_weights"):
+        if "edges" in seen and key in seen:
+            raise DatasetError(f"manifest line {lines[key]}: {key!r} only applies to coordinate bundles")
+    if seen.get("paper_dataset", False):
+        for key, pinned in (("expected_nodes", PAPER_NODES), ("expected_steps", PAPER_STEPS)):
+            if seen.setdefault(key, pinned) != pinned:
                 raise DatasetError(
-                    f"manifest line {lines[key]}: {key!r} only applies to coordinate bundles"
+                    f"manifest {path}: paper_dataset pins {key} to {pinned}, manifest says {seen[key]}"
                 )
 
-    knn_weights = seen.get("knn_weights", "unit")
-    if knn_weights not in ("unit", "gaussian"):
-        raise DatasetError(
-            f"manifest line {lines['knn_weights']}: knn_weights must be 'unit' or 'gaussian'"
-        )
+    def data_file(key: str, what: str) -> Path:
+        file = path.parent / seen[key]
+        if not file.is_file():
+            raise DatasetError(f"{what} not found: {file}")
+        return file
 
-    paper = False
-    if "paper_dataset" in seen:
-        word = seen["paper_dataset"].lower()
-        if word not in _BOOL_WORDS:
-            raise DatasetError(
-                f"manifest line {lines['paper_dataset']}: paper_dataset must be true or false"
-            )
-        paper = _BOOL_WORDS[word]
-
-    expected_nodes = (
-        _parse_int(seen["expected_nodes"], "expected_nodes", lines["expected_nodes"])
-        if "expected_nodes" in seen
-        else None
-    )
-    expected_steps = (
-        _parse_int(seen["expected_steps"], "expected_steps", lines["expected_steps"])
-        if "expected_steps" in seen
-        else None
-    )
-    if paper:
-        if expected_nodes is not None and expected_nodes != PAPER_NODES:
-            raise DatasetError(
-                f"manifest {path}: paper_dataset pins expected_nodes to {PAPER_NODES}, "
-                f"manifest says {expected_nodes}"
-            )
-        if expected_steps is not None and expected_steps != PAPER_STEPS:
-            raise DatasetError(
-                f"manifest {path}: paper_dataset pins expected_steps to {PAPER_STEPS}, "
-                f"manifest says {expected_steps}"
-            )
-        expected_nodes = PAPER_NODES
-        expected_steps = PAPER_STEPS
-    knn_k = _parse_int(seen["knn_k"], "knn_k", lines["knn_k"]) if has_coords else None
-
-    base = path.parent
-    signal_path = base / seen["signal"]
     units = seen.get("units", "")
     try:
-        if not signal_path.is_file():
-            raise DatasetError(f"signal file not found: {signal_path}")
-        series = read_signal_csv(signal_path, units=units)
+        series = read_signal_csv(data_file("signal", "signal file"), units=units)
         n = series.num_nodes
-        if expected_nodes is not None and n != expected_nodes:
+        if n != seen.get("expected_nodes", n):
+            raise DatasetError(f"bundle {path}: signal has {n} rows, expected {seen['expected_nodes']} nodes")
+        if series.num_steps != seen.get("expected_steps", series.num_steps):
             raise DatasetError(
-                f"bundle {path}: signal has {n} rows, expected {expected_nodes} nodes"
+                f"bundle {path}: signal has {series.num_steps} columns, expected {seen['expected_steps']} steps"
             )
-        if expected_steps is not None and series.num_steps != expected_steps:
-            raise DatasetError(
-                f"bundle {path}: signal has {series.num_steps} columns, "
-                f"expected {expected_steps} steps"
-            )
-        if has_edges:
-            edges_path = base / seen["edges"]
-            if not edges_path.is_file():
-                raise DatasetError(f"edge list not found: {edges_path}")
-            graph = read_edge_list(edges_path, n)
+        if "edges" in seen:
+            graph = read_edge_list(data_file("edges", "edge list"), n)
         else:
-            coordinates_path = base / seen["coordinates"]
-            if not coordinates_path.is_file():
-                raise DatasetError(f"coordinate file not found: {coordinates_path}")
-            coords = read_coordinates(coordinates_path)
+            coords = read_coordinates(data_file("coordinates", "coordinate file"))
             if coords.shape[0] != n:
-                raise DatasetError(
-                    f"bundle {path}: {coords.shape[0]} coordinate rows for {n} signal rows"
-                )
-            graph = knn_graph(coords, knn_k, weight_mode=knn_weights)
+                raise DatasetError(f"bundle {path}: {coords.shape[0]} coordinate rows for {n} signal rows")
+            graph = knn_graph(coords, seen["knn_k"], weight_mode=seen.get("knn_weights", "unit"))
     except DatasetError:
         raise
     except ValueError as exc:  # a reader's message names its file
@@ -214,14 +170,16 @@ def load_bundle(manifest_path: str | Path) -> LoadedBundle:
     return LoadedBundle(graph=graph, series=series, units=units)
 
 
-def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries, units: str = "") -> Path:
+def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries) -> Path:
     """Write edges, signal and ``manifest.txt`` into a directory; returns the manifest path.
 
     Paired with load_bundle this round-trips exactly: values are written as
-    shortest exact decimal text. A units label the manifest cannot hold (a line
-    break, leading or trailing whitespace, a surrogate UTF-8 cannot encode) and
-    a graph and series of different sizes are refused before anything is written.
+    shortest exact decimal text and ``series.units`` as the units line. A units
+    label the manifest cannot hold (a line break, leading or trailing whitespace,
+    a surrogate UTF-8 cannot encode) and a graph and series of different sizes
+    are refused before anything is written.
     """
+    units = series.units
     if units != units.strip() or len(units.splitlines()) > 1 or any("\ud800" <= c <= "\udfff" for c in units):
         raise DatasetError(f"units label {units!r} would not read back from the manifest unchanged")
     if graph.num_nodes != series.num_nodes:

@@ -380,6 +380,45 @@ def test_usage_error_replay_out_that_is_a_directory(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == [replay] and list(replay.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/r.jsonl", "--out", "out"],
+    ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/new/r.jsonl", "--out", "out"],
+    ["mask", "--manifest", TOY, "--out", "o1/m.txt"],
+    ["mask", "--nodes", "3", "--out", "d1"],
+    ["mask", "--nodes", "3", "--out", ""],
+    ["synth", "--nodes", "5", "--steps", "3", "--out", "o1/b"],
+    ["synth", "--nodes", "5", "--steps", "3", "--out", "o1"],
+    ["compare", "r.json", "--csv", "o1/t.csv"],
+    ["compare", "r.json", "--csv", "d1"],
+])
+def test_usage_error_output_path_that_cannot_be_written(tmp_path, monkeypatch, capsys, argv):
+    # o1 is a file and d1 a directory: each refusal names its flag and path, before any work.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_online", never_run)
+    monkeypatch.setattr(cli, "load_bundle", never_run)
+    monkeypatch.setattr(cli, "synth_bandlimited", never_run)
+    monkeypatch.setattr(RunResult, "load", never_run)
+    (tmp_path / "o1").write_text("")
+    (tmp_path / "d1").mkdir()
+    flag = next(arg for arg in argv if arg in ("--replay-out", "--out", "--csv"))
+    path = argv[argv.index(flag) + 1]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(flag) and (repr(path) in err or "'o1' exists and is not one" in err)
+    assert sorted(os.listdir(tmp_path)) == ["d1", "o1"] and os.listdir("d1") == []
+
+
+def test_remote_backend_with_an_empty_endpoint_sends_nothing(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(backends, "_urllib_transport", lambda *args: calls.append(args))
+    monkeypatch.setenv("GRAPHFILL_TEST_KEY", "k")
+    code = run_cli("run", "--manifest", TOY, "--predictor", "llm", "--backend", "remote", "--endpoint", "",
+                   "--credential-env", "GRAPHFILL_TEST_KEY", "--runs", "1", "--out", str(tmp_path / "out"))
+    assert code != 0
+    assert "endpoint" in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_replay_record_without_a_credential_leaves_no_directory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_online", never_run)
     monkeypatch.delenv("GRAPHFILL_UNSET_KEY", raising=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphfill.datasets import (
+    _KEYS,
     DatasetError,
     PAPER_NODES,
     PAPER_STEPS,
@@ -168,18 +169,25 @@ def test_save_load_round_trip(tmp_path):
     g = Graph(3, [(0, 1, 0.125), (1, 2, 2.5)])
     values = np.array([[0.1, 1.0 / 3.0, -2.0], [4.0, 5.5, 6.25], [7.0, 8.0, 9.0]])
     series = SignalSeries(values, units="m/s")
-    manifest = save_bundle(tmp_path / "bundle", g, series, units="m/s")
+    manifest = save_bundle(tmp_path / "bundle", g, series)
     graph, back, units = load_bundle(manifest)
     assert graph == g
     assert np.array_equal(back.values, values)
     assert units == "m/s"
 
 
+def test_save_bundle_writes_the_units_of_its_series(tmp_path):
+    manifest = save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), SignalSeries(np.ones((2, 3)), units="°C"))
+    assert "units = °C\n" in manifest.read_text(encoding="utf-8")
+    _, series, units = load_bundle(manifest)
+    assert units == series.units == "°C"
+
+
 @pytest.mark.parametrize("units", ["m\ns", "m\r", "a\x1cb", " m/s", "m/s ", "\udcff", "m\ud83d\ude00"])
 def test_save_bundle_refuses_units_the_manifest_cannot_hold(tmp_path, units):
-    series = SignalSeries(np.ones((2, 2)))
+    series = SignalSeries(np.ones((2, 2)), units=units)
     with pytest.raises(DatasetError, match=re.escape(repr(units))):
-        save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), series, units=units)
+        save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), series)
     assert not (tmp_path / "bundle").exists()
 
 
@@ -222,3 +230,57 @@ def test_file_that_is_not_utf8_is_a_load_error_naming_it(tmp_path, name):
     with pytest.raises(DatasetError) as caught:
         load_bundle(manifest)
     assert str(caught.value).startswith(f"{tmp_path / name}: 'utf-8' codec can't decode byte 0xff")
+
+
+COORDINATES = "signal = signal.csv\ncoordinates = coords.csv\n"
+
+
+# One bad value for each reader in the manifest's key table, each the only fault of its manifest.
+@pytest.mark.parametrize("manifest_text, message", [
+    (COORDINATES + "knn_k = zero\n", "manifest line 3: knn_k must be an integer, got 'zero'"),
+    (COORDINATES + "knn_k = 0\n", "manifest line 3: knn_k must be positive, got 0"),
+    ("signal = signal.csv\nedges = edges.txt\nexpected_nodes = 2.0\n",
+     "manifest line 3: expected_nodes must be an integer, got '2.0'"),
+    ("expected_steps = -2\nsignal = signal.csv\nedges = edges.txt\n",
+     "manifest line 1: expected_steps must be positive, got -2"),
+    (COORDINATES + "knn_k = 1\nknn_weights = Gaussian\n",
+     "manifest line 4: knn_weights must be 'unit' or 'gaussian'"),
+    ("signal = signal.csv\nedges = edges.txt\npaper_dataset = maybe\n",
+     "manifest line 3: paper_dataset must be true or false"),
+    ("signal = signal.csv\nedges = edges.txt\n\nunits =\n", "manifest line 4: key 'units' has no value"),
+])
+def test_a_bad_value_is_reported_by_its_line(tmp_path, manifest_text, message):
+    manifest = write_bundle(tmp_path, manifest_text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_bundle(manifest)
+
+
+@pytest.mark.parametrize("manifest_text, message", [
+    ("edges = e.txt\nknn_k = zero\n", "manifest line 2: knn_k must be an integer, got 'zero'"),
+    ("signal = signal.csv\nedges = edges.txt\nknn_weights = foo\n",
+     "manifest line 3: knn_weights must be 'unit' or 'gaussian'"),
+])
+def test_a_bad_value_is_reported_before_a_rule_between_keys(tmp_path, manifest_text, message):
+    # Without the bad value these manifests fail a rule between keys: no signal, and
+    # knn_weights on an edge bundle. A value fault is found first, as its line is read.
+    manifest = write_bundle(tmp_path, manifest_text)
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_bundle(manifest)
+
+
+@pytest.mark.parametrize("pins, message", [
+    ("expected_nodes = 5\n", f"paper_dataset pins expected_nodes to {PAPER_NODES}, manifest says 5"),
+    (f"expected_nodes = {PAPER_NODES}\nexpected_steps = 9\n",
+     f"paper_dataset pins expected_steps to {PAPER_STEPS}, manifest says 9"),
+])
+def test_paper_flag_refuses_other_expected_dimensions(tmp_path, pins, message):
+    manifest = write_bundle(tmp_path, "signal = signal.csv\nedges = edges.txt\npaper_dataset = yes\n" + pins)
+    with pytest.raises(DatasetError, match=f"^manifest {re.escape(str(manifest))}: {message}$"):
+        load_bundle(manifest)
+
+
+def test_readme_bundle_table_lists_exactly_the_manifest_keys():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Dataset bundles", 1)[1].split("| key ", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` ", table, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(_KEYS) and len(keys) == len(set(keys))
