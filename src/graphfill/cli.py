@@ -233,7 +233,9 @@ def _write_svg(name: str, curves, path: Path) -> None:
 
 
 def _check_output(flag: str, path: str, directory: bool) -> None:
-    """Refuse, before any work is done, an output path that names or lies below a file of the wrong kind."""
+    """Refuse, before any work is done, an empty output path or one naming or below a file of the wrong kind."""
+    if not path:
+        raise UsageError(f"{flag} must name a path, but got {path!r}")
     if not directory and Path(path).is_dir():
         raise UsageError(f"{flag} must be a file, but {path!r} is a directory")
     folder = Path(path) if directory else Path(path).parent
@@ -325,12 +327,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.csv:
+    if args.csv is not None:
         _check_output("--csv", args.csv, directory=False)
     results = [RunResult.load(p) for p in args.results]
     table = compare(results)
     sys.stdout.write(table.to_text())
-    if args.csv:
+    if args.csv is not None:
         Path(args.csv).parent.mkdir(parents=True, exist_ok=True)
         table.save_csv(args.csv)
         print(f"table written to {args.csv}")

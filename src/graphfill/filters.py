@@ -8,11 +8,14 @@ N x F block of the first F Laplacian eigenvectors, passed as a plain array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import Graph, eigendecompose, laplacian
-from .signals import Observation
+
+if TYPE_CHECKING:  # signals takes its basis from graph_spectrum
+    from .signals import Observation
 
 __all__ = [
     "FilterConfig",

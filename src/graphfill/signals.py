@@ -14,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from ._format import format_value, read_text
-from .graphs import Graph, eigendecompose, laplacian
+from .filters import graph_spectrum
+from .graphs import Graph
 
 __all__ = [
     "SignalSeries",
@@ -89,10 +90,6 @@ class SamplingMask:
         return self.observed.shape[0]
 
     @property
-    def num_observed(self) -> int:
-        return self.num_nodes - self.num_missing
-
-    @property
     def num_missing(self) -> int:
         return self.missing.shape[0]
 
@@ -107,34 +104,17 @@ class SamplingMask:
 
 
 class Observation:
-    """One time step of masked node values, as two read-only arrays.
+    """One time step of masked node values: a plain record, compared by identity.
 
     ``present`` marks the observed nodes and is the only marker of absence.
     ``data`` holds the observed values there and 0.0 at every absent node,
-    so it never carries a hidden value. This constructor, for library callers,
-    checks the time index, the shapes and every observed entry (the loop's
-    :func:`observation_from_column` checks only the shapes); a read-only bool
-    array that owns its memory, such as ``SamplingMask.observed``, is shared
-    as ``present`` rather than copied.
+    so it never carries a hidden value. :func:`observation_from_column` is
+    the one maker; both arrays are read-only.
     """
 
     __slots__ = ("time_index", "data", "present")
 
-    def __init__(self, time_index: int, data: Sequence[float], present: Sequence[bool]):
-        time_index = int(time_index)
-        if time_index < 0:
-            raise ValueError(f"time index must be nonnegative, got {time_index}")
-        data = np.asarray(data, dtype=float)
-        if not (isinstance(present, np.ndarray) and present.dtype == bool
-                and present.base is None and not present.flags.writeable):
-            present = _readonly(np.asarray(present, dtype=bool))
-        if data.ndim != 1 or data.shape[0] < 1 or present.shape != data.shape:
-            raise ValueError(f"observation needs matching non-empty 1-D data and presence, "
-                             f"got shapes {data.shape} and {present.shape}")
-        data = np.where(present, data, 0.0)
-        if np.count_nonzero(np.isfinite(data)) != data.size:  # half the time of .all()
-            raise ValueError(f"observation entry {int(np.argmin(np.isfinite(data)))} is non-finite")
-        data.setflags(write=False)
+    def __init__(self, time_index: int, data: np.ndarray, present: np.ndarray):
         self.time_index, self.data, self.present = time_index, data, present
 
     @property
@@ -205,7 +185,7 @@ class MaskSpec:
 def observation_from_column(column: Sequence[float], mask: SamplingMask, time_index: int) -> Observation:
     """Build an observation from one signal column, hiding the masked nodes.
 
-    The loop's one maker of an observation. A :class:`SignalSeries` column is
+    The one maker of an :class:`Observation`. A :class:`SignalSeries` column is
     finite and ``mask.observed`` a read-only bool array, each checked where it
     was made, so only the shapes are checked here (``time_index`` is a
     nonnegative int). ``data`` has the bits of ``np.where(mask.observed,
@@ -217,9 +197,7 @@ def observation_from_column(column: Sequence[float], mask: SamplingMask, time_in
                          f"got shapes {data.shape} and {mask.observed.shape}")
     data[mask.missing] = 0.0
     data.setflags(write=False)
-    obs = Observation.__new__(Observation)
-    obs.time_index, obs.data, obs.present = time_index, data, mask.observed
-    return obs
+    return Observation(time_index, data, mask.observed)
 
 
 def synth_bandlimited(
@@ -254,7 +232,7 @@ def synth_bandlimited(
         raise ValueError("t_len must be at least 1")
     seed = _seed(seed)
 
-    low_band = eigendecompose(laplacian(g))[1][:, :bandwidth]
+    low_band = graph_spectrum(g)[1][:, :bandwidth]
     rng = np.random.default_rng(seed)
     coeffs = np.empty((bandwidth, t_len))
     current = rng.standard_normal(bandwidth)

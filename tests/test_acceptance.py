@@ -147,7 +147,7 @@ def test_criterion_04_gsign_update_norm_bounded():
                 mu = float(rng.uniform(0.01, 2.0))
                 new = filter_step("gsign", estimate, obs, basis, mu)
                 delta = float(np.linalg.norm(new - estimate))
-                assert delta <= mu * np.sqrt(mask.num_observed) + 1e-9
+                assert delta <= mu * np.sqrt(mask.num_nodes - mask.num_missing) + 1e-9
                 estimate = new
                 steps += 1
 

@@ -383,13 +383,17 @@ def test_usage_error_replay_out_that_is_a_directory(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("argv", [
     ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/r.jsonl", "--out", "out"],
     ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/new/r.jsonl", "--out", "out"],
+    ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "", "--out", "out"],
     ["mask", "--manifest", TOY, "--out", "o1/m.txt"],
     ["mask", "--nodes", "3", "--out", "d1"],
     ["mask", "--nodes", "3", "--out", ""],
     ["synth", "--nodes", "5", "--steps", "3", "--out", "o1/b"],
     ["synth", "--nodes", "5", "--steps", "3", "--out", "o1"],
+    ["synth", "--nodes", "5", "--steps", "3", "--out", ""],
+    ["run", "--manifest", TOY, "--predictor", "zero", "--out", ""],
     ["compare", "r.json", "--csv", "o1/t.csv"],
     ["compare", "r.json", "--csv", "d1"],
+    ["compare", "r.json", "--csv", ""],
 ])
 def test_usage_error_output_path_that_cannot_be_written(tmp_path, monkeypatch, capsys, argv):
     # o1 is a file and d1 a directory: each refusal names its flag and path, before any work.

@@ -171,7 +171,7 @@ def test_save_load_round_trip(tmp_path):
     series = SignalSeries(values, units="m/s")
     manifest = save_bundle(tmp_path / "bundle", g, series)
     graph, back, units = load_bundle(manifest)
-    assert graph == g
+    assert (graph.num_nodes, graph.edges) == (g.num_nodes, g.edges)
     assert np.array_equal(back.values, values)
     assert units == "m/s"
 

@@ -30,7 +30,7 @@ def path3():
 def test_graph_basic_counts():
     g = triangle()
     assert g.num_nodes == 3
-    assert g.num_edges == 3
+    assert len(g.edges) == 3
     assert len(g.neighbors(1)) == 2
     assert 0 in g.neighbors(2)
     assert g.edges[0] == (0, 1, 1.0)
@@ -70,7 +70,8 @@ def test_graph_keeps_integral_floats_and_numpy_ids():
     g = Graph(3, [(2.0, np.int64(1)), (np.int32(0), np.float64(2.0), np.float32(0.5))])
     assert g.edges == ((0, 2, 0.5), (1, 2, 1.0))
     assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
-    assert g == Graph(3, [(1, 2), (0, 2, 0.5)])
+    same = Graph(3, [(1, 2), (0, 2, 0.5)])
+    assert (g.num_nodes, g.edges) == (same.num_nodes, same.edges)
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -304,7 +305,8 @@ def test_edge_list_round_trip(tmp_path):
     g = Graph(4, [(0, 1, 0.25), (1, 2), (2, 3, 1.75)])
     path = tmp_path / "edges.txt"
     write_edge_list(g, path)
-    assert read_edge_list(path, num_nodes=4) == g
+    back = read_edge_list(path, num_nodes=4)
+    assert (back.num_nodes, back.edges) == (g.num_nodes, g.edges)
 
 
 def test_edge_list_comments_and_blanks(tmp_path):

@@ -32,7 +32,7 @@ from graphfill.harness import (
     run_online,
     signal_sha256,
 )
-from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask
+from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask, observation_from_column
 
 
 def path3():
@@ -247,7 +247,9 @@ class RequestKeepingMock(MockBackend):
     lambda: SignalSeries(np.ones((3, 2))),
     lambda: SamplingMask([True, False, True]),
     lambda: run_online(ZeroPredictor(), path3(), SignalSeries(np.ones((3, 2))), MaskSpec(fraction=0.4, seed=0)),
-], ids=["SignalSeries", "SamplingMask", "RunResult"])
+    path3,
+    lambda: observation_from_column(np.ones(3), SamplingMask([True, False, True]), 0),
+], ids=["SignalSeries", "SamplingMask", "RunResult", "Graph", "Observation"])
 def test_array_holders_compare_by_identity_and_hash(make):
     # A generated == would compare arrays, whose truth value is ambiguous, and arrays do not hash.
     a, b = make(), make()

@@ -18,7 +18,7 @@ from graphfill.messenger import (
     parse_response,
     render_prompt,
 )
-from graphfill.signals import Observation
+from graphfill.signals import SamplingMask, observation_from_column
 
 CORPUS = Path(__file__).parent / "data" / "parser_corpus.json"
 
@@ -29,7 +29,8 @@ def path3():
 
 def obs_of(t, values):
     """Observation at step ``t``; None marks an absent node."""
-    return Observation(t, [0.0 if v is None else v for v in values], [v is not None for v in values])
+    present = [v is not None for v in values]
+    return observation_from_column([0.0 if v is None else v for v in values], SamplingMask(present), t)
 
 
 def star4():
@@ -338,6 +339,6 @@ def test_fallback_always_finite():
     for _ in range(50):
         history = rng.standard_normal(rng.integers(0, 4))
         present = rng.random(4) < 0.5
-        obs = Observation(0, rng.standard_normal(4), present)
+        obs = observation_from_column(rng.standard_normal(4), SamplingMask(present), 0)
         value = fallback_value(int(rng.integers(0, 4)), history, obs, g)
         assert np.isfinite(value)

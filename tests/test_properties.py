@@ -47,7 +47,6 @@ from graphfill.messenger import (
 )
 from graphfill.signals import (
     MaskSpec,
-    Observation,
     SamplingMask,
     SignalSeries,
     observation_from_column,
@@ -412,7 +411,7 @@ def gsign_steps(draw):
     data = draw(st.lists(finite, min_size=n, max_size=n))
     estimate = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
     mu = draw(st.floats(1e-3, 10.0))
-    return g, draw(st.integers(1, n)), Observation(0, data, present), estimate, mu
+    return g, draw(st.integers(1, n)), observation_from_column(data, SamplingMask(present), 0), estimate, mu
 
 
 @settings(deadline=None, max_examples=200)
@@ -467,7 +466,7 @@ def assert_same_knn(coords, k, weight_mode):
             return
         raise AssertionError("the former build refused these points, the new one did not")
     got = knn_graph(coords, k, weight_mode)
-    assert got == expect
+    assert (got.num_nodes, got.edges) == (expect.num_nodes, expect.edges)
     assert got.canonical_text() == expect.canonical_text()
 
 
@@ -642,7 +641,7 @@ def test_graph_matches_the_former_per_edge_build(case):
     got = Graph(n, specs)
     assert repr(got.edges) == repr(want.edges)
     assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
-    assert got == want and want == got and hash(got) == hash(want)
+    assert (got.num_nodes, got.edges) == (want.num_nodes, want.edges)
 
 
 @st.composite
@@ -1081,7 +1080,7 @@ def messenger_steps(draw):
         present[0] = False
     data = draw(st.lists(task_values, min_size=n, max_size=n))
     t = draw(st.integers(0, 500))
-    obs = Observation(t, [x if p else 0.0 for x, p in zip(data, present)], present)
+    obs = observation_from_column([x if p else 0.0 for x, p in zip(data, present)], SamplingMask(present), t)
     prev = draw(st.none() | st.lists(task_values, min_size=n, max_size=n).map(np.array))
     mode = draw(st.sampled_from(["observed-only", "observed-plus-stale"]))
     units = draw(st.sampled_from(["", "m/s"]))

@@ -7,7 +7,6 @@ from graphfill.graphs import Graph, eigendecompose, laplacian
 from graphfill.harness import CausalSignalView
 from graphfill.signals import (
     MaskSpec,
-    Observation,
     SamplingMask,
     SignalSeries,
     generate_mask,
@@ -166,34 +165,13 @@ def test_apply_mask_t_out_of_range():
         view.column(2)
 
 
-def test_observation_rejects_non_finite_present_value():
-    with pytest.raises(ValueError):
-        Observation(0, [1.0, float("inf")], [True, True])
-    with pytest.raises(ValueError):
-        Observation(0, [1.0, float("nan")], [True, True])
-
-
-def test_observation_shares_only_a_read_only_mask_that_owns_its_memory():
-    mask = SamplingMask(np.array([True, False, True]))
-    assert observation_from_column(np.ones(3), mask, 0).present is mask.observed
-    flags = np.array([True, False, True])
-    view = flags.view()
-    view.setflags(write=False)  # read-only, but its owner can still change it
-    kept = [Observation(0, np.ones(3), present) for present in (flags, view, flags.tolist())]
-    flags[:] = False
-    for obs in kept:
-        assert obs.present.tolist() == [True, False, True]
-        assert not obs.present.flags.writeable
-
-
 def test_observation_dense_masks_absent():
     # an absent node's input value never reaches ``data``, finite or not
-    obs = Observation(0, [1.5, 7.0], [True, False])
+    mask = SamplingMask(np.array([True, False]))
+    obs = observation_from_column([1.5, 7.0], mask, 0)
     assert np.array_equal(obs.data, [1.5, 0.0])
-    assert np.array_equal(obs.present, [True, False])
-    assert np.array_equal(Observation(0, [1.5, np.nan], [True, False]).data, [1.5, 0.0])
-    with pytest.raises(ValueError):
-        Observation(-1, [1.5], [True])
+    assert obs.present is mask.observed and not obs.data.flags.writeable
+    assert np.array_equal(observation_from_column([1.5, np.nan], mask, 0).data, [1.5, 0.0])
 
 
 def test_observation_from_column_checks_shape():
@@ -319,7 +297,7 @@ def test_mask_missing_is_a_read_only_intp_index():
     assert mask.missing.dtype == np.intp
     assert not mask.missing.flags.writeable
     assert np.array_equal(mask.missing, np.flatnonzero(~mask.observed))
-    assert mask.num_missing == 7 and mask.num_observed == 13
+    assert mask.num_missing == 7 and mask.num_nodes - mask.num_missing == 13
     with pytest.raises(ValueError):
         mask.missing[0] = 1
 
