@@ -173,7 +173,6 @@ def _build_backend(args):
     )
     backend = make_backend(cfg)
     if args.command == "replay-record":
-        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
         backend = RecordingBackend(backend, args.replay_out)
     return backend
 
@@ -306,6 +305,9 @@ def cmd_run(args) -> int:
         mask = MaskSpec(fraction=args.fraction, seed=args.seed, resample=not args.fixed_mask)
     predictor = _build_predictor(args, units, prepared)
     name = args.name or predictor.name
+    if args.command == "replay-record":  # made only now, so that a refused run leaves nothing behind
+        Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.replay_out).touch()  # an existing file keeps its lines
 
     result = run_online(predictor, g, series, mask, runs=args.runs, name=name)
 

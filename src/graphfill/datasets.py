@@ -173,8 +173,8 @@ def load_bundle(manifest_path: str | Path) -> LoadedBundle:
 def save_bundle(directory: str | Path, graph: Graph, series: SignalSeries) -> Path:
     """Write edges, signal and ``manifest.txt`` into a directory; returns the manifest path.
 
-    Paired with load_bundle this round-trips exactly: values are written as
-    shortest exact decimal text and ``series.units`` as the units line. A units
+    Paired with load_bundle this round-trips bit for bit: the one numeric CSV writer writes
+    shortest exact decimal text, a -0.0 as ``-0``, and ``series.units`` is the units line. A units
     label the manifest cannot hold (a line break, leading or trailing whitespace,
     a surrogate UTF-8 cannot encode) and a graph and series of different sizes
     are refused before anything is written.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._format import format_value, read_text
+from ._format import format_value, read_number_table, read_text, write_number_table
 
 __all__ = [
     "Graph",
@@ -268,55 +267,28 @@ def write_edge_list(g: Graph, path: str | Path) -> None:
 
 
 def read_coordinates(path: str | Path) -> np.ndarray:
-    """Read a coordinates CSV ``node_id,x,y[,z...]`` (header required, BOM allowed) into N x d."""
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty coordinates file") from None
-            if not header or header[0].strip().lower() != "node_id":
-                raise ValueError(f"{path}: first column of the header must be 'node_id'")
-            dim = len(header) - 1
-            if dim < 1:
-                raise ValueError(f"{path}: header lists no coordinate columns")
-            rows: dict[int, list[float]] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != dim + 1:
-                    raise ValueError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
-                try:
-                    node = int(row[0])
-                    point = [float(cell) for cell in row[1:]]
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if node in rows:
-                    raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
-                rows[node] = point
-    except (csv.Error, UnicodeDecodeError) as exc:  # a row that csv refuses, or bytes that are not UTF-8
-        raise ValueError(f"{path}: {exc}") from None
-    n = len(rows)
-    if n == 0:
-        raise ValueError(f"{path}: no coordinate rows")
-    if sorted(rows) != list(range(n)):
-        raise ValueError(f"{path}: node ids must be exactly 0..{n - 1}")
-    coords = np.array([rows[i] for i in range(n)])
-    if not np.all(np.isfinite(coords)):
-        raise ValueError(f"{path}: coordinates must be finite")
-    return coords
+    """Read a coordinates CSV ``node_id,x,y[,z...]`` (header required) into N x d, rows in id order.
+    The ids are 0..N-1 (``1.0`` is 1), each once, in any row order; the cells follow the signal CSV's
+    rules, as ``_format.read_number_table``, the one numeric CSV reader, reads both."""
+    header, table = read_number_table(path, "coordinates")
+    if header is None or header[0].strip().lower() != "node_id" or len(header) < 2:
+        raise ValueError(f"{path}: header must be 'node_id' and one or more coordinate names")
+    if len(header) != table.shape[1]:
+        raise ValueError(f"{path}: header has {len(header)} columns, the rows have {table.shape[1]}")
+    ids, n = table[:, 0], len(table)
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(n)):  # name a fraction, else a repeat, else a gap
+        seen, counts = np.unique(ids, return_counts=True)
+        for bad, fault in ((ids[ids % 1 != 0], "is not an integer"), (seen[counts > 1], "appears more than once"),
+                           (np.setdiff1d(np.arange(n), ids), f"is missing from 0..{n - 1}")):
+            if len(bad):
+                raise ValueError(f"{path}: node id {format_value(bad[0])} {fault}")
+    return table[order, 1:]
 
 
 def write_coordinates(coords: np.ndarray, path: str | Path) -> None:
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    path = Path(path)
-    axis_names = ["x", "y", "z"] + [f"c{i}" for i in range(3, coords.shape[1])]
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", *axis_names[: coords.shape[1]]])
-        for i, point in enumerate(coords):
-            writer.writerow([i, *(format_value(x) for x in point)])
+    """Write ``node_id,x,y[,z,c3,...]`` and a row per node (1-D: one coordinate) with the one
+    numeric CSV writer, ``_format.write_number_table``, which writes a -0.0 as ``-0``."""
+    table = np.column_stack([np.arange(len(coords)), np.asarray(coords, dtype=float)])
+    names = ["node_id", "x", "y", "z"] + [f"c{i}" for i in range(3, table.shape[1] - 1)]
+    write_number_table(path, names[: table.shape[1]], table)

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._format import format_value, read_text
+from ._format import read_number_table, read_text, write_number_table
 from .filters import graph_spectrum
 from .graphs import Graph
 
@@ -244,73 +241,14 @@ def synth_bandlimited(
 
 
 def write_signal_csv(series: SignalSeries, path: str | Path) -> None:
-    """Write the node-by-time matrix as CSV: a ``t0,t1,...`` header, one exact-text row per node."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"t{t}" for t in range(series.num_steps)])
-        for row in series.values:
-            writer.writerow([format_value(v) for v in row])
+    """Write a ``t0,t1,...`` header and one row per node with the one numeric CSV writer (a -0.0 as ``-0``)."""
+    write_number_table(path, [f"t{t}" for t in range(series.num_steps)], series.values)
 
 
 def read_signal_csv(path: str | Path, units: str = "") -> SignalSeries:
-    """Read a signal CSV (optional ``t0,t1,...`` header; row order = node id).
-
-    The first non-blank row is a header when any of its cells is not a number.
-    Cells may be quoted, as csv quotes them. Blank rows are skipped and a
-    leading UTF-8 byte order mark is allowed. Any cell that fails to parse as a
-    finite number is a load error reported with its row and column; missing
-    data never enters through files.
-    """
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-        if '"' in text:  # csv unquotes
-            rows = [row for row in csv.reader(io.StringIO(text, newline="")) if any(map(str.strip, row))]
-            split = list
-        else:  # csv's row rules; each row is split only when it is read
-            # csv ends a row at "\n", "\r\n" or a lone "\r", and skips a row of blank cells,
-            # which never starts with one of "-./0123456789".
-            lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            rows = [row for row in lines if "-" <= row[:1] <= "9" or row.replace(",", "").strip()]
-            split = lambda row: row.split(",")
-    except (csv.Error, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty signal file")
-    first = 1
-    try:
-        [float(cell) for cell in split(rows[0])]
-    except ValueError:
-        rows, first = rows[1:], 2  # a header
-    if not rows:
-        raise ValueError(f"{path}: header but no data rows")
-    widths: list[int] = []
-
-    def cells(row) -> list[str]:
-        row = split(row)
-        widths.append(len(row))
-        return row
-
-    try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(map(cells, rows))), dtype=float)
-        ok = len(set(widths)) == 1 and np.isfinite(values).all()
-    except ValueError:
-        ok = False
-    if not ok:  # name the first fault in file order
-        width = len(split(rows[0]))
-        for lineno, row in enumerate(map(split, rows), start=first):
-            if len(row) != width:
-                raise ValueError(f"{path}: row {lineno} has {len(row)} columns, expected {width}")
-            for col, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {lineno}, column {col}: not a number: {cell!r}") from None
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}: row {lineno}, column {col}: non-finite cell {cell!r}")
-    return SignalSeries(values=values.reshape(len(rows), -1), units=units)
+    """Read a signal CSV (optional ``t0,t1,...`` header; row order = node id) with the one numeric
+    CSV reader, ``_format.read_number_table``, by its rules; missing data never enters through files."""
+    return SignalSeries(values=read_number_table(path, "signal")[1], units=units)
 
 
 def write_mask_file(mask: SamplingMask, path: str | Path) -> None:

@@ -294,6 +294,25 @@ def test_replay_record_creates_the_directory_of_its_replay_file(tmp_path, capsys
     assert f"replay file captured at {replay}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, code", [
+    pytest.param(["--manifest", "ghost.txt"], 2, id="missing-manifest"),
+    pytest.param(["--mask-file", "mask.txt"], 1, id="mask-of-the-wrong-size"),
+    pytest.param(["--temperature=-1"], 2, id="negative-temperature"),
+    pytest.param(["--fraction", "0"], 0, id="no-reply-to-record"),  # no hidden node
+])
+def test_replay_record_makes_its_file_when_the_run_starts(tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mask.txt").write_text("1 1\n")
+    common = ["--manifest", TOY, "--predictor", "mock", "--runs", "1", *args]
+    assert run_cli("replay-record", *common, "--replay-out", "q/r.jsonl", "--out", "out") == code
+    if code:  # a refused run leaves nothing behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mask.txt"]
+        return
+    assert (tmp_path / "q" / "r.jsonl").read_bytes() == b""
+    assert run_cli("run", *common, "--predictor", "llm", "--backend", "replay", "--replay-file", "q/r.jsonl",
+                   "--name", "mock", "--out", "replayed") == 0
+
+
 @pytest.mark.parametrize("alpha", ["0.2", "0.9"])
 def test_replay_record_config_holds_the_mock_alpha(tmp_path, alpha):
     assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
@@ -536,7 +555,7 @@ def test_runtime_error_over_long_csv_field(tmp_path, capsys, name, files):
 @pytest.mark.parametrize("name, files, reason", [
     ("signal.csv", {"signal": "t0,t1\n1,2\n3,x\n5,6\n"}, "row 3, column 2: not a number: 'x'"),
     ("edges.txt", {"edges": "0 1\n1 z\n"}, ":2: invalid literal for int() with base 10: 'z'"),
-    ("coords.csv", {"coords": "node_id,x\n0,0\n1,abc\n2,2\n"}, ":3: could not convert string to float: 'abc'"),
+    ("coords.csv", {"coords": "node_id,x\n0,0\n1,abc\n2,2\n"}, "row 3, column 2: not a number: 'abc'"),
 ])
 def test_runtime_error_bad_bundle_file_is_named_once(tmp_path, capsys, name, files, reason):
     code = run_cli("run", "--manifest", write_bundle(tmp_path, **files), "--predictor", "zero",

@@ -15,6 +15,7 @@ from graphfill.datasets import (
     save_bundle,
 )
 from graphfill.graphs import Graph
+from graphfill.harness import signal_sha256
 from graphfill.signals import SignalSeries
 
 TOY = Path(__file__).parent.parent / "fixtures" / "toy" / "manifest.txt"
@@ -174,6 +175,15 @@ def test_save_load_round_trip(tmp_path):
     assert (graph.num_nodes, graph.edges) == (g.num_nodes, g.edges)
     assert np.array_equal(back.values, values)
     assert units == "m/s"
+
+
+def test_save_load_keeps_the_sign_of_a_negative_zero(tmp_path):
+    series = SignalSeries(np.array([[-0.0, 1.5], [2.0, 3.0]]))
+    manifest = save_bundle(tmp_path / "bundle", Graph(2, [(0, 1)]), series)
+    assert (tmp_path / "bundle" / "signal.csv").read_bytes() == b"t0,t1\r\n-0,1.5\r\n2,3\r\n"
+    back = load_bundle(manifest).series
+    assert back.values.tobytes() == series.values.tobytes()
+    assert signal_sha256(back) == signal_sha256(series)
 
 
 def test_save_bundle_writes_the_units_of_its_series(tmp_path):

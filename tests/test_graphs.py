@@ -334,3 +334,57 @@ def test_coordinates_allow_a_byte_order_mark(tmp_path):
     path = tmp_path / "coords.csv"
     path.write_bytes(b"\xef\xbb\xbfnode_id,x,y\n0,0.5,1.25\n1,2.0,-3.5\n")
     assert np.array_equal(read_coordinates(path), [[0.5, 1.25], [2.0, -3.5]])
+
+
+@pytest.mark.parametrize("coords, header", [
+    (np.array([0.5, -1.25, 3.0]), "node_id,x"),  # 1-D: one coordinate per node
+    (np.array([[0.5, 1.0, -2.0], [3.0, 4.25, 5.0]]), "node_id,x,y,z"),
+    (np.arange(15.0).reshape(3, 5) / 7, "node_id,x,y,z,c3,c4"),
+])
+def test_coordinates_round_trip_in_any_dimension(tmp_path, coords, header):
+    path = tmp_path / "coords.csv"
+    write_coordinates(coords, path)
+    assert path.read_text().splitlines()[0] == header
+    back = read_coordinates(path)
+    assert back.shape == (len(coords), len(header.split(",")) - 1)
+    assert back.tobytes() == coords.tobytes()
+
+
+def test_coordinates_keep_the_sign_of_a_negative_zero(tmp_path):
+    coords = np.array([[-0.0, 1.0], [2.0, -0.0]])
+    path = tmp_path / "coords.csv"
+    write_coordinates(coords, path)
+    assert path.read_bytes() == b"node_id,x,y\r\n0,-0,1\r\n1,2,-0\r\n"
+    assert read_coordinates(path).tobytes() == coords.tobytes()
+
+
+def test_coordinates_rows_in_any_order_and_integral_float_ids(tmp_path):
+    path = tmp_path / "coords.csv"
+    path.write_text("Node_ID ,x\n2,5\n0.0,3\n1e0,4\n")
+    assert read_coordinates(path).tolist() == [[3.0], [4.0], [5.0]]
+
+
+HEADER_FAULT = "header must be 'node_id' and one or more coordinate names"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("0,0.5\n1,1.5\n", HEADER_FAULT, id="no-header"),
+    pytest.param("id,x\n0,0.5\n1,1.5\n", HEADER_FAULT, id="wrong-first-cell"),
+    pytest.param("node_id\n0\n1\n", HEADER_FAULT, id="no-coordinate-column"),
+    pytest.param("node_id,x,y\n0,0.5\n1,1.5\n", "header has 3 columns, the rows have 2", id="header-wider-than-rows"),
+    pytest.param("node_id,x\n0,0.5\n1,1.5,2\n", "row 3 has 3 columns, expected 2", id="rows-of-two-widths"),
+    pytest.param("node_id,x\n0,0.5\n1,1.5\n1,2.5\n", "node id 1 appears more than once", id="repeated-id"),
+    pytest.param("node_id,x\n0,0.5\n2,1.5\n", "node id 1 is missing from 0..1", id="missing-id"),
+    pytest.param("node_id,x\n-1,0.5\n0,1.5\n", "node id 1 is missing from 0..1", id="negative-id"),
+    pytest.param("node_id,x\n0,0.5\n1.5,1.5\n", "node id 1.5 is not an integer", id="fractional-id"),
+    pytest.param("node_id,x\n0,0.5\n1,abc\n", "row 3, column 2: not a number: 'abc'", id="not-a-number"),
+    pytest.param("node_id,x\n0,0.5\n1,inf\n", "row 3, column 2: non-finite cell 'inf'", id="non-finite"),
+    pytest.param("node_id,x\n", "header but no data rows", id="no-rows"),
+    pytest.param("", "empty coordinates file", id="empty"),
+])
+def test_coordinate_faults_are_named_with_the_file(tmp_path, text, message):
+    path = tmp_path / "coords.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
+        read_coordinates(path)
+    assert str(caught.value) == f"{path}: {message}"

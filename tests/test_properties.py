@@ -1,6 +1,6 @@
 """Property tests: the reply parser round trip and its fast path, observations,
 the online loop's invariants and its time-major estimate state, the G-Sign step bound, the kNN graph's shape,
-and the online loop, the kNN build, the signal CSV reader, the result writers
+and the online loop, the kNN build, the signal and coordinate CSV readers, the result writers
 and the messenger's tasks, prompts and mock replies (one node and whole steps)
 against their former code."""
 
@@ -748,6 +748,79 @@ def test_read_signal_csv_matches_former_reader(text):
             assert str(info.value) == str(exc)
             return
         got = read_signal_csv(path).values
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def read_coordinates_oracle(path):
+    """The former coordinate reader: ``csv.reader`` row by row into a dict keyed by ``int`` id."""
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty coordinates file") from None
+            if not header or header[0].strip().lower() != "node_id":
+                raise ValueError(f"{path}: first column of the header must be 'node_id'")
+            dim = len(header) - 1
+            if dim < 1:
+                raise ValueError(f"{path}: header lists no coordinate columns")
+            rows: dict[int, list[float]] = {}
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != dim + 1:
+                    raise ValueError(f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
+                try:
+                    node = int(row[0])
+                    point = [float(cell) for cell in row[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                if node in rows:
+                    raise ValueError(f"{path}:{lineno}: duplicate node id {node}")
+                rows[node] = point
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    n = len(rows)
+    if n == 0:
+        raise ValueError(f"{path}: no coordinate rows")
+    if sorted(rows) != list(range(n)):
+        raise ValueError(f"{path}: node ids must be exactly 0..{n - 1}")
+    coords = np.array([rows[i] for i in range(n)])
+    if not np.all(np.isfinite(coords)):
+        raise ValueError(f"{path}: coordinates must be finite")
+    return coords
+
+
+coordinate_values = finite | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                              1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@st.composite
+def coordinate_csv_texts(draw):
+    """Valid coordinate files: 1 to 4 dimensions, shuffled rows, quoted cells, blank rows, a BOM, any line end."""
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    quote = lambda cell: f'"{cell}"' if draw(st.booleans()) and draw(st.booleans()) else cell
+    header = [draw(st.sampled_from(["node_id", "NODE_ID", " Node_Id "]))] + [f"c{j}" for j in range(dim)]
+    rows = [[str(i)] + [repr(draw(coordinate_values)) for _ in range(dim)] for i in range(n)]
+    rows = [list(map(quote, row)) for row in [header, *draw(st.permutations(rows))]]
+    for _ in range(draw(st.integers(0, 2))):  # blank rows after the header
+        rows.insert(draw(st.integers(1, len(rows))), [draw(st.sampled_from(["", " ", ",", " , \t"]))])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in rows) + draw(st.sampled_from(["", end]))
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(deadline=None, max_examples=300)
+@given(coordinate_csv_texts())
+def test_read_coordinates_matches_former_reader_on_valid_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coords.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expect = read_coordinates_oracle(path)
+        got = graphs.read_coordinates(path)
     assert got.shape == expect.shape
     assert got.tobytes() == expect.tobytes()
 
