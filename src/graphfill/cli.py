@@ -84,7 +84,7 @@ def _fraction_arg(raw: str) -> float:
 
 def _add_backend_options(p: _Parser) -> None:
     p.add_argument("--backend", choices=BACKEND_KINDS, default="mock",
-                   help="completion backend for the llm predictor (default mock)")
+                   help="completion backend for the llm predictor (default %(default)s)")
     p.add_argument("--model", default="gpt-3.5-turbo", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=float, default=0.0)
     p.add_argument("--max-tokens", type=_positive_int, default=16)
@@ -156,6 +156,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("replay-record",
                        help="run the llm predictor live and capture a replay file")
     _add_run_options(p)
+    p.set_defaults(backend="remote")  # the live endpoint, unless --backend names another
     p.add_argument("--replay-out", required=True, help="replay JSONL to write")
 
     return parser
@@ -344,8 +345,6 @@ def cmd_compare(args) -> int:
 def cmd_replay_record(args) -> int:
     if args.predictor not in ("llm", "mock"):
         raise UsageError("replay-record only makes sense with --predictor llm (or mock for drills)")
-    if args.predictor == "llm":
-        args.backend = "remote"
     _check_output("--replay-out", args.replay_out, directory=False)
     status = cmd_run(args)
     print(f"replay file captured at {args.replay_out}")

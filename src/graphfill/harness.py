@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -27,7 +28,6 @@ from .backends import (
     BackendError,
     CompletionRequest,
     batch_complete,
-    check_temperature,
 )
 from .filters import FILTER_KINDS, FilterConfig, filter_step, graph_spectrum
 from .graphs import Graph
@@ -230,9 +230,9 @@ class MessengerPredictor(Predictor):
     keeps its prompts in ``prompt_log``, so it can be audited for leaks.
     With ``batch=True`` each step's tasks go to the backend as one batch
     through :func:`batch_complete`, whose count guard fails every item when
-    the number of replies is wrong. Temperature and ``max_tokens`` are
-    checked here, before any run, and again by each request built from them;
-    a task's values were checked where they were made, in the step table.
+    the number of replies is wrong. The neighbor mode, temperature and
+    ``max_tokens`` are checked here, once, before any run; requests and step
+    tables copy them, and a task's values were checked where they were made.
     """
 
     def __init__(
@@ -255,7 +255,9 @@ class MessengerPredictor(Predictor):
         self.neighbor_mode = neighbor_mode
         self.units = units
         self.model = model
-        self.temperature = check_temperature(temperature)
+        self.temperature = float(temperature)
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
         self.max_tokens = int(max_tokens)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")

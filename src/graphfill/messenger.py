@@ -174,27 +174,18 @@ class StepTable:
     - ``prev_texts[u]`` is the decimal text of ``prev[u]`` for a hidden
       node, the same string its stale line shows, and None otherwise.
 
-    Each value is checked and formatted once per step, however many tasks show
-    it: an observation is finite, and a non-finite previous estimate is refused
-    here, naming its node. The table covers every node of ``graph``, in lists
-    indexed by node id: with ``time_index``, all that :func:`build_task` and :func:`render_prompt` read.
+    Each value is formatted once per step, however many tasks show it. The
+    table covers every node of ``graph``, in lists indexed by node id: with
+    ``time_index``, all that :func:`build_task` and :func:`render_prompt` read.
+    A plain record, checked by its maker as ``NodeTask`` is: ``MessengerPredictor``
+    checks the mode, and ``prev`` is a row of ``EstimateState``, which refuses non-finite values.
     """
 
     __slots__ = ("time_index", "graph", "entries", "lines", "prev", "prev_texts")
 
-    def __init__(self, obs: Observation, prev: Sequence[float] | None, g: Graph,
+    def __init__(self, obs: Observation, prev: np.ndarray | None, g: Graph,
                  mode: str = "observed-plus-stale"):
-        if mode not in NEIGHBOR_MODES:
-            raise ValueError(f"mode must be one of {NEIGHBOR_MODES}, got {mode!r}")
         n = g.num_nodes
-        if obs.num_nodes != n:
-            raise ValueError(f"observation covers {obs.num_nodes} nodes, graph has {n}")
-        if prev is not None:
-            prev = np.asarray(prev, dtype=float)
-            if prev.shape != (n,):
-                raise ValueError(f"previous estimates have shape {prev.shape}, expected ({n},)")
-            if np.count_nonzero(np.isfinite(prev)) != n:
-                raise ValueError(f"previous estimate for node {int(np.argmin(np.isfinite(prev)))} is non-finite")
         self.time_index, self.graph = obs.time_index, g
         self.prev = [None] * n if prev is None else prev.tolist()
         self.entries, self.lines, self.prev_texts = [None] * n, [None] * n, [None] * n
@@ -220,13 +211,13 @@ def build_task(v: int, table: StepTable, units: str = "") -> NodeTask:
     ``observed-plus-stale`` mode unobserved ones also enter as ``(u,
     previous-step estimate, False)``, in the graph's ascending neighbor order.
     The node's own previous estimate is attached whenever the table has one.
-    Only ``v`` is checked here. The :class:`Graph` refuses self-loops and
-    repeated edges, the observation and the table refuse non-finite values,
+    ``g.neighbors`` checks ``v``. The :class:`Graph` refuses self-loops and
+    repeated edges, the observation and the estimates refuse non-finite values,
     and the table's ``.tolist()`` values are plain ``float`` and ``bool``, so
     every other field of the :class:`NodeTask` is already right.
     """
     g = table.graph
-    v = g.check_node(v)
+    v = int(v)
     entries = table.entries
     # filter(None, ...) drops the neighbors that offer nothing; a triple is never falsy.
     neighbors = tuple(filter(None, map(entries.__getitem__, g.neighbors(v))))

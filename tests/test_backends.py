@@ -45,12 +45,6 @@ def req(prompt="p", **kw):
 # ---------------------------------------------------------------- requests
 
 
-@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf"), -0.5])
-def test_request_refuses_a_non_finite_or_negative_temperature(temperature):
-    with pytest.raises(ValueError, match="temperature"):
-        req(temperature=temperature)
-
-
 def test_request_task_takes_no_part_in_equality_or_repr():
     t = task_with(1.0, [2.0])
     assert req("p", task=t) == req("p")
@@ -198,7 +192,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BackendConfig(kind="replay")
     with pytest.raises(ValueError):
-        BackendConfig(kind="mock", mock_alpha=1.5)
+        make_backend(BackendConfig(kind="mock", mock_alpha=1.5))
     with pytest.raises(ValueError):
         BackendConfig(kind="mock", max_in_flight=0)
 

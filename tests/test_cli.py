@@ -313,6 +313,20 @@ def test_replay_record_makes_its_file_when_the_run_starts(tmp_path, monkeypatch,
                    "--name", "mock", "--out", "replayed") == 0
 
 
+def test_replay_record_honours_an_explicit_backend(tmp_path, monkeypatch):
+    # An explicit --backend is kept, so recording the offline mock needs no credential.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    common = ["--manifest", TOY, "--predictor", "llm", "--runs", "1"]
+    assert run_cli("replay-record", *common, "--backend", "mock", "--replay-out", "rr/r.jsonl",
+                   "--out", "rr/out") == 0
+    assert run_cli("run", *common, "--backend", "replay", "--replay-file", "rr/r.jsonl", "--out", "replayed") == 0
+    assert run_cli("run", *common, "--backend", "mock", "--out", "mocked") == 0
+    mse = [json.loads((tmp_path / d / "llm.json").read_text(encoding="utf-8"))["mse_all"]
+           for d in ("rr/out", "replayed", "mocked")]
+    assert mse[0] == mse[1] == mse[2]
+
+
 @pytest.mark.parametrize("alpha", ["0.2", "0.9"])
 def test_replay_record_config_holds_the_mock_alpha(tmp_path, alpha):
     assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",

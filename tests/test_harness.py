@@ -327,6 +327,22 @@ def test_remote_replies_that_are_not_text_are_counted_backend_failures(monkeypat
     assert np.isfinite(result.estimates).all()
 
 
+def test_a_batched_reply_with_no_text_fails_the_whole_batch(monkeypatch):
+    # A reply with no text is no lines, so the count guard fails every item; the run goes on.
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    backend = RemoteBackend(BackendConfig(kind="remote"), sleep=lambda s: None,
+                            transport=lambda *a: (200, {"choices": [{"message": {"content": None}}]}))
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.arange(30.0).reshape(5, 6))
+    mask = SamplingMask(np.array([True, False, True, False, True]))
+    result = run_online(MessengerPredictor(backend, batch=True), g, series, mask, runs=1)
+    stats = result.per_run_stats[0]
+    assert stats["backend_failures"] == 2 * series.num_steps  # every hidden node at every step
+    assert stats["parse_failures"] == stats["infeasible_tasks"] == 0
+    assert stats["fallback_uses"] == stats["backend_failures"]
+    assert np.isfinite(result.estimates).all()
+
+
 def test_a_recorded_run_with_non_text_replies_replays_to_the_same_failures(tmp_path, monkeypatch):
     # Failed replies are never recorded, so the replay misses them: the same
     # tasks fall back as backend failures and the estimates are the same.

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from graphfill._format import format_value
+from graphfill.backends import MockBackend
 from graphfill.graphs import Graph
+from graphfill.harness import MessengerPredictor
 from graphfill.messenger import (
     NodeTask,
     PromptTemplate,
@@ -87,19 +89,10 @@ def test_build_task_never_includes_non_neighbors_or_self():
     assert ids <= set(g.neighbors(0))
 
 
-def test_step_table_refuses_a_non_finite_estimate():
-    obs = obs_of(1, [2.0, None, None])
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="previous estimate for node 2 is non-finite"):
-            StepTable(obs, np.array([0.5, 0.5, bad]), path3(), "observed-only")
-    # also where it would go unused: node 0 is observed
-    with pytest.raises(ValueError, match="previous estimate for node 0 is non-finite"):
-        StepTable(obs, np.array([np.nan, 0.5, np.inf]), path3(), "observed-plus-stale")
-
-
 def test_build_task_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        build_task(1, StepTable(obs_of(0, [1.0, None, 2.0]), None, path3(), "all"))
+    # The predictor checks the mode once, when built; its step tables copy it.
+    with pytest.raises(ValueError, match="neighbor_mode must be one of"):
+        MessengerPredictor(MockBackend(), neighbor_mode="all")
 
 
 # ---------------------------------------------------------------- rendering
