@@ -9,6 +9,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import os
 import threading
 import time
@@ -105,10 +106,10 @@ class BackendConfig:
             raise ValueError("remote backend requires a credential environment variable name")
         if self.kind == "replay" and not self.replay_path:
             raise ValueError("replay backend requires a record file path")
-        if int(self.max_in_flight) < 1:
-            raise ValueError("max_in_flight must be at least 1")
-        if int(self.max_retries) < 0:
-            raise ValueError("max_retries must be nonnegative")
+        for name, least in (("max_in_flight", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (math.isfinite(float(self.timeout_s)) and self.timeout_s > 0):
             raise ValueError(f"timeout_s must be a finite number > 0, got {self.timeout_s}")
         if not (math.isfinite(float(self.backoff_base_s)) and self.backoff_base_s >= 0):
@@ -157,6 +158,16 @@ class Backend:
     def complete(self, req: CompletionRequest) -> str:
         """The reply text for one request; everything it needs travels in ``req``."""
         raise NotImplementedError
+
+    def complete_each(self, reqs: Sequence[CompletionRequest]) -> list:
+        """Per request, in order, its reply text or the ``BackendError`` that failed it."""
+        return [self._outcome(req) for req in reqs]
+
+    def _outcome(self, req: CompletionRequest):
+        try:
+            return self.complete(req)
+        except BackendError as exc:
+            return exc
 
     def complete_batch(self, reqs: Sequence[CompletionRequest]) -> list[str]:
         """Default batching: independent per-item calls, so counts always match."""
@@ -249,16 +260,21 @@ class RecordingBackend(Backend):
         self.alpha = getattr(inner, "alpha", None)  # a wrapped mock's, for the run's config
 
     def complete(self, req: CompletionRequest) -> str:
-        text = self.inner.complete(req)
-        append_replay_record(self.path, req.prompt, text, req.model, req.temperature)
-        return text
+        return self._record([req], [self.inner.complete(req)])[0]
+
+    def complete_each(self, reqs):
+        return self._record(reqs, self.inner.complete_each(reqs))
 
     def complete_batch(self, reqs):
         texts = self.inner.complete_batch(reqs)
-        if len(texts) == len(reqs):
-            for req, text in zip(reqs, texts):
-                append_replay_record(self.path, req.prompt, text, req.model, req.temperature)
-        return texts
+        return self._record(reqs, texts) if len(texts) == len(reqs) else texts
+
+    def _record(self, reqs, outcomes):
+        """Append each reply in request order, whatever order the inner backend posted in."""
+        for req, outcome in zip(reqs, outcomes):
+            if not isinstance(outcome, BackendError):
+                append_replay_record(self.path, req.prompt, outcome, req.model, req.temperature)
+        return outcomes
 
 
 def _urllib_transport(url: str, headers: dict, payload: dict, timeout: float):
@@ -301,8 +317,10 @@ class RemoteBackend(Backend):
 
     Each call posts one stateless request. Transient failures (timeouts,
     HTTP 429, HTTP 5xx) are retried with exponential backoff up to
-    ``max_retries``; the in-flight semaphore is held only around the network
-    call, so waiting out a backoff never blocks unrelated requests.
+    ``max_retries``. :meth:`complete_each` posts one request at a time from
+    the caller's thread; while one waits out a backoff, the thread posts the
+    next unsent ones through ``complete``, then sleeps what is left of the
+    delay. The ``max_in_flight`` semaphore caps posts across threads.
     """
 
     kind = "remote"
@@ -327,6 +345,7 @@ class RemoteBackend(Backend):
         self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._in_flight = threading.BoundedSemaphore(cfg.max_in_flight)
+        self._local = threading.local()  # .step: this thread's (unsent, outcomes), while complete_each runs
 
     def _post_once(self, payload: dict) -> tuple:
         with self._in_flight:
@@ -367,10 +386,38 @@ class RemoteBackend(Backend):
                     "retrying request %s after %s (attempt %d of %d, backoff %.2fs)",
                     req.request_id or "unnamed", last_issue, attempt + 1, cfg.max_retries, delay,
                 )
-                self._sleep(delay)
+                self._wait_out(delay)
         raise BackendUnavailableError(
             f"request {req.request_id or 'unnamed'}: retries exhausted ({last_issue})"
         )
+
+    def complete_each(self, reqs):
+        outcomes = [None] * len(reqs)
+        unsent = iter(enumerate(reqs))  # shared with the backoffs, which take from it too
+        self._local.step = (unsent, outcomes)
+        try:
+            for i, req in unsent:
+                outcomes[i] = self._outcome(req)
+        finally:
+            self._local.step = None
+        return outcomes
+
+    def _wait_out(self, delay: float) -> None:
+        """Sleep ``delay``, first posting this thread's unsent requests while it lasts."""
+        step = getattr(self._local, "step", None)
+        if step and delay > 0:
+            unsent, outcomes = step
+            start = time.monotonic()
+            self._local.step = None  # a request posted here waits out its own backoff asleep
+            try:
+                for i, req in unsent:
+                    outcomes[i] = self._outcome(req)
+                    if time.monotonic() - start >= delay:
+                        break
+            finally:
+                self._local.step = step
+            delay = max(0.0, delay - (time.monotonic() - start))
+        self._sleep(delay)
 
     def complete_batch(self, reqs):
         """Single call carrying every prompt, and no task; replies are split on lines.

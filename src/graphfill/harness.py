@@ -222,11 +222,13 @@ class MessengerPredictor(Predictor):
     Each step first gathers one :class:`~graphfill.messenger.StepTable`
     (every node's value, its text and its prompt line), the only step input
     of ``build_task`` and ``render_prompt``, which run once per hidden node.
-    Every request carries the task it was rendered from; its outcome is the
-    reply text or the ``BackendError`` that failed it. An infeasible task
-    (no previous estimate, no neighbor value) is never sent; it, a backend
-    error and an unparseable or NaN reply are each replaced through the
-    total fallback cascade and counted. With ``keep_prompts=True`` a run
+    Every request carries the task it was rendered from. A step's requests go
+    through ``backend.complete_each``, which gives each one's reply text or the
+    ``BackendError`` that failed it: a remote backend posts one at a time, and a
+    request waiting out its backoff lets the step's next requests go. An
+    infeasible task (no previous estimate, no neighbor value) is never sent;
+    it, a backend error and an unparseable or NaN reply are each replaced
+    through the total fallback cascade and counted. With ``keep_prompts=True`` a run
     keeps its prompts in ``prompt_log``, so it can be audited for leaks.
     With ``batch=True`` each step's tasks go to the backend as one batch
     through :func:`batch_complete`, whose count guard fails every item when
@@ -282,12 +284,6 @@ class MessengerPredictor(Predictor):
         self.stats["fallback_uses"] += 1
         return fallback_value(v, state.history(v), obs, self._g)
 
-    def _complete_one(self, req):
-        try:
-            return self.backend.complete(req)
-        except BackendError as exc:
-            return exc
-
     def predict_missing(self, t, obs, state):
         table = StepTable(obs, state.estimates, self._g, self.neighbor_mode)
         proposals = np.empty(len(self._missing))
@@ -306,12 +302,8 @@ class MessengerPredictor(Predictor):
             request = CompletionRequest(prompt, self.model, self.temperature, self.max_tokens, request_id, task)
             pending.append((slot, request))
 
-        if self.batch:
-            outcomes = batch_complete([request for _, request in pending], self.backend)
-        else:
-            # A generator, so each request is sent only after the previous
-            # reply has been handled.
-            outcomes = (self._complete_one(request) for _, request in pending)
+        requests = [request for _, request in pending]
+        outcomes = batch_complete(requests, self.backend) if self.batch else self.backend.complete_each(requests)
         for (slot, request), outcome in zip(pending, outcomes):
             v = request.task.node_id
             if isinstance(outcome, BackendError):

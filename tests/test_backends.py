@@ -4,14 +4,18 @@ import json
 import logging
 import math
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfill.backends import (
+    Backend,
     BackendConfig,
     BackendError,
     BackendUnavailableError,
@@ -195,6 +199,15 @@ def test_config_validation():
         make_backend(BackendConfig(kind="mock", mock_alpha=1.5))
     with pytest.raises(ValueError):
         BackendConfig(kind="mock", max_in_flight=0)
+
+
+@pytest.mark.parametrize("field", ["max_retries", "max_in_flight"])
+def test_config_refuses_a_count_that_is_not_an_integer(field):
+    # Built, max_retries=1.5 made range() raise a TypeError at the first request, and
+    # max_in_flight=1.5 a semaphore that never blocked.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        BackendConfig(kind="remote", **{field: 1.5})
+    assert getattr(BackendConfig(kind="remote", **{field: np.int64(2)}), field) == 2
 
 
 @pytest.mark.parametrize("field, value", [
@@ -495,3 +508,136 @@ def test_remote_batch_sends_one_joined_request_without_a_task(monkeypatch):
     assert len(sent) == 1
     assert sent[0].task is None
     assert "Task 1 of 2:\na" in sent[0].prompt and "Task 2 of 2:\nb" in sent[0].prompt
+
+
+# ---------------------------------------------------------------- one step, one request at a time
+
+
+@pytest.mark.parametrize("post_s, backoff_s, order", [
+    (0.002, 1.0, ["p0", "p1", "p2", "p3", "p0"]),  # the whole step goes within the backoff
+    (0.005, 0.001, ["p0", "p1", "p0", "p2", "p3"]),  # one post outlasts it: the retry comes next
+])
+def test_a_request_waiting_out_its_backoff_lets_the_next_ones_go(monkeypatch, post_s, backoff_s, order):
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    posted = []
+
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        posted.append(prompt)
+        time.sleep(post_s)
+        return (429, {}) if posted == ["p0"] else (200, ok_body(prompt[1:]))
+
+    slept = []
+    backend = RemoteBackend(BackendConfig(kind="remote", backoff_base_s=backoff_s),
+                            transport=transport, sleep=slept.append)
+    assert backend.complete_each([req(f"p{i}") for i in range(4)]) == ["0", "1", "2", "3"]
+    assert posted == order
+    assert len(slept) == 1 and 0.0 <= slept[0] < backoff_s
+
+
+FAULTS = (None, "429-once", "500", "transport", "malformed", "400", "conflicting")
+
+
+class KeyedFaultTransport:
+    """Faults keyed on the prompt's SHA-256; counts calls and the most in flight at once."""
+
+    def __init__(self, faults):
+        self.faults = faults
+        self.calls = self.in_flight = self.peak = 0
+        self.limited = set()
+        self.posters = {}  # prompt -> the threads that posted it
+        self.lock = threading.Lock()
+
+    def __call__(self, url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        key = prompt_sha256(prompt)
+        fault = self.faults.get(key)
+        with self.lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            first_429 = fault == "429-once" and key not in self.limited
+            self.limited.add(key)
+            self.posters.setdefault(prompt, set()).add(threading.get_ident())
+        try:
+            time.sleep(0)  # lets another thread's post begin meanwhile
+            if fault == "transport":
+                raise TransportFailure("connection reset")
+            if first_429:
+                return 429, {}
+            if fault in ("500", "400"):
+                return int(fault), {"error": "no"}
+            if fault == "malformed":
+                return 200, {"choices": []}
+            return 200, ok_body(f"{len(prompt)}, or {len(prompt) + 1}" if fault == "conflicting" else prompt)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class CountingRemote(RemoteBackend):
+    def __init__(self, cfg, transport):
+        self.slept, self.completed = [], []
+        super().__init__(cfg, transport=transport, sleep=self.slept.append)
+
+    def complete(self, req):
+        self.completed.append(req.request_id)
+        return super().complete(req)
+
+
+def plain(outcome):
+    return (type(outcome), str(outcome)) if isinstance(outcome, BackendError) else outcome
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FAULTS), st.sampled_from(["a", "b", "c"])), min_size=1, max_size=12),
+       st.sampled_from([0.0, 1e-6, 1e-3]))
+def test_complete_each_gives_the_outcomes_of_sequential_completes(step, backoff_s):
+    # Prompts may repeat: a 429-once prompt then fails once, for whichever request posts it first.
+    reqs = [req(f"prompt {text} {fault}", request_id=f"r{i}") for i, (fault, text) in enumerate(step)]
+    faults = {prompt_sha256(r.prompt): fault for r, (fault, _) in zip(reqs, step)}
+    cfg = BackendConfig(kind="remote", max_retries=2, backoff_base_s=backoff_s, max_in_flight=1)
+    each_transport, sequential_transport = KeyedFaultTransport(faults), KeyedFaultTransport(faults)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENAI_API_KEY", "sk-test-123")
+        each = CountingRemote(cfg, each_transport)
+        sequential = CountingRemote(cfg, sequential_transport)
+    got = each.complete_each(reqs)
+    want = Backend.complete_each(sequential, reqs)  # complete on each request in turn
+    assert [plain(o) for o in got] == [plain(o) for o in want]
+    assert sorted(each.completed) == sorted(r.request_id for r in reqs)
+    assert each_transport.peak == 1
+    assert each_transport.calls == sequential_transport.calls
+    assert len(each.slept) == len(sequential.slept) and sum(each.slept) <= sum(sequential.slept)
+
+
+def test_threads_sharing_one_remote_backend_each_get_their_own_steps_outcomes(monkeypatch):
+    # Each thread's unsent requests are its own: a backoff in one thread never posts another's.
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    steps = [[req(f"thread {k} prompt {i}", request_id=f"{k}-{i}") for i in range(12)] for k in range(6)]
+    faults = {prompt_sha256(r.prompt): FAULTS[(k + i) % len(FAULTS)]
+              for k, step in enumerate(steps) for i, r in enumerate(step)}
+    transport = KeyedFaultTransport(faults)
+    backend = RemoteBackend(BackendConfig(kind="remote", max_retries=2, backoff_base_s=1e-4, max_in_flight=2),
+                            transport=transport, sleep=time.sleep)
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def run(k):
+            got[k] = threading.get_ident(), backend.complete_each(steps[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(steps))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    sequential = remote(cfg_kw={"max_retries": 2}, transport=KeyedFaultTransport(faults))
+    for k, step in enumerate(steps):
+        poster, outcomes = got[k]
+        assert [plain(o) for o in outcomes] == [plain(o) for o in Backend.complete_each(sequential, step)]
+        assert all(transport.posters[r.prompt] == {poster} for r in step)
+    assert transport.peak <= 2

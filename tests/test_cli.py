@@ -286,6 +286,48 @@ def test_replay_record_and_replay_back(tmp_path):
         assert run_a["estimates"] == run_b["estimates"]
 
 
+def test_remote_replay_record_writes_its_records_in_request_order(tmp_path, monkeypatch):
+    # While one request waits out a backoff the next ones are posted, so replies arrive out of
+    # request order; the replay file must not show it.
+    assert run_cli("synth", "--out", str(tmp_path / "bundle"), "--nodes", "16", "--steps", "6",
+                   "--seed", "3") == 0
+    monkeypatch.setenv("GRAPHFILL_TEST_KEY", "k")
+    posted, limited = [], set()
+
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        posted.append(prompt)
+        fault = backends.prompt_sha256(prompt)[0]  # faults keyed on the prompt's hash
+        if fault in "0123" and prompt not in limited:
+            limited.add(prompt)
+            return 429, {}
+        if fault in "45":
+            return 500, {}
+        if fault == "6":
+            raise backends.TransportFailure("connection reset")
+        if fault == "7":
+            return 200, {"choices": []}
+        return 200, {"choices": [{"message": {"content": str(len(prompt))}}]}
+
+    monkeypatch.setattr(cli, "make_backend",
+                        lambda cfg: backends.make_backend(cfg, transport=transport, sleep=lambda s: None))
+
+    def record(name):
+        posted.clear()
+        limited.clear()
+        assert run_cli("replay-record", "--manifest", str(tmp_path / "bundle" / "manifest.txt"), "--runs", "1",
+                       "--predictor", "llm", "--credential-env", "GRAPHFILL_TEST_KEY",
+                       "--replay-out", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name)) == 0
+        written = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        return list(posted), {**written, "replay": (tmp_path / f"{name}.jsonl").read_bytes()}
+
+    overlapped_posts, overlapped = record("overlapped")
+    monkeypatch.setattr(backends.RemoteBackend, "complete_each", backends.Backend.complete_each)
+    sequential_posts, sequential = record("sequential")
+    assert overlapped_posts != sequential_posts and sorted(overlapped_posts) == sorted(sequential_posts)
+    assert overlapped == sequential
+
+
 def test_replay_record_creates_the_directory_of_its_replay_file(tmp_path, capsys):
     replay = tmp_path / "replays" / "new" / "replay.jsonl"
     assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
