@@ -37,7 +37,6 @@ __all__ = [
     "RecordingBackend",
     "RemoteBackend",
     "make_backend",
-    "batch_complete",
     "mock_predict",
     "prompt_sha256",
     "read_replay_file",
@@ -151,7 +150,8 @@ def mock_predict(task: NodeTask, alpha: float) -> str:
 
 
 class Backend:
-    """Stateless completion source. Subclasses implement ``complete``."""
+    """Stateless completion source. Subclasses implement ``complete``; one that
+    batches supplies only its reply texts, through ``_batch_replies``."""
 
     kind = "abstract"
 
@@ -169,8 +169,29 @@ class Backend:
         except BackendError as exc:
             return exc
 
-    def complete_batch(self, reqs: Sequence[CompletionRequest]) -> list[str]:
-        """Default batching: independent per-item calls, so counts always match."""
+    def complete_batch(self, reqs: Sequence[CompletionRequest]) -> list:
+        """One batch's outcomes, as :meth:`complete_each` gives them, through the count guard.
+
+        A backend error fails every item; so does a reply count that differs
+        from the request count, with one ``BackendUnavailableError`` naming
+        both counts and a logged diagnostic. Replies are never realigned.
+        """
+        if not reqs:
+            return []
+        try:
+            texts = self._batch_replies(reqs)
+        except BackendError as exc:
+            logger.warning("batch of %d requests failed outright: %s", len(reqs), exc)
+            return [exc] * len(reqs)
+        if len(texts) != len(reqs):
+            logger.warning("batch count mismatch: %d requests but %d responses; failing every item",
+                           len(reqs), len(texts))
+            reason = f"batch count mismatch: {len(reqs)} requests, {len(texts)} responses"
+            return [BackendUnavailableError(reason)] * len(reqs)
+        return list(texts)
+
+    def _batch_replies(self, reqs: Sequence[CompletionRequest]) -> list[str]:
+        """The reply texts for a non-empty batch: by default one ``complete`` per request."""
         return [self.complete(req) for req in reqs]
 
 
@@ -188,15 +209,15 @@ class MockBackend(Backend):
         return mock_predict(req.task, self.alpha)
 
 
-def read_replay_file(path: str | Path) -> dict[str, str]:
-    """Load a line-delimited JSON replay file into a prompt-hash -> response map.
+def read_replay_file(path: str | Path) -> dict[str, tuple]:
+    """Load a line-delimited JSON replay file into a prompt-hash -> record map.
 
-    A prompt hash may repeat (re-recording appends) only with the same
-    response; two different responses for one prompt are an error.
+    Each record is ``(response text, model, temperature, line number)``. A
+    prompt hash may repeat (re-recording appends) only with the same text,
+    model and temperature; a differing one is an error naming both lines.
     """
     path = Path(path)
-    records: dict[str, str] = {}
-    first_seen: dict[str, int] = {}
+    records: dict[str, tuple] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
@@ -206,15 +227,17 @@ def read_replay_file(path: str | Path) -> dict[str, str]:
             # The recorder writes a remote reply as it came: text, or null for an empty one.
             if not isinstance(key, str) or not (text is None or isinstance(text, str)):
                 raise TypeError("prompt_sha256 must be a string and response_text a string or null")
+            model, temperature = record["model"], record["temperature"]
+            if not isinstance(model, str) or type(temperature) not in (int, float):
+                raise TypeError("model must be a string and temperature a number")
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: bad replay record: {exc}") from None
-        if key in records and records[key] != text:
+        first = records.setdefault(key, (text, model, float(temperature), lineno))
+        if first[:3] != (text, model, float(temperature)):
             raise ValueError(
-                f"{path}: lines {first_seen[key]} and {lineno} record different responses "
+                f"{path}: lines {first[3]} and {lineno} record different responses "
                 f"for prompt hash {key[:12]}..."
             )
-        records[key] = text
-        first_seen.setdefault(key, lineno)
     return records
 
 
@@ -238,20 +261,26 @@ class ReplayBackend(Backend):
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.responses = read_replay_file(self.path)
+        self.records = read_replay_file(self.path)
 
     def complete(self, req: CompletionRequest) -> str:
         key = prompt_sha256(req.prompt)
         try:
-            return self.responses[key]
+            text, model, temperature, lineno = self.records[key]
         except KeyError:
             raise ReplayMissError(
                 f"no recorded response for prompt hash {key[:12]}... (request {req.request_id or 'unnamed'})"
             ) from None
+        if (model, temperature) != (req.model, req.temperature):
+            raise ValueError(  # not a BackendError: another model's answers make a wrong run, not a failed request
+                f"{self.path}:{lineno}: recorded for model {model!r} at temperature {temperature}, "
+                f"requested for model {req.model!r} at temperature {req.temperature}"
+            )
+        return text
 
 
 class RecordingBackend(Backend):
-    """Wraps another backend and appends every successful response to a replay file."""
+    """Wraps another backend; each method appends the reply texts it gives to a replay file."""
 
     def __init__(self, inner: Backend, path: str | Path):
         self.inner = inner
@@ -266,8 +295,7 @@ class RecordingBackend(Backend):
         return self._record(reqs, self.inner.complete_each(reqs))
 
     def complete_batch(self, reqs):
-        texts = self.inner.complete_batch(reqs)
-        return self._record(reqs, texts) if len(texts) == len(reqs) else texts
+        return self._record(reqs, self.inner.complete_batch(reqs))
 
     def _record(self, reqs, outcomes):
         """Append each reply in request order, whatever order the inner backend posted in."""
@@ -320,7 +348,9 @@ class RemoteBackend(Backend):
     ``max_retries``. :meth:`complete_each` posts one request at a time from
     the caller's thread; while one waits out a backoff, the thread posts the
     next unsent ones through ``complete``, then sleeps what is left of the
-    delay. The ``max_in_flight`` semaphore caps posts across threads.
+    delay. The ``max_in_flight`` semaphore caps posts across threads. A batch
+    is one joined request, whose reply lines the inherited
+    :meth:`~Backend.complete_batch` counts against the requests.
     """
 
     kind = "remote"
@@ -419,14 +449,8 @@ class RemoteBackend(Backend):
             delay = max(0.0, delay - (time.monotonic() - start))
         self._sleep(delay)
 
-    def complete_batch(self, reqs):
-        """Single call carrying every prompt, and no task; replies are split on lines.
-
-        Unreliable by nature (the response count is not guaranteed); callers
-        must go through :func:`batch_complete` for the count guard.
-        """
-        if not reqs:
-            return []
+    def _batch_replies(self, reqs):
+        """Single call carrying every prompt, and no task; replies are split on lines."""
         joined = [f"Task {i + 1} of {len(reqs)}:\n{req.prompt}" for i, req in enumerate(reqs)]
         joined.append(f"Reply with exactly {len(reqs)} lines, one decimal number per line, in task order.")
         combined = "\n\n".join(joined)
@@ -463,30 +487,3 @@ def make_backend(
     if cfg.kind == "replay":
         return ReplayBackend(cfg.replay_path)
     return RemoteBackend(cfg, transport=transport, sleep=sleep)
-
-
-def batch_complete(reqs: Sequence[CompletionRequest], backend: Backend) -> list:
-    """Batched completion through ``backend`` with the response-count guard.
-
-    Returns one outcome per request: its reply text or the
-    :class:`BackendError` that failed it. A backend error fails every item;
-    so does a reply count that differs from the request count, with one
-    ``BackendUnavailableError`` naming both counts and a logged diagnostic.
-    Responses are never realigned.
-    """
-    reqs = list(reqs)
-    if not reqs:
-        return []
-    try:
-        texts = backend.complete_batch(reqs)
-    except BackendError as exc:
-        logger.warning("batch of %d requests failed outright: %s", len(reqs), exc)
-        return [exc] * len(reqs)
-    if len(texts) != len(reqs):
-        logger.warning(
-            "batch count mismatch: %d requests but %d responses; failing every item",
-            len(reqs), len(texts),
-        )
-        reason = f"batch count mismatch: {len(reqs)} requests, {len(texts)} responses"
-        return [BackendUnavailableError(reason)] * len(reqs)
-    return list(texts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -11,6 +12,7 @@ from ._format import format_value, read_number_table, read_text, write_number_ta
 
 __all__ = [
     "Graph",
+    "graph_sha256",
     "laplacian",
     "eigendecompose",
     "knn_graph",
@@ -28,7 +30,7 @@ class Graph:
     record, compared by identity, immutable once built and safe to share across threads.
     A graph keeps its Laplacian's read-only ``(eigenvalues, eigenvectors)`` pair
     and its fingerprint once computed (``filters.graph_spectrum``,
-    ``harness.graph_sha256``): the edges never change, so neither goes stale,
+    :func:`graph_sha256`): the edges never change, so neither goes stale,
     and two threads filling one at once only compute the same value twice.
     Every graph, ``knn_graph``'s too, passes one array check of its edges,
     which names the first faulty edge.
@@ -106,6 +108,14 @@ class Graph:
         lines = [f"{self._num_nodes}"]
         lines.extend(f"{u} {v} {format_value(w)}" for u, v, w in self.edges)
         return "\n".join(lines)
+
+
+def graph_sha256(g: Graph) -> str:
+    """SHA-256 of the graph's canonical text, computed on first use and kept on ``g``."""
+    digest = g._sha256
+    if digest is None:
+        digest = g._sha256 = hashlib.sha256(g.canonical_text().encode("utf-8")).hexdigest()
+    return digest
 
 
 def laplacian(g: Graph) -> np.ndarray:

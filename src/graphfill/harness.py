@@ -23,14 +23,9 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from ._format import read_text
-from .backends import (
-    Backend,
-    BackendError,
-    CompletionRequest,
-    batch_complete,
-)
+from .backends import Backend, BackendError, CompletionRequest
 from .filters import FILTER_KINDS, FilterConfig, filter_step, graph_spectrum
-from .graphs import Graph
+from .graphs import Graph, graph_sha256
 from .messenger import (
     NEIGHBOR_MODES,
     PromptTemplate,
@@ -46,6 +41,7 @@ from .signals import (
     SamplingMask,
     SignalSeries,
     observation_from_column,
+    signal_sha256,
 )
 
 __all__ = [
@@ -63,8 +59,6 @@ __all__ = [
     "compare",
     "ComparisonTable",
     "mse_over_time",
-    "graph_sha256",
-    "signal_sha256",
 ]
 
 
@@ -223,18 +217,19 @@ class MessengerPredictor(Predictor):
     (every node's value, its text and its prompt line), the only step input
     of ``build_task`` and ``render_prompt``, which run once per hidden node.
     Every request carries the task it was rendered from. A step's requests go
-    through ``backend.complete_each``, which gives each one's reply text or the
-    ``BackendError`` that failed it: a remote backend posts one at a time, and a
-    request waiting out its backoff lets the step's next requests go. An
-    infeasible task (no previous estimate, no neighbor value) is never sent;
-    it, a backend error and an unparseable or NaN reply are each replaced
-    through the total fallback cascade and counted. With ``keep_prompts=True`` a run
-    keeps its prompts in ``prompt_log``, so it can be audited for leaks.
-    With ``batch=True`` each step's tasks go to the backend as one batch
-    through :func:`batch_complete`, whose count guard fails every item when
-    the number of replies is wrong. The neighbor mode, temperature and
-    ``max_tokens`` are checked here, once, before any run; requests and step
-    tables copy them, and a task's values were checked where they were made.
+    through ``backend.complete_each``, or with ``batch=True`` as one batch
+    through ``backend.complete_batch``, whose count guard fails every item
+    when the number of replies is wrong. Either gives each request's reply
+    text or the ``BackendError`` that failed it; a backend that gives another
+    number of outcomes than requests stops the run. A remote backend posts one
+    request at a time, and a request waiting out its backoff lets the step's
+    next requests go. An infeasible task (no previous estimate, no neighbor
+    value) is never sent; it, a backend error and an unparseable or NaN reply
+    are each replaced through the total fallback cascade and counted. With
+    ``keep_prompts=True`` a run keeps its prompts in ``prompt_log``, so it can
+    be audited for leaks. The neighbor mode, temperature and ``max_tokens``
+    are checked here, once, before any run; requests and step tables copy
+    them, and a task's values were checked where they were made.
     """
 
     def __init__(
@@ -303,7 +298,9 @@ class MessengerPredictor(Predictor):
             pending.append((slot, request))
 
         requests = [request for _, request in pending]
-        outcomes = batch_complete(requests, self.backend) if self.batch else self.backend.complete_each(requests)
+        outcomes = (self.backend.complete_batch if self.batch else self.backend.complete_each)(requests)
+        if len(outcomes) != len(requests):
+            raise ValueError(f"{self.backend.kind} backend: {len(outcomes)} outcomes for {len(requests)} requests")
         for (slot, request), outcome in zip(pending, outcomes):
             v = request.task.node_id
             if isinstance(outcome, BackendError):
@@ -383,23 +380,6 @@ def evaluate_mse(
     if masks is None:
         return MseReport(all_nodes, None, tuple((a, None) for a in per_run_all))
     return MseReport(all_nodes, float(np.mean(per_run)), tuple(zip(per_run_all, per_run)))
-
-
-def graph_sha256(g: Graph) -> str:
-    """SHA-256 of the graph's canonical text, computed on first use and kept on ``g``."""
-    digest = g._sha256
-    if digest is None:
-        digest = g._sha256 = hashlib.sha256(g.canonical_text().encode("utf-8")).hexdigest()
-    return digest
-
-
-def signal_sha256(series: SignalSeries) -> str:
-    """SHA-256 of the series' shape text and value bytes, computed on first use and kept on ``series``."""
-    if series._sha256 is None:
-        digest = hashlib.sha256(str(series.values.shape).encode())
-        digest.update(np.ascontiguousarray(series.values).tobytes())
-        object.__setattr__(series, "_sha256", digest.hexdigest())  # the series is frozen
-    return series._sha256
 
 
 @dataclass(eq=False)  # holds arrays: equality is identity

@@ -16,6 +16,7 @@ from .graphs import Graph
 
 __all__ = [
     "SignalSeries",
+    "signal_sha256",
     "SamplingMask",
     "Observation",
     "MaskSpec",
@@ -43,7 +44,7 @@ class SignalSeries:
 
     values: np.ndarray
     units: str = ""
-    _sha256: str | None = field(default=None, init=False, repr=False)  # kept by harness.signal_sha256
+    _sha256: str | None = field(default=None, init=False, repr=False)  # kept by signal_sha256
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -62,6 +63,15 @@ class SignalSeries:
     @property
     def num_steps(self) -> int:
         return self.values.shape[1]
+
+
+def signal_sha256(series: SignalSeries) -> str:
+    """SHA-256 of the series' shape text and value bytes, computed on first use and kept on ``series``."""
+    if series._sha256 is None:
+        digest = hashlib.sha256(str(series.values.shape).encode())
+        digest.update(np.ascontiguousarray(series.values).tobytes())
+        object.__setattr__(series, "_sha256", digest.hexdigest())  # the series is frozen
+    return series._sha256
 
 
 @dataclass(frozen=True, eq=False)  # equality is identity, so a mask is hashable

@@ -251,7 +251,7 @@ def test_criterion_08_nan_reply_triggers_history_mean_fallback(tmp_path):
 class ShortBatchBackend(MockBackend):
     """Answers every batch with one response too few, all with a decoy value."""
 
-    def complete_batch(self, reqs):
+    def _batch_replies(self, reqs):
         return ["999.0"] * (len(reqs) - 1)
 
 

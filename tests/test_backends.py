@@ -3,11 +3,14 @@
 import json
 import logging
 import math
+import re
 import socket
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,6 @@ from graphfill.backends import (
     ReplayMissError,
     TransportFailure,
     _urllib_transport,
-    batch_complete,
     make_backend,
     mock_predict,
     prompt_sha256,
@@ -141,15 +143,15 @@ def test_read_replay_file_rejects_garbage(tmp_path):
         read_replay_file(path)
 
 
-def replay_line(prompt, text):
+def replay_line(prompt, text, model="m", temperature=0.0):
     return json.dumps({"prompt_sha256": prompt_sha256(prompt), "response_text": text,
-                       "model": "m", "temperature": 0.0}) + "\n"
+                       "model": model, "temperature": temperature}) + "\n"
 
 
 def test_read_replay_file_accepts_identical_duplicates(tmp_path):
     path = tmp_path / "replay.jsonl"
     path.write_text(replay_line("a", "1.5") + replay_line("b", "2") + replay_line("a", "1.5"))
-    assert read_replay_file(path) == {prompt_sha256("a"): "1.5", prompt_sha256("b"): "2"}
+    assert read_replay_file(path) == {prompt_sha256("a"): ("1.5", "m", 0.0, 1), prompt_sha256("b"): ("2", "m", 0.0, 2)}
 
 
 def test_read_replay_file_rejects_conflicting_records(tmp_path):
@@ -176,8 +178,42 @@ def test_read_replay_file_keeps_a_recorded_empty_reply(tmp_path):
     # The recorder writes a remote reply whose content is null as null; it
     # replays as the same empty reply.
     path = tmp_path / "replay.jsonl"
-    path.write_text(replay_line("a", None))
+    path.write_text(replay_line("a", None, model=req("a").model))
     assert ReplayBackend(path).complete(req("a")) is None
+
+
+def test_read_replay_file_refuses_a_record_without_its_model_or_temperature(tmp_path):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("b", "2") + replay_line("a", "1.5", model=None))
+    with pytest.raises(ValueError, match=r"replay.jsonl:2: bad replay record: model must be a string"):
+        read_replay_file(path)
+    path.write_text(json.dumps({"prompt_sha256": prompt_sha256("a"), "response_text": "1", "model": "m"}) + "\n")
+    with pytest.raises(ValueError, match=r"replay.jsonl:1: bad replay record: 'temperature'"):
+        read_replay_file(path)
+
+
+@pytest.mark.parametrize("second", [replay_line("a", "1.5", model="n"), replay_line("a", "1.5", temperature=0.5)],
+                         ids=["model", "temperature"])
+def test_read_replay_file_rejects_a_record_for_another_model_or_temperature(tmp_path, second):
+    path = tmp_path / "replay.jsonl"
+    path.write_text(replay_line("a", "1.5") + replay_line("b", "2") + second)
+    with pytest.raises(ValueError, match="lines 1 and 3 record different responses"):
+        read_replay_file(path)
+
+
+@pytest.mark.parametrize("model, temperature", [("B", 0.5), ("A", 0.0), ("B", 0.0)])
+def test_replay_answers_only_the_model_and_temperature_it_recorded(tmp_path, model, temperature):
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(replay_line(p, text, model="A", temperature=0.5) for p, text in (("b", "2"), ("a", "1.5"))))
+    backend = ReplayBackend(path)
+    assert backend.complete(req("a", model="A", temperature=0.5)) == "1.5"
+    with pytest.raises(ValueError) as caught:  # not a BackendError: the run stops instead of falling back
+        backend.complete(req("a", model=model, temperature=temperature))
+    assert not isinstance(caught.value, BackendError)
+    assert str(caught.value) == (f"{path}:2: recorded for model 'A' at temperature 0.5, "
+                                 f"requested for model {model!r} at temperature {temperature}")
+    with pytest.raises(ReplayMissError):
+        backend.complete(req("c", model=model, temperature=temperature))
 
 
 def test_make_backend_dispatch(tmp_path):
@@ -447,15 +483,15 @@ def test_remote_backend_over_loopback(loopback, monkeypatch):
 def test_batch_counts_match_in_order():
     tasks = [task_with(float(i), [float(i) + 2.0]) for i in range(5)]
     reqs = [req(f"p{i}", task=t) for i, t in enumerate(tasks)]
-    texts = batch_complete(reqs, MockBackend(0.5))
+    texts = MockBackend(0.5).complete_batch(reqs)
     assert texts == [mock_predict(t, 0.5) for t in tasks]
 
 
 class ShortBatchBackend(MockBackend):
     """Returns one fewer response than requested, simulating a miscounting model."""
 
-    def complete_batch(self, reqs):
-        full = super().complete_batch(reqs)
+    def _batch_replies(self, reqs):
+        full = super()._batch_replies(reqs)
         return full[:-1]
 
 
@@ -463,7 +499,7 @@ def test_batch_count_mismatch_fails_every_item(caplog):
     tasks = [task_with(float(i), [1.0]) for i in range(5)]
     reqs = [req(f"p{i}", task=t) for i, t in enumerate(tasks)]
     with caplog.at_level(logging.WARNING, logger="graphfill.backends"):
-        out = batch_complete(reqs, ShortBatchBackend(0.5))
+        out = ShortBatchBackend(0.5).complete_batch(reqs)
     assert len(out) == 5
     assert all(isinstance(item, BackendError) for item in out)
     assert any("mismatch" in r.getMessage() for r in caplog.records)
@@ -472,24 +508,24 @@ def test_batch_count_mismatch_fails_every_item(caplog):
 def test_batch_backend_error_fails_every_item(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    out = batch_complete([req("a"), req("b")], ReplayBackend(path))
+    out = ReplayBackend(path).complete_batch([req("a"), req("b")])
     assert all(isinstance(item, BackendError) for item in out)
 
 
 def test_batch_failures_are_the_backend_errors(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    out = batch_complete([req("a"), req("b")], ReplayBackend(path))
+    out = ReplayBackend(path).complete_batch([req("a"), req("b")])
     assert [type(item) for item in out] == [ReplayMissError] * 2
     assert str(out[0]).startswith(f"no recorded response for prompt hash {prompt_sha256('a')[:12]}")
     reqs = [req(f"p{i}", task=task_with(float(i), [1.0])) for i in range(3)]
-    out = batch_complete(reqs, ShortBatchBackend(0.5))
+    out = ShortBatchBackend(0.5).complete_batch(reqs)
     assert [type(item) for item in out] == [BackendUnavailableError] * 3
     assert [str(item) for item in out] == ["batch count mismatch: 3 requests, 2 responses"] * 3
 
 
 def test_batch_empty_request_list():
-    assert batch_complete([], MockBackend()) == []
+    assert MockBackend().complete_batch([]) == []
 
 
 def test_remote_batch_sends_one_joined_request_without_a_task(monkeypatch):
@@ -504,7 +540,7 @@ def test_remote_batch_sends_one_joined_request_without_a_task(monkeypatch):
     backend = SpyRemote(BackendConfig(kind="remote"), transport=lambda *a: (200, ok_body("1\n2")),
                         sleep=lambda s: None)
     reqs = [req("a", task=task_with(1.0, [])), req("b", task=task_with(2.0, []))]
-    assert batch_complete(reqs, backend) == ["1", "2"]
+    assert backend.complete_batch(reqs) == ["1", "2"]
     assert len(sent) == 1
     assert sent[0].task is None
     assert "Task 1 of 2:\na" in sent[0].prompt and "Task 2 of 2:\nb" in sent[0].prompt
@@ -641,3 +677,87 @@ def test_threads_sharing_one_remote_backend_each_get_their_own_steps_outcomes(mo
         assert [plain(o) for o in outcomes] == [plain(o) for o in Backend.complete_each(sequential, step)]
         assert all(transport.posters[r.prompt] == {poster} for r in step)
     assert transport.peak <= 2
+
+
+# ---------------------------------------------------------------- one outcome per request
+
+
+class DrawnLinesBackend(MockBackend):
+    """Answers a batch with a given number of lines: each request's own reply while they last."""
+
+    def __init__(self, lines):
+        super().__init__(0.5)
+        self.lines = lines
+
+    def _batch_replies(self, reqs):
+        return (super()._batch_replies(reqs) + ["9"] * self.lines)[: self.lines]
+
+
+class FailingBatchBackend(MockBackend):
+    def _batch_replies(self, reqs):
+        raise BackendUnavailableError("the batch endpoint is down")
+
+
+BATCH_FAULTS = (None, "500", "400", "transport", "malformed", "short", "long")
+
+
+class EchoTransport:
+    """Echoes a prompt, or a batch's task prompts one per line; a batch's fault is keyed on its prompt's SHA-256."""
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def __call__(self, url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        tasks = re.findall(r"^Task \d+ of \d+:\n(.*)$", prompt, re.M)
+        if not tasks:
+            return 200, ok_body(prompt)
+        fault = BATCH_FAULTS[(int(prompt_sha256(prompt), 16) + self.salt) % len(BATCH_FAULTS)]
+        if fault == "transport":
+            raise TransportFailure("connection reset")
+        if fault in ("500", "400"):
+            return int(fault), {"error": "no"}
+        if fault == "malformed":
+            return 200, {"choices": []}
+        return 200, ok_body("\n".join(tasks[:-1] if fault == "short" else tasks + ["1"] if fault == "long" else tasks))
+
+
+def recorded_pairs(path):
+    lines = path.read_text().splitlines() if path.exists() else []
+    return [(record["prompt_sha256"], record["response_text"]) for record in map(json.loads, lines)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(-3, 3)), max_size=12),
+       st.sampled_from(["mock", "replay", "lines", "raises", "remote"]),
+       st.sets(st.sampled_from("abcd")), st.integers(0, 14), st.integers(0, len(BATCH_FAULTS) - 1))
+def test_both_step_paths_give_one_outcome_per_request(step, kind, recorded, lines, salt):
+    reqs = [req(f"prompt {p}", request_id=f"r{i}", task=task_with(float(prev), [1.0]))
+            for i, (p, prev) in enumerate(step)]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OPENAI_API_KEY", "sk-test-123")
+        replay = Path(tmp) / "replay.jsonl"
+        replay.write_text("".join(replay_line(f"prompt {p}", f"{p}!", model=req().model) for p in sorted(recorded)))
+        make = {
+            "mock": lambda: MockBackend(0.5),
+            "replay": lambda: ReplayBackend(replay),
+            "lines": lambda: DrawnLinesBackend(lines),
+            "raises": FailingBatchBackend,
+            "remote": lambda: RemoteBackend(BackendConfig(kind="remote", max_retries=1, backoff_base_s=0.0),
+                                            transport=EchoTransport(salt), sleep=lambda s: None),
+        }[kind]
+        backend = make()
+        batch = backend.complete_batch(reqs)
+        assert len(batch) == len(reqs)
+        if any(isinstance(o, BackendError) for o in batch):
+            assert isinstance(batch[0], BackendError) and all(o is batch[0] for o in batch)
+        else:
+            assert batch == [backend.complete(r) for r in reqs]
+        each = backend.complete_each(reqs)
+        assert [plain(o) for o in each] == [plain(backend._outcome(r)) for r in reqs]
+        for method, want in (("complete_batch", batch), ("complete_each", each)):
+            path = Path(tmp) / f"{method}.jsonl"
+            got = getattr(RecordingBackend(make(), path), method)(reqs)
+            assert [plain(o) for o in got] == [plain(o) for o in want]
+            assert recorded_pairs(path) == [(prompt_sha256(r.prompt), o) for r, o in zip(reqs, want)
+                                            if not isinstance(o, BackendError)]

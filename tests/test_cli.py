@@ -286,6 +286,24 @@ def test_replay_record_and_replay_back(tmp_path):
         assert run_a["estimates"] == run_b["estimates"]
 
 
+@pytest.mark.parametrize("replay_args", [["--model", "B"], ["--model", "A"], ["--temperature", "0.5"]])
+def test_replay_answers_only_the_model_and_temperature_it_recorded(tmp_path, capsys, replay_args):
+    replay = tmp_path / "r.jsonl"
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "llm", "--backend", "mock", "--runs", "1",
+                   "--model", "A", "--temperature", "0.5", "--replay-out", str(replay),
+                   "--out", str(tmp_path / "record")) == 0
+    replay_run = ["run", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
+                  "--replay-file", str(replay), "--runs", "1"]
+    capsys.readouterr()
+    assert run_cli(*replay_run, *replay_args, "--out", str(tmp_path / "never")) == 2
+    assert f"{replay}:1: recorded for model 'A' at temperature 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+    assert run_cli(*replay_run, "--model", "A", "--temperature", "0.5", "--out", str(tmp_path / "replay")) == 0
+    recorded, replayed = (json.loads((tmp_path / d / "llm.json").read_text()) for d in ("record", "replay"))
+    assert (replayed["mse_all"], replayed["mse_missing"]) == (recorded["mse_all"], recorded["mse_missing"])
+    assert replayed["config"]["model"] == "A" and replayed["config"]["temperature"] == 0.5
+
+
 def test_remote_replay_record_writes_its_records_in_request_order(tmp_path, monkeypatch):
     # While one request waits out a backoff the next ones are posted, so replies arrive out of
     # request order; the replay file must not show it.

@@ -15,8 +15,7 @@ from graphfill.datasets import (
     save_bundle,
 )
 from graphfill.graphs import Graph
-from graphfill.harness import signal_sha256
-from graphfill.signals import SignalSeries
+from graphfill.signals import SignalSeries, signal_sha256
 
 TOY = Path(__file__).parent.parent / "fixtures" / "toy" / "manifest.txt"
 

@@ -6,6 +6,7 @@ import pytest
 from graphfill.graphs import (
     Graph,
     eigendecompose,
+    graph_sha256,
     knn_graph,
     laplacian,
     read_coordinates,
@@ -13,7 +14,6 @@ from graphfill.graphs import (
     write_coordinates,
     write_edge_list,
 )
-from graphfill.harness import graph_sha256
 
 
 def triangle():

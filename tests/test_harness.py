@@ -441,6 +441,26 @@ def test_overflowing_mock_reply_is_a_counted_fallback(observed):
     assert result.mse_all == 0.0
 
 
+class DroppingBackend(MockBackend):
+    """Gives one outcome too few for every step, on either path."""
+
+    def complete_each(self, reqs):
+        return super().complete_each(reqs)[:-1]
+
+    def complete_batch(self, reqs):
+        return super().complete_batch(reqs)[:-1]
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_a_backend_giving_too_few_outcomes_stops_the_run(batch):
+    # zip would drop the last hidden node's request and leave its estimate unset.
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    series = SignalSeries(np.arange(8.0).reshape(4, 2))
+    predictor = MessengerPredictor(DroppingBackend(), batch=batch)
+    with pytest.raises(ValueError, match=r"^mock backend: 1 outcomes for 2 requests$"):
+        run_online(predictor, g, series, SamplingMask(np.array([True, False, True, False])))
+
+
 def test_graph_fingerprint_is_computed_once_per_graph(monkeypatch):
     calls = []
     canonical_text = Graph.canonical_text
