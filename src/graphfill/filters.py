@@ -7,6 +7,7 @@ N x F block of the first F Laplacian eigenvectors, passed as a plain array.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,7 +54,9 @@ class FilterConfig:
     def __post_init__(self):
         if not 0 < float(self.mu) < np.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if self.bandwidth is not None and int(self.bandwidth) < 1:
+        if self.bandwidth is not None and not isinstance(self.bandwidth, numbers.Integral):
+            raise ValueError(f"bandwidth must be an integer, got {self.bandwidth!r}")
+        if self.bandwidth is not None and self.bandwidth < 1:
             raise ValueError(f"bandwidth must be at least 1, got {self.bandwidth}")
 
     def resolve_bandwidth(self, num_nodes: int) -> int:

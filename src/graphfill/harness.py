@@ -9,11 +9,13 @@ read through a guard that forbids access to future columns.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
 import json
 import math
+import numbers
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -144,23 +146,27 @@ class EstimateState:
 class Predictor:
     """Per-step proposal source for the missing nodes.
 
-    ``reset`` is called once per run with that run's graph and mask;
+    A configured predictor is shared by every run and never written by one:
+    ``reset``, called once per run, returns the run, a shallow copy holding
+    that run's graph, mask, ``stats`` and ``prompt_log``. A subclass sets its
+    own run state on the value that ``super().reset(...)`` returns. The run's
     ``predict_missing`` must return one value per missing node, in ascending
     node order, using only the current observation and the state built so far.
     """
 
     name = "predictor"
 
-    def reset(self, g: Graph, mask: SamplingMask, run_index: int = 0) -> None:
-        self._g = g
-        self._mask = mask
-        self._run_index = run_index
-        self.stats: dict[str, int] = {}
+    def reset(self, g: Graph, mask: SamplingMask, run_index: int = 0) -> Predictor:
+        run = copy.copy(self)
+        run._g, run._mask, run._run_index = g, mask, run_index
+        run.stats, run.prompt_log = {}, []
+        return run
 
     def predict_missing(self, t: int, obs: Observation, state: EstimateState) -> np.ndarray:
         raise NotImplementedError
 
     def config_snapshot(self) -> dict:
+        """The run's configuration, as its result records it."""
         return {}
 
 
@@ -188,24 +194,22 @@ class FilterPredictor(Predictor):
         self.cfg = cfg or FilterConfig()
 
     def reset(self, g, mask, run_index=0):
-        super().reset(g, mask, run_index)
-        self._bandwidth = self.cfg.resolve_bandwidth(g.num_nodes)
+        run = super().reset(g, mask, run_index)
         # A C-contiguous copy, not a strided view of the N x N eigenvectors:
         # BLAS sums a view's products in another order, changing the last bits.
-        self._basis = np.array(graph_spectrum(g)[1][:, : self._bandwidth])
-        self._mu = float(self.cfg.mu)
-        self._missing = mask.missing
-        self._estimate = np.zeros(g.num_nodes)
+        run._basis = np.array(graph_spectrum(g)[1][:, : self.cfg.resolve_bandwidth(g.num_nodes)])
+        run._estimate = np.zeros(g.num_nodes)
+        return run
 
     def predict_missing(self, t, obs, state):
-        self._estimate = filter_step(self.kind, self._estimate, obs, self._basis, self._mu)
-        return self._estimate[self._missing]
+        self._estimate = filter_step(self.kind, self._estimate, obs, self._basis, self.cfg.mu)
+        return self._estimate[self._mask.missing]
 
     def config_snapshot(self):
         return {
             "kind": self.kind,
             "mu": float(self.cfg.mu),
-            "bandwidth": getattr(self, "_bandwidth", self.cfg.bandwidth),
+            "bandwidth": self._basis.shape[1],
             "init": "zeros",
         }
 
@@ -255,24 +259,20 @@ class MessengerPredictor(Predictor):
         self.temperature = float(temperature)
         if not (math.isfinite(self.temperature) and self.temperature >= 0):
             raise ValueError(f"temperature must be a finite number >= 0, got {temperature}")
+        if not isinstance(max_tokens, numbers.Integral):
+            raise ValueError(f"max_tokens must be an integer, got {max_tokens!r}")
         self.max_tokens = int(max_tokens)
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be at least 1")
         self.batch = bool(batch)
         self.name = name
         self.keep_prompts = bool(keep_prompts)
-        self.prompt_log: list[dict] = []
 
     def reset(self, g, mask, run_index=0):
-        super().reset(g, mask, run_index)
-        self._missing = mask.missing.tolist()
-        self.stats = {
-            "fallback_uses": 0,
-            "parse_failures": 0,
-            "backend_failures": 0,
-            "infeasible_tasks": 0,
-        }
-        self.prompt_log = []
+        run = super().reset(g, mask, run_index)
+        run._missing = mask.missing.tolist()
+        run.stats = dict.fromkeys(("fallback_uses", "parse_failures", "backend_failures", "infeasible_tasks"), 0)
+        return run
 
     def _fallback(self, v, obs, state, reason_key):
         self.stats[reason_key] += 1
@@ -597,11 +597,14 @@ def run_online(
     gives each run's mask, which carries its missing index, and the recorded
     policy. Each value is checked once, by its maker: series and mask when made,
     each step's observation shapes by :func:`observation_from_column`, and
-    the predictor's proposals by :meth:`EstimateState.append`. The per-step
-    calls are bound once per run, and each is made once per step.
+    the predictor's proposals by :meth:`EstimateState.append`. The run that
+    ``predictor.reset`` returns is stepped, and its calls are bound once per
+    run; the last run's ``config_snapshot`` is recorded.
     """
     if truth.num_nodes != g.num_nodes:
         raise ValueError(f"truth covers {truth.num_nodes} nodes, graph has {g.num_nodes}")
+    if not isinstance(runs, numbers.Integral):
+        raise ValueError(f"runs must be an integer, got {runs!r}")
     runs = int(runs)
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -615,12 +618,12 @@ def run_online(
 
     for r in range(runs):
         run_mask = mask.mask_for_run(r, g.num_nodes)
-        predictor.reset(g, run_mask, run_index=r)
+        run = predictor.reset(g, run_mask, run_index=r)
         view = CausalSignalView(truth)
         state = EstimateState(g.num_nodes, truth.num_steps)
         missing = run_mask.missing
         advance, column, observe = view.advance, view.column, observation_from_column
-        predict, append = predictor.predict_missing, state.append
+        predict, append = run.predict_missing, state.append
         for t in range(truth.num_steps):
             advance(t)
             obs = observe(column(t), run_mask, t)
@@ -628,10 +631,9 @@ def run_online(
         estimates.append(state.matrix())
         estimates[-1].setflags(write=False)  # the writers keep its text, so it must not change
         masks_used.append(run_mask)
-        stats = dict(getattr(predictor, "stats", {}) or {})
-        per_run_stats.append(stats)
+        per_run_stats.append(run.stats)
         access_logs.append(view.access_log)
-        prompt_logs.append(list(getattr(predictor, "prompt_log", [])))
+        prompt_logs.append(run.prompt_log)
 
     aggregate = evaluate_mse(estimates, truth, masks_used)
     per_run_mse = [{"all_nodes": a, "missing_only": m} for a, m in aggregate.per_run]
@@ -641,7 +643,7 @@ def run_online(
         "predictor": predictor.name,
         "runs": runs,
         "mask": policy,
-        **predictor.config_snapshot(),
+        **run.config_snapshot(),
     }
     context = {
         "graph_sha256": graph_sha256(g),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -130,7 +131,9 @@ class Observation:
 
 
 def _seed(seed) -> int:
-    if int(seed) < 0:
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return int(seed)
 

@@ -18,7 +18,7 @@ from graphfill.cli import build_parser, main
 from graphfill.datasets import load_bundle
 from graphfill.harness import RunResult
 from graphfill.messenger import PromptTemplate
-from graphfill.signals import read_mask_file
+from graphfill.signals import MaskSpec, read_mask_file
 
 ROOT = Path(__file__).parent.parent
 TOY = str(ROOT / "fixtures" / "toy" / "manifest.txt")
@@ -262,6 +262,28 @@ def test_toy_mock_run_calls_each_wrapped_stage_once_per_node(tmp_path, monkeypat
     assert hidden > 0
     assert calls == {"build_task": hidden, "render_prompt": feasible, "parse_response": feasible,
                      "mock_predict": feasible}
+
+
+@pytest.mark.parametrize("make", [lambda: harness.FilterPredictor("glms"),
+                                  lambda: harness.MessengerPredictor(backends.MockBackend(0.5))],
+                         ids=["glms", "mock"])
+def test_a_reset_wrapped_on_the_instance_is_called_once_per_run(make):
+    # The benchmark's job boundary (perfbench/worker.py, _install_boundary) splits
+    # a job's timed segments by setting a wrapper of ``predictor.reset`` on the
+    # instance, which returns what the wrapped call returns. So a run must call
+    # it, under that name, once per run, and step the run it returns.
+    predictor = make()
+    reset, returned = predictor.reset, []
+
+    def counted(*args, **kwargs):
+        returned.append(reset(*args, **kwargs))
+        return returned[-1]
+
+    predictor.reset = counted
+    graph, series, _ = load_bundle(TOY)
+    result = harness.run_online(predictor, graph, series, MaskSpec(0.3, seed=0), runs=3)
+    assert len(returned) == 3
+    assert all(stats is run.stats for stats, run in zip(result.per_run_stats, returned))
 
 
 # ---------------------------------------------------------------- replay

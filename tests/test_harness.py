@@ -32,7 +32,14 @@ from graphfill.harness import (
     run_online,
     signal_sha256,
 )
-from graphfill.signals import MaskSpec, SamplingMask, SignalSeries, generate_mask, observation_from_column
+from graphfill.signals import (
+    MaskSpec,
+    SamplingMask,
+    SignalSeries,
+    generate_mask,
+    observation_from_column,
+    synth_bandlimited,
+)
 
 
 def path3():
@@ -298,6 +305,62 @@ def test_predictor_keeps_no_prompts_unless_asked():
     kept = MessengerPredictor(MockBackend(0.5), units="m/s", keep_prompts=True)
     logs = run_online(kept, path3(), toy_series(), mask, runs=2).prompt_logs
     assert [len(log) for log in logs] == [4, 4]  # one hidden node, four steps
+
+
+def ring6():
+    return Graph(6, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.0), (4, 5, 0.25), (5, 0, 1.5)])
+
+
+def ring6_series():
+    return SignalSeries(np.random.default_rng(4).normal(size=(6, 7)), units="m/s")
+
+
+@pytest.mark.parametrize("make", [
+    ZeroPredictor,
+    lambda: FilterPredictor("glms", FilterConfig(bandwidth=None)),
+    lambda: FilterPredictor("gsign", FilterConfig(mu=0.25, bandwidth=3)),
+    lambda: MessengerPredictor(MockBackend(0.5), units="m/s", keep_prompts=True),
+    lambda: MessengerPredictor(MockBackend(0.5), units="m/s", batch=True),
+], ids=["zero", "glms", "gsign", "mock-prompts", "mock-batch"])
+def test_a_run_never_writes_its_predictor(make):
+    predictor = make()
+    before = dict(vars(predictor))
+    result = run_online(predictor, ring6(), ring6_series(), MaskSpec(0.5, seed=2), runs=3)
+    assert result.runs == 3
+    after = vars(predictor)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("kind", ["glms", "gsign"])
+def test_runs_of_one_filter_stepped_alternately_match_sequential_runs(kind):
+    # Runs share only their inputs, so interleaving their steps changes no bit.
+    g, series, spec = ring6(), ring6_series(), MaskSpec(0.5, seed=5)
+    predictor = FilterPredictor(kind, FilterConfig(mu=0.7))
+    want = run_online(predictor, g, series, spec, runs=2)
+    masks = [spec.mask_for_run(r, g.num_nodes) for r in range(2)]
+    runs = [predictor.reset(g, mask, run_index=r) for r, mask in enumerate(masks)]
+    states = [EstimateState(g.num_nodes, series.num_steps) for _ in runs]
+    for t in range(series.num_steps):
+        for run, mask, state in zip(runs, masks, states):
+            obs = observation_from_column(series.values[:, t], mask, t)
+            state.append(obs.data, mask.missing, run.predict_missing(t, obs, state))
+    assert [state.matrix().tobytes() for state in states] == [est.tobytes() for est in want.estimates]
+
+
+@pytest.mark.parametrize("name, make", [
+    ("seed", lambda count: MaskSpec(0.5, count)),
+    ("seed", lambda count: generate_mask(4, 0.5, count)),
+    ("seed", lambda count: synth_bandlimited(path3(), 2, 0.5, 1.0, 3, count)),
+    ("bandwidth", lambda count: FilterConfig(bandwidth=count)),
+    ("max_tokens", lambda count: MessengerPredictor(MockBackend(), max_tokens=count)),
+    ("runs", lambda count: run_online(ZeroPredictor(), path3(), toy_series(), MaskSpec(0.3, 0), runs=count)),
+], ids=["MaskSpec", "generate_mask", "synth_bandlimited", "FilterConfig", "MessengerPredictor", "run_online"])
+def test_a_count_that_is_not_an_integer_is_refused_not_truncated(name, make):
+    make(np.int64(2))  # numpy integers are integers
+    for count in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {count!r}"):
+            make(count)
 
 
 def non_text_transport(url, headers, payload, timeout):

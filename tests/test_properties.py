@@ -351,18 +351,20 @@ def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):
 
 
 class PoisonedPredictor(Predictor):
-    """Proposes what ``inner`` proposes, but ``bad`` at ``slot`` of ``step``; keeps the run's state."""
+    """Proposes what ``inner`` proposes, but ``bad`` at ``slot`` of ``step``; keeps the states it sees."""
 
     def __init__(self, inner, step, slot, bad):
         self.inner, self.step, self.slot, self.bad = inner, step, slot, bad
         self.name = inner.name
+        self.states = []  # each run is a shallow copy, so its states land here
 
     def reset(self, g, mask, run_index=0):
-        super().reset(g, mask, run_index)
-        self.inner.reset(g, mask, run_index)
+        run = super().reset(g, mask, run_index)
+        run.inner = self.inner.reset(g, mask, run_index)
+        return run
 
     def predict_missing(self, t, obs, state):
-        self.state = state
+        self.states.append(state)
         proposals = np.array(self.inner.predict_missing(t, obs, state))
         if t == self.step:
             proposals[self.slot] = self.bad
@@ -397,7 +399,7 @@ def test_a_non_finite_proposal_is_refused_after_the_former_loops_columns(case):
         with pytest.raises(ValueError) as refused:
             run_online(predictor, g, truth, mask)
     assert want[0] is not None
-    assert (str(refused.value), predictor.state.matrix().tobytes()) == want
+    assert (str(refused.value), predictor.states[-1].matrix().tobytes()) == want
 
 
 # ---------------------------------------------------------------- filter and graph properties
@@ -1231,13 +1233,13 @@ def predictor_step(obs, prev, g, mode, units, alpha, template):
     backend = RecordingMock(alpha)
     predictor = MessengerPredictor(backend, template=template, neighbor_mode=mode, units=units,
                                    keep_prompts=True)
-    predictor.reset(g, SamplingMask(obs.present))
+    run = predictor.reset(g, SamplingMask(obs.present))
     state = EstimateState(g.num_nodes, 1)
     if prev is not None:
         state.append(prev, np.array([], dtype=np.intp), np.array([]))
-    proposals = predictor.predict_missing(obs.time_index, obs, state)
+    proposals = run.predict_missing(obs.time_index, obs, state)
     seen = [(plain_task(task), prompt, reply) for task, prompt, reply in backend.seen]
-    return seen, predictor.stats["infeasible_tasks"], proposals, predictor.prompt_log
+    return seen, run.stats["infeasible_tasks"], proposals, run.prompt_log
 
 
 @settings(deadline=None, max_examples=300)
