@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -186,6 +187,8 @@ def knn_graph(coords: Sequence[Sequence[float]], k: int, weight_mode: str = "uni
     if not np.all(np.isfinite(pts)):
         raise ValueError("coordinates must be finite")
     n = pts.shape[0]
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if k < 1:
         raise ValueError("k must be at least 1")

@@ -130,12 +130,18 @@ class Observation:
         return self.data.shape[0]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a value that is not a ``numbers.Integral`` is refused, not truncated."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _seed(seed) -> int:
-    if not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
+    return seed
 
 
 def generate_mask(n: int, missing_fraction: float, seed: int) -> SamplingMask:
@@ -145,7 +151,7 @@ def generate_mask(n: int, missing_fraction: float, seed: int) -> SamplingMask:
     seeded with ``seed``, so identical arguments always give the same mask.
     Rounding is half-away-from-zero.
     """
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     missing_fraction = float(missing_fraction)
@@ -228,7 +234,7 @@ def synth_bandlimited(
     standard deviation. Deterministic for a fixed seed.
     """
     n = g.num_nodes
-    bandwidth = int(bandwidth)
+    bandwidth = _integer("bandwidth", bandwidth)
     if not 1 <= bandwidth <= n:
         raise ValueError(f"bandwidth {bandwidth} outside [1, {n}]")
     temporal_rho = float(temporal_rho)
@@ -237,7 +243,7 @@ def synth_bandlimited(
     innovation_std = float(innovation_std)
     if not 0 <= innovation_std < math.inf:
         raise ValueError(f"innovation_std must be finite and nonnegative, got {innovation_std}")
-    t_len = int(t_len)
+    t_len = _integer("t_len", t_len)
     if t_len < 1:
         raise ValueError("t_len must be at least 1")
     seed = _seed(seed)

@@ -15,7 +15,7 @@ from graphfill.backends import (
 )
 from graphfill.filters import FilterConfig
 from graphfill import backends, harness
-from graphfill.graphs import Graph
+from graphfill.graphs import Graph, knn_graph
 from graphfill.harness import (
     CausalityError,
     CausalSignalView,
@@ -267,7 +267,7 @@ def test_array_holders_compare_by_identity_and_hash(make):
 @pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("record", [False, True])
 def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, record):
-    from test_properties import former_render_prompt, former_task  # the former task-only formatter
+    from test_properties import former_render_prompt  # the former task-only formatter
 
     inner = RequestKeepingMock()
     backend = RecordingBackend(inner, tmp_path / "replay.jsonl") if record else inner
@@ -282,7 +282,7 @@ def test_every_request_carries_the_task_it_was_rendered_from(tmp_path, batch, re
     for req in inner.requests:
         task = req.task
         assert req.request_id.endswith(f"-t{task.time_index}-node{task.node_id}")
-        assert req.prompt == former_render_prompt(former_task(task), predictor.template)
+        assert req.prompt == former_render_prompt(task, predictor.template)
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0])
@@ -352,10 +352,15 @@ def test_runs_of_one_filter_stepped_alternately_match_sequential_runs(kind):
     ("seed", lambda count: MaskSpec(0.5, count)),
     ("seed", lambda count: generate_mask(4, 0.5, count)),
     ("seed", lambda count: synth_bandlimited(path3(), 2, 0.5, 1.0, 3, count)),
+    ("n", lambda count: generate_mask(count, 0.5, 0)),
+    ("bandwidth", lambda count: synth_bandlimited(path3(), count, 0.5, 1.0, 3, 0)),
+    ("t_len", lambda count: synth_bandlimited(path3(), 2, 0.5, 1.0, count, 0)),
+    ("k", lambda count: knn_graph(np.random.default_rng(0).random((6, 2)), count)),
     ("bandwidth", lambda count: FilterConfig(bandwidth=count)),
     ("max_tokens", lambda count: MessengerPredictor(MockBackend(), max_tokens=count)),
     ("runs", lambda count: run_online(ZeroPredictor(), path3(), toy_series(), MaskSpec(0.3, 0), runs=count)),
-], ids=["MaskSpec", "generate_mask", "synth_bandlimited", "FilterConfig", "MessengerPredictor", "run_online"])
+], ids=["MaskSpec", "generate_mask", "synth_bandlimited", "generate_mask_n", "synth_bandlimited_bandwidth",
+        "synth_bandlimited_t_len", "knn_graph", "FilterConfig", "MessengerPredictor", "run_online"])
 def test_a_count_that_is_not_an_integer_is_refused_not_truncated(name, make):
     make(np.int64(2))  # numpy integers are integers
     for count in (2.5, 2.0, "2"):

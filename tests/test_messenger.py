@@ -141,6 +141,15 @@ def test_render_no_neighbors_placeholder_line():
     assert "(no neighbor values available)" in text
 
 
+def test_an_observed_nodes_task_and_prompt_are_built_as_a_hidden_nodes_are():
+    # A run asks for hidden nodes only; build_task and render_prompt serve every node of a table.
+    table = sample_step()[1]
+    task = build_task(0, table, "m/s")
+    assert task == NodeTask(0, 4, 2.0, ((1, 3.5, False),), "m/s")
+    assert [type(field) for field in task[:3]] == [int, int, float]
+    assert "Previous estimate for station 0 (time step 3): 2\n" in render_prompt(task, PromptTemplate.default(), table)
+
+
 def test_template_renders_an_escaped_instruction_block_as_literal_text():
     tpl = PromptTemplate(body="{neighbor_block}\n{instruction_block}\nliteral {{instruction_block}}")
     text = sample_prompt(tpl)

@@ -1,17 +1,20 @@
-"""Property tests: the reply parser round trip and its fast path, observations,
-the online loop's invariants and its time-major estimate state, the G-Sign step bound, the kNN graph's shape,
-and the online loop, the kNN build, the signal and coordinate CSV readers, the result writers
-and the messenger's tasks, prompts and mock replies (one node and whole steps)
-against their former code."""
+"""Property tests: the reply parser round trip and its fast path, observations, the online loop's
+invariants, the G-Sign step bound and the kNN graph's shape; the kNN and graph builds, the signal and
+coordinate CSV readers, the result writers and the refusal of a non-finite proposal against their
+former code; and every file a run writes against a whole reference run."""
 
 import csv
 import dataclasses
-import enum
+import hashlib
+import io
 import json
 import math
+import os
 import string
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -19,38 +22,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from graphfill import graphs, harness
+from graphfill import backends, cli, graphs, harness
 from graphfill._format import format_value
-from graphfill.backends import MockBackend, mock_predict
-from graphfill.graphs import Graph, knn_graph
-from graphfill.filters import FILTER_KINDS, FilterConfig, filter_step, graph_spectrum
+from graphfill.backends import MockBackend, TransportFailure, mock_predict, prompt_sha256
+from graphfill.graphs import Graph, graph_sha256, knn_graph
+from graphfill.filters import FILTER_KINDS, FilterConfig, filter_step
 from graphfill.harness import (
-    EstimateState,
     FilterPredictor,
     MessengerPredictor,
     Predictor,
     RunResult,
     ZeroPredictor,
-    evaluate_mse,
     run_online,
 )
 from graphfill.messenger import (
     _PLACEHOLDERS,
+    NEIGHBOR_MODES,
     NodeTask,
     PromptTemplate,
-    StepTable,
     TemplateError,
     _scan_response,
-    build_task,
     parse_response,
-    render_prompt,
 )
 from graphfill.signals import (
     MaskSpec,
     SamplingMask,
     SignalSeries,
+    generate_mask,
     observation_from_column,
     read_signal_csv,
+    signal_sha256,
     synth_bandlimited,
 )
 
@@ -112,6 +113,7 @@ def test_run_online_clamps_observed_entries_and_never_reads_ahead(n, steps, runs
 
     proposals = iter(predictor.proposals)
     for est, mask, log in zip(result.estimates, result.masks, result.access_logs):
+        assert est.flags.c_contiguous  # as EstimateState.matrix promises
         observed = mask.observed
         assert np.array_equal(est[observed], truth.values[observed])
         for t in range(steps):
@@ -119,94 +121,72 @@ def test_run_online_clamps_observed_entries_and_never_reads_ahead(n, steps, runs
         assert log == [(t, t) for t in range(steps)]
 
 
-# ---------------------------------------------------------------- online loop against its former code
+# ---------------------------------------------------------------- the former online loop
 # The loop as it was before run-invariant work left the step: every step
 # builds an Observation that copies the mask, the filter step projects with
-# the former checked ``@`` products, and the column is assembled through a
-# boolean mask and checked with np.all.
+# the former checked ``@`` products on the former Laplacian's eigenvectors,
+# and the column is assembled through a boolean mask and checked with np.all.
+# ``reference_run`` (below) runs it end to end.
 
 
-class FormerObservation:
-    __slots__ = ("time_index", "data", "present")
-
-    def __init__(self, time_index, data, present):
-        data = np.asarray(data, dtype=float)
-        present = np.array(np.asarray(present, dtype=bool))
-        present.setflags(write=False)
-        data = np.where(present, data, 0.0)
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"observation entry {int(np.argmin(np.isfinite(data)))} is non-finite")
-        data.setflags(write=False)
-        self.time_index, self.data, self.present = int(time_index), data, present
-
-    @property
-    def num_nodes(self):
-        return self.data.shape[0]
+def former_observation(t, column, observed):
+    """The former Observation: a copy of the mask, and the column with 0.0 at the hidden nodes."""
+    return SimpleNamespace(time_index=t, data=np.where(observed, column, 0.0), present=np.array(observed))
 
 
-def former_projector(g, bandwidth):
-    """The former ``BandlimitedProjector.from_graph`` block: a C-contiguous copy of the first F eigenvectors."""
-    if not 1 <= bandwidth <= g.num_nodes:
-        raise ValueError(f"bandwidth {bandwidth} outside [1, {g.num_nodes}]")
-    return np.array(graph_spectrum(g)[1][:, :bandwidth])
+def former_laplacian(g):
+    n = g.num_nodes
+    lap = np.zeros((n, n))
+    for u, v, w in g.edges:
+        lap[u, v] -= w
+        lap[v, u] -= w
+        lap[u, u] += w
+        lap[v, v] += w
+    return lap
+
+
+def former_basis(g, bandwidth):
+    """A C-contiguous copy of the former Laplacian's first F eigenvectors, each signed so that its
+    largest-magnitude entry (the first on ties) is positive."""
+    vectors = np.linalg.eigh(former_laplacian(g))[1]
+    signs = np.sign(vectors[np.abs(vectors).argmax(axis=0), np.arange(g.num_nodes)])
+    signs[signs == 0] = 1.0
+    return np.array((vectors * signs)[:, :bandwidth])
 
 
 def former_filter_step(kind, estimate, obs, basis, mu):
-    if kind not in FILTER_KINDS:
-        raise ValueError(f"kind must be one of {FILTER_KINDS}, got {kind!r}")
-    estimate = np.asarray(estimate, dtype=float)
-    n = estimate.shape[0]
-    if obs.num_nodes != n or basis.shape[0] != n:
-        raise ValueError("dimension mismatch")
     err = (obs.data - estimate) * obs.present
     if kind == "gsign":
         err = np.sign(err)
-    err = np.asarray(err, dtype=float)  # the former projector's apply: U (U^T e)
-    if err.shape != (basis.shape[0],):
-        raise ValueError("vector shape does not match")
-    return estimate + float(mu) * (basis @ (basis.T @ err))
+    return estimate + float(mu) * (basis @ (basis.T @ err))  # the former projector's apply: U (U^T e)
 
 
-def former_run(kind, mu, bandwidth, g, truth, mask, runs):
-    """The former ``run_online`` loop for a filter kind, or for the zero predictor (kind None)."""
-    estimates, masks, logs = [], [], []
-    for r in range(runs):
-        run_mask = mask.mask_for_run(r, g.num_nodes) if isinstance(mask, MaskSpec) else mask
-        if kind is not None:
-            basis = former_projector(g, bandwidth)
-            estimate = np.zeros(g.num_nodes)
-        values = np.zeros((g.num_nodes, truth.num_steps))
-        missing = ~run_mask.observed
-        log = []
-        for t in range(truth.num_steps):
-            log.append((t, t))
-            obs = FormerObservation(t, np.array(truth.values[:, t]), run_mask.observed)
-            if kind is None:
-                proposals = np.zeros(run_mask.num_missing)
-            else:
-                estimate = former_filter_step(kind, estimate, obs, basis, mu)
-                proposals = estimate[~run_mask.observed]
-            column = np.array(obs.data)
-            column[missing] = proposals
-            if not np.all(np.isfinite(column)):
-                raise ValueError("assembled estimate contains non-finite entries")
-            values[:, t] = column
-        estimates.append(values)
-        masks.append(run_mask)
-        logs.append(log)
-    report = evaluate_mse(estimates, truth, masks)
-    return [e.tobytes() for e in estimates], repr(report[:2] + (report.per_run,)), logs
-
-
-def current_run(kind, mu, bandwidth, g, truth, mask, runs):
+def former_proposals(kind, mu, bandwidth, g, observed):
+    """The proposal step of one run of a filter kind, or of the zero predictor (kind None)."""
     if kind is None:
-        predictor = ZeroPredictor()
-    else:
-        predictor = FilterPredictor(kind, FilterConfig(mu=mu, bandwidth=bandwidth))
-    result = run_online(predictor, g, truth, mask, runs=runs)
-    report = (result.mse_all, result.mse_missing,
-              tuple((m["all_nodes"], m["missing_only"]) for m in result.per_run_mse))
-    return [e.tobytes() for e in result.estimates], repr(report), result.access_logs
+        return lambda obs, values: np.zeros(np.count_nonzero(~observed))
+    basis, estimate = former_basis(g, bandwidth), np.zeros(g.num_nodes)
+
+    def propose(obs, values):
+        nonlocal estimate
+        estimate = former_filter_step(kind, estimate, obs, basis, mu)
+        return estimate[~observed]
+
+    return propose
+
+
+def former_loop(truth, observed, propose):
+    """One run over the N x T ``truth``: ``propose(obs, values)`` fills each step's hidden nodes, and the
+    clamped column is stored. Returns None and the values, or the refusal's text and the columns before it."""
+    values = np.zeros(truth.shape)  # the former node-major state
+    for t in range(truth.shape[1]):
+        obs = former_observation(t, truth[:, t], observed)
+        column = np.array(obs.data)
+        column[~observed] = propose(obs, values)
+        if not np.all(np.isfinite(column)):
+            return "assembled estimate contains non-finite entries", values[:, :t]
+        values[:, t] = column
+    return None, values
 
 
 signal_values = st.one_of(
@@ -225,129 +205,21 @@ def weighted_graphs(draw, max_nodes=12):
     return Graph(n, [(u, v, draw(weight)) for u, v in chosen])
 
 
-@st.composite
-def online_runs(draw):
-    g = draw(weighted_graphs())
-    n = g.num_nodes
-    steps = draw(st.integers(1, 6))
-    truth = SignalSeries(np.array(draw(st.lists(signal_values, min_size=n * steps, max_size=n * steps)))
-                         .reshape(n, steps))
-    mask = draw(st.one_of(
-        st.sampled_from([True, False]).map(lambda o: SamplingMask(np.full(n, o))),  # none or all hidden
-        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda o: SamplingMask(np.array(o))),
-        st.builds(MaskSpec, st.floats(0.0, 0.99), st.integers(0, 2**16), st.booleans()),
-    ))
-    kind = draw(st.sampled_from([*FILTER_KINDS, None]))
-    mu = draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 2.0))
-    bandwidth = draw(st.integers(1, n))
-    return kind, mu, bandwidth, g, truth, mask, draw(st.integers(1, 3))
-
-
-@settings(deadline=None, max_examples=300)
-@given(online_runs())
-def test_online_loop_matches_former_loop_bit_for_bit(case):
-    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e300 errors
-        want = outcome(former_run, *case)
-        got = outcome(current_run, *case)
-    assert got == want
-
-
-class FormerEstimateState:
-    """The former node-major state: an N x T array filled column by column."""
-
-    def __init__(self, num_nodes, num_steps):
-        self._values = np.zeros((num_nodes, num_steps))
-        self.steps_completed = 0
-
-    @property
-    def estimates(self):
-        t = self.steps_completed
-        return None if t == 0 else self._values[:, t - 1]
-
-    def history(self, v):
-        return self._values[v, : self.steps_completed]
-
-    def append(self, data, missing, proposals):
-        column = self._values[:, self.steps_completed]
-        column[:] = data
-        column[missing] = proposals
-        self.steps_completed += 1
-
-    def matrix(self):
-        return np.array(self._values[:, : self.steps_completed])
-
-
-state_values = st.one_of(
-    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, 1.7976931348623157e308, -1.7976931348623157e308]),
-    st.floats(-1e3, 1e3),
-    st.floats(1e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
-    finite,
-)
-
-
-@st.composite
-def estimate_streams(draw):
-    """Node count and steps of ``(data, missing, proposals)``, as ``EstimateState.append`` takes them."""
-    n = draw(st.integers(1, 8))
-    steps = []
-    for _ in range(draw(st.integers(1, 24))):
-        data = np.array(draw(st.lists(state_values, min_size=n, max_size=n)))
-        missing = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        proposals = np.array(draw(st.lists(state_values, min_size=len(missing), max_size=len(missing))))
-        steps.append((data, missing, proposals))
-    return n, steps
-
-
-def long_stream(n, steps, seed):
-    rng = np.random.default_rng(seed)
-    missing = np.array([0])
-    return n, [(rng.standard_normal(n) * 1e300, missing, rng.standard_normal(1) * 1e300) for _ in range(steps)]
-
-
-@settings(deadline=None, max_examples=300)
-@given(estimate_streams())
-@example(long_stream(2, 300, 0))  # past numpy's 128-element pairwise-sum block
-def test_time_major_state_matches_the_former_node_major_state(stream):
-    n, steps = stream
-    state, former = EstimateState(n, len(steps)), FormerEstimateState(n, len(steps))
-    assert state.estimates is None
-    for data, missing, proposals in steps:
-        state.append(data, missing, proposals)
-        former.append(data, missing, proposals)
-        assert state.estimates.tobytes() == former.estimates.tobytes()
-        for v in range(n):
-            assert state.history(v).tobytes() == former.history(v).tobytes()
-            with np.errstate(over="ignore", invalid="ignore"):  # sums of values near the largest float
-                assert np.mean(state.history(v)).tobytes() == np.mean(former.history(v)).tobytes()
-        got, want = state.matrix(), former.matrix()
-        assert got.flags.c_contiguous and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def former_poisoned_run(kind, mu, bandwidth, g, truth, mask, step, slot, bad):
     """One run of the former loop whose proposals hold ``bad`` at ``slot`` of ``step``.
 
     Returns the refusal's text, or None, and the bytes of every column stored before it.
     """
-    if kind is not None:
-        basis = former_projector(g, bandwidth)
-        estimate = np.zeros(g.num_nodes)
-    values = np.zeros((g.num_nodes, truth.num_steps))
-    missing = ~mask.observed
-    for t in range(truth.num_steps):
-        obs = FormerObservation(t, np.array(truth.values[:, t]), mask.observed)
-        if kind is None:
-            proposals = np.zeros(mask.num_missing)
-        else:
-            estimate = former_filter_step(kind, estimate, obs, basis, mu)
-            proposals = estimate[missing]
-        if t == step:
+    propose = former_proposals(kind, mu, bandwidth, g, mask.observed)
+
+    def poisoned(obs, values):
+        proposals = np.array(propose(obs, values))
+        if obs.time_index == step:
             proposals[slot] = bad
-        column = np.array(obs.data)
-        column[missing] = proposals
-        if not np.all(np.isfinite(column)):
-            return "assembled estimate contains non-finite entries", values[:, :t].tobytes()
-        values[:, t] = column
-    return None, values.tobytes()
+        return proposals
+
+    refusal, values = former_loop(truth.values, mask.observed, poisoned)
+    return refusal, values.tobytes()
 
 
 class PoisonedPredictor(Predictor):
@@ -388,6 +260,7 @@ def poisoned_runs(draw):
     return kind, mu, bandwidth, g, truth, mask, step, slot, draw(st.sampled_from([np.nan, np.inf, -np.inf]))
 
 
+# Only this proposes NaN or inf, which no run on a valid bundle does: a missing refusal, or a column kept after it.
 @settings(deadline=None, max_examples=200)
 @given(poisoned_runs())
 def test_a_non_finite_proposal_is_refused_after_the_former_loops_columns(case):
@@ -420,7 +293,7 @@ def gsign_steps(draw):
 @given(gsign_steps())
 def test_gsign_step_norm_is_at_most_mu_sqrt_observed(case):
     g, bandwidth, obs, estimate, mu = case
-    basis = former_projector(g, bandwidth)
+    basis = former_basis(g, bandwidth)
     out = filter_step("gsign", estimate, obs, basis, mu)
     bound = mu * math.sqrt(np.count_nonzero(obs.present))
     # the projection's rounding, and the rounding of x + step at |x| <= 1e3
@@ -509,6 +382,7 @@ tie_heavy_point_sets = st.one_of(
 )
 
 
+# Only this reaches exact ties at the k-th distance, coincident points, huge coordinates and several row chunks.
 @settings(deadline=None, max_examples=400)
 @given(tie_heavy_point_sets, st.data(), st.sampled_from(["unit", "gaussian"]), st.integers(1, 64))
 def test_knn_graph_matches_former_build(pts, data, weight_mode, chunk_elements):
@@ -532,6 +406,7 @@ def test_knn_graph_is_symmetric_without_self_loops_and_degree_at_least_k(pts, da
         assert len(g.neighbors(v)) >= k
 
 
+# Only this splits rows at the default chunk budget, which 400 points pass.
 def test_knn_graph_matches_former_build_on_a_few_hundred_points():
     coords = np.random.default_rng(0).random((400, 2))
     for k, weight_mode in ((5, "gaussian"), (3, "unit")):
@@ -584,17 +459,6 @@ class FormerGraph(Graph):
         return tuple((u, v, self._weights[(u, v)]) for u, v in sorted(self._weights))
 
 
-def former_laplacian(g):
-    n = g.num_nodes
-    lap = np.zeros((n, n))
-    for u, v, w in g.edges:
-        lap[u, v] -= w
-        lap[v, u] -= w
-        lap[u, u] += w
-        lap[v, v] += w
-    return lap
-
-
 NODE_ID_TYPES = (int, np.int64, np.intp, float)  # each gives a well-formed id
 
 
@@ -629,6 +493,7 @@ def edge_lists(draw):
     return n, specs
 
 
+# Only this builds from faulty edges (their messages) and from numpy or float ids, which no edge file holds.
 @settings(deadline=None, max_examples=600)
 @given(edge_lists())
 def test_graph_matches_the_former_per_edge_build(case):
@@ -644,22 +509,6 @@ def test_graph_matches_the_former_per_edge_build(case):
     assert repr(got.edges) == repr(want.edges)
     assert [got.neighbors(v) for v in range(n)] == [want.neighbors(v) for v in range(n)]
     assert (got.num_nodes, got.edges) == (want.num_nodes, want.edges)
-
-
-@st.composite
-def laplacian_graphs(draw):
-    n = draw(st.integers(1, 16))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    # Magnitudes far apart, so a sum in another order would round differently.
-    weight = st.sampled_from([0.0, -0.0, 1.0, 5e-324]) | st.floats(0.0, 1e3) | st.floats(0.0, 1e290)
-    return Graph(n, [(u, v, draw(weight)) for u, v in draw(st.permutations(chosen))])
-
-
-@settings(deadline=None, max_examples=400)
-@given(laplacian_graphs())
-def test_laplacian_matches_the_former_loop_bit_for_bit(g):
-    assert graphs.laplacian(g).tobytes() == former_laplacian(g).tobytes()
 
 
 # ---------------------------------------------------------------- signal CSV
@@ -731,6 +580,7 @@ def signal_csv_texts(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
+# Only this reads quoted cells, headers, blank rows, any line end and faulty cells; a run's bundles are plain.
 @settings(deadline=None, max_examples=500)
 @given(signal_csv_texts())
 @example("1,9\r,2\n3,4,5\n")  # a lone "\r" ends a row: csv reads "1,9" and ",2"
@@ -815,6 +665,7 @@ def coordinate_csv_texts(draw):
     return ("\ufeff" if draw(st.booleans()) else "") + text
 
 
+# Only this reads shuffled, quoted, 1- to 4-D coordinate files with a BOM; a run's are plain, in order and 2-D.
 @settings(deadline=None, max_examples=300)
 @given(coordinate_csv_texts())
 def test_read_coordinates_matches_former_reader_on_valid_files(text):
@@ -840,17 +691,17 @@ def former_json(result):
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def former_per_step_csv(result, path, truth):
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "t", "node", "truth", "estimate"])
-        for r, est in enumerate(result.estimates):
-            mat = np.asarray(est)
-            for t in range(mat.shape[1]):
-                for node in range(mat.shape[0]):
-                    writer.writerow(
-                        [r, t, node, repr(float(truth.values[node, t])), repr(float(mat[node, t]))]
-                    )
+def former_per_step_csv(result, truth):
+    """The per-step CSV's bytes, row by row through ``csv.writer``, for the N x T ``truth`` array."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["run", "t", "node", "truth", "estimate"])
+    for r, est in enumerate(result.estimates):
+        mat = np.asarray(est)
+        for t in range(mat.shape[1]):
+            for node in range(mat.shape[0]):
+                writer.writerow([r, t, node, repr(float(truth[node, t])), repr(float(mat[node, t]))])
+    return fh.getvalue().encode()
 
 
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-7, -1e-7, 1e16, -1e16, 123456789.0, -123456789.0,
@@ -909,6 +760,7 @@ def run_results(draw):
     return result, truth
 
 
+# Only this writes NaN and inf estimates, nested configs and any key text, which no run makes.
 @settings(deadline=None)
 @given(run_results())
 def test_writers_match_former_writers(case):
@@ -920,8 +772,7 @@ def test_writers_match_former_writers(case):
         result.save(tmp / "new.json")
         assert (tmp / "new.json").read_bytes() == expect_json.encode()
         result.write_per_step_csv(tmp / "new.csv")
-        former_per_step_csv(result, tmp / "old.csv", truth)
-        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        assert (tmp / "new.csv").read_bytes() == former_per_step_csv(result, truth.values)
 
 
 def clamped_runs():
@@ -939,19 +790,6 @@ def written(result, tmp_path, csv_first=False):
     for write in writers[::-1] if csv_first else writers:
         write()
     return (tmp_path / "out.json").read_bytes(), (tmp_path / "out.csv").read_bytes()
-
-
-def test_writers_match_former_writers_on_clamped_runs(tmp_path):
-    for result in clamped_runs():
-        # Observed rows are clamped to the exact observation, so the writers
-        # take those entries' text from the truth's.
-        for est, mask in zip(result.estimates, result.masks):
-            assert np.array_equal(est[mask.observed], result.truth.values[mask.observed])
-            assert not np.array_equal(est, result.truth.values)
-        assert result.to_json() == former_json(result)
-        result.write_per_step_csv(tmp_path / "new.csv")
-        former_per_step_csv(result, tmp_path / "old.csv", result.truth)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_truth_text_is_shared_in_either_order_and_when_written_twice(tmp_path):
@@ -1017,6 +855,7 @@ def test_each_cell_is_formatted_once_by_both_writers(tmp_path, monkeypatch, csv_
         assert len(calls) == truth.size + differing
 
 
+# Only this writes estimate matrices with no rows or no steps, which no bundle has.
 def test_to_json_matches_former_json_for_empty_estimate_matrices():
     result = RunResult(
         name="empty", config={}, context={"nested": {"list": []}},
@@ -1028,242 +867,337 @@ def test_to_json_matches_former_json_for_empty_estimate_matrices():
     assert result.to_json() == former_json(result)
 
 
-# ---------------------------------------------------------------- messenger tasks
+# ---------------------------------------------------------------- the former messenger step
+# The former build_task, render_prompt and mock_predict, on tasks whose
+# neighbor entries are (node id, value, observed now) and labelled when rendered.
 
-# The former task layout, one frozen NeighborValue per neighbor with a
-# Freshness enum, and the build_task / render_prompt / mock_predict that read
-# it, kept as the oracle for the plain (node_id, value, observed) triples.
-
-
-class FormerFreshness(str, enum.Enum):
-    CURRENT_OBSERVED = "current-observed"
-    STALE_ESTIMATE = "stale-estimate"
-
-
-FORMER_LABELS = {
-    FormerFreshness.CURRENT_OBSERVED: "observed at this time step",
-    FormerFreshness.STALE_ESTIMATE: "estimate from the previous time step",
-}
-
-
-class FormerNeighborValue:
-    def __init__(self, node_id, value, freshness):
-        self.node_id, self.value, self.freshness = int(node_id), float(value), freshness
-        if not math.isfinite(self.value):
-            raise ValueError(f"neighbor value for node {self.node_id} is non-finite")
-
-
-class FormerTask:
-    def __init__(self, node_id, time_index, prev_estimate, neighbor_values, units=""):
-        self.node_id, self.time_index, self.units = node_id, time_index, units
-        self.prev_estimate = None if prev_estimate is None else float(prev_estimate)
-        self.neighbor_values = tuple(neighbor_values)
+FORMER_LABELS = {True: "observed at this time step", False: "estimate from the previous time step"}
 
 
 def former_build_task(v, obs, prev, g, mode, units):
-    prev_vec = None if prev is None else np.asarray(prev, dtype=float)
     entries = []
     for u in g.neighbors(v):
         if obs.present[u]:
-            entries.append(FormerNeighborValue(u, obs.data[u], FormerFreshness.CURRENT_OBSERVED))
-        elif mode == "observed-plus-stale" and prev_vec is not None:
-            entries.append(FormerNeighborValue(u, float(prev_vec[u]), FormerFreshness.STALE_ESTIMATE))
-    prev_estimate = None if prev_vec is None else float(prev_vec[v])
-    return FormerTask(v, obs.time_index, prev_estimate, entries, units)
+            entries.append((u, float(obs.data[u]), True))
+        elif mode == "observed-plus-stale" and prev is not None:
+            entries.append((u, float(prev[u]), False))
+    prev_estimate = None if prev is None else float(prev[v])
+    return SimpleNamespace(node_id=v, time_index=obs.time_index, prev_estimate=prev_estimate,
+                           neighbor_values=entries, units=units)
 
 
 def former_render_prompt(task, template):
-    units = task.units if task.units else "unspecified units"
     if task.prev_estimate is not None:
-        prev_block = (
-            f"Previous estimate for station {task.node_id} "
-            f"(time step {task.time_index - 1}): {format_value(task.prev_estimate)}"
-        )
+        prev_block = (f"Previous estimate for station {task.node_id} "
+                      f"(time step {task.time_index - 1}): {format_value(task.prev_estimate)}")
     else:
         prev_block = f"No previous estimate is available for station {task.node_id}."
-    if task.neighbor_values:
-        neighbor_block = "\n".join(
-            f"- station {entry.node_id}: {format_value(entry.value)} "
-            f"({FORMER_LABELS[entry.freshness]})"
-            for entry in task.neighbor_values
-        )
-    else:
-        neighbor_block = "(no neighbor values available)"
-    mapping = {
-        "node_id": str(task.node_id),
-        "time_index": str(task.time_index),
-        "units": units,
-        "prev_estimate_block": prev_block,
-        "neighbor_block": neighbor_block,
-    }
+    neighbor_block = "\n".join(f"- station {u}: {format_value(x)} ({FORMER_LABELS[observed]})"
+                               for u, x, observed in task.neighbor_values)
+    mapping = {"node_id": str(task.node_id), "time_index": str(task.time_index),
+               "units": task.units or "unspecified units", "prev_estimate_block": prev_block,
+               "neighbor_block": neighbor_block or "(no neighbor values available)"}
     return template.body.replace("{instruction_block}", template.instruction).format_map(mapping)
 
 
-def former_task(task):
-    """A :class:`NodeTask` in the former layout, so the former code can render it."""
-    freshness = {True: FormerFreshness.CURRENT_OBSERVED, False: FormerFreshness.STALE_ESTIMATE}
-    neighbors = [FormerNeighborValue(u, x, freshness[observed]) for u, x, observed in task.neighbor_values]
-    return FormerTask(task.node_id, task.time_index, task.prev_estimate, neighbors, task.units)
-
-
 def former_mock_predict(task, alpha):
-    has_prev = task.prev_estimate is not None
-    has_neighbors = len(task.neighbor_values) > 0
-    if not has_prev and not has_neighbors:
-        return "NaN"
-    if not has_neighbors:
-        value = task.prev_estimate
-    elif not has_prev:
-        value = float(np.mean([entry.value for entry in task.neighbor_values]))
-    else:
-        neighbor_mean = float(np.mean([entry.value for entry in task.neighbor_values]))
-        value = alpha * task.prev_estimate + (1.0 - alpha) * neighbor_mean
+    """The mock's reply to a task with a previous estimate or a neighbor value, the only tasks a run asks."""
+    if not task.neighbor_values:
+        return format_value(task.prev_estimate)
+    value = float(np.mean([x for _, x, _ in task.neighbor_values]))
+    if task.prev_estimate is not None:
+        value = alpha * task.prev_estimate + (1.0 - alpha) * value
     return format_value(value)
 
 
-def outcome(fn, *args):
-    """``fn(*args)``, or the type and text of what it raised."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
+# ---------------------------------------------------------------- end to end: every file a run writes
+# ``reference_run`` is a whole run in plain per-run, per-step, per-node Python:
+# the former loop and filter step, the former messenger task, prompt and mock
+# reply, and the fallback cascade as the README states it; ``reference_files``
+# writes it with the former writers. The property compares their bytes with
+# every file ``cli.main`` writes.
+
+TEMPLATE = PromptTemplate.default()
+FAILED = object()  # a request the backend failed; a reply with no text is None
+CREDENTIAL = "GRAPHFILL_TEST_KEY"
 
 
-EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -3.0, 42.0, 2.5]
-task_values = st.one_of(
-    st.sampled_from(EDGE_VALUES),
-    st.integers(-10**6, 10**6).map(float),
-    st.floats(-1e3, 1e3),
-    st.floats(-1e300, 1e300, allow_nan=False),
-)
+def remote_reply(prompt):
+    """The fault transport's last word on ``prompt``, picked by its hash: a text, None (no text) or FAILED."""
+    digest = prompt_sha256(prompt)
+    fault = int(digest[0], 16)  # 0-1: HTTP 429 once; 2: HTTP 500; 3: connection reset; 4: malformed body
+    return {2: FAILED, 3: FAILED, 4: FAILED, 5: None, 6: "NaN", 7: "3 or 4"}.get(
+        fault, f"about {int(digest[1:9], 16) / 7919!r}")
 
 
-@st.composite
-def messenger_steps(draw):
-    """One time step: a graph, an observation, previous estimates (or a cold start)."""
-    # A hidden hub with 8 to 13 neighbors: numpy sums 8 or more values
-    # pairwise and fewer in order, so a mean computed any other way shows.
-    hub = draw(st.booleans())
-    n = draw(st.integers(9, 14) if hub else st.integers(1, 14))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
-    if hub:
-        edges.update((0, j) for j in range(1, n))
-    g = Graph(n, sorted(edges))
-    present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    if hub:
-        present[0] = False
-    data = draw(st.lists(task_values, min_size=n, max_size=n))
-    t = draw(st.integers(0, 500))
-    obs = observation_from_column([x if p else 0.0 for x, p in zip(data, present)], SamplingMask(present), t)
-    prev = draw(st.none() | st.lists(task_values, min_size=n, max_size=n).map(np.array))
-    mode = draw(st.sampled_from(["observed-only", "observed-plus-stale"]))
-    units = draw(st.sampled_from(["", "m/s"]))
-    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
-    return obs, prev, g, mode, units, alpha
+def fault_transport():
+    """A transport that answers each prompt as :func:`remote_reply` says, after the faults its hash picks."""
+    limited = set()
+
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        fault = int(prompt_sha256(prompt)[0], 16)
+        if fault < 2 and prompt not in limited:
+            limited.add(prompt)
+            return 429, {}
+        if fault == 3:
+            raise TransportFailure("connection reset")
+        reply = {"choices": [{"message": {"content": remote_reply(prompt)}}]}
+        return {2: (500, {}), 4: (200, {"choices": []})}.get(fault, (200, reply))
+
+    return transport
 
 
-@st.composite
-def messenger_cases(draw):
-    obs, prev, g, mode, units, alpha = draw(messenger_steps())
-    v = draw(st.integers(0, g.num_nodes - 1))
-    return v, obs, prev, g, mode, units, alpha
+class E2ECase(NamedTuple):
+    values: np.ndarray  # the N x T signal
+    graph: tuple  # ("edges", [(u, v, w), ...]) or ("coordinates", points, k, weight mode)
+    mask: tuple  # ("per-run" or "fixed", fraction, seed), or ("explicit", observed flags)
+    path: str  # glms, gsign, zero, mock, batch (mock --batch), replay (of a mock recording) or llm
+    runs: int = 1
+    record: bool = False  # the llm run is a replay-record
+    mode: str = "observed-plus-stale"
+    units: str = ""
+    mu: float = 0.5
+    bandwidth: int | None = None
+    alpha: float = 0.5
 
 
-@settings(deadline=None, max_examples=300)
-@given(messenger_cases())
-def test_messenger_task_prompt_and_mock_reply_match_former_code(case):
-    v, obs, prev, g, mode, units, alpha = case
-    template = PromptTemplate.default()
-    table = StepTable(obs, prev, g, mode)
-    task = build_task(v, table, units)
-    former = former_build_task(v, obs, prev, g, mode, units)
-    # through the step's table, for hidden and observed nodes alike
-    assert render_prompt(task, template, table) == former_render_prompt(former, template)
-    assert former_render_prompt(former_task(task), template) == former_render_prompt(former, template)
-    assert outcome(mock_predict, task, alpha) == outcome(former_mock_predict, former, alpha)
-    # What the graph and the table guarantee for every node's task, since a task checks nothing:
-    # neighbor ids distinct, ascending and never the node's own (so its current reading is never
-    # in its task), every value finite, every field of its plain type.
-    for w in range(g.num_nodes):
-        node_task = build_task(w, table, units)
-        ids = [u for u, _, _ in node_task.neighbor_values]
-        assert ids == sorted(set(ids)) and w not in ids
-        assert (type(node_task.node_id), type(node_task.time_index), type(node_task.units)) == (int, int, str)
-        prev_estimate = node_task.prev_estimate
-        assert prev_estimate is None or (type(prev_estimate) is float and math.isfinite(prev_estimate))
-        for u, x, observed in node_task.neighbor_values:
-            assert (type(u), type(x), type(observed)) == (int, float, bool) and math.isfinite(x)
+def former_fallback(v, history, obs, g):
+    """The README's cascade: the mean of the node's history, of its observed neighbors, of every observed node; 0.0."""
+    for values in (history, [obs.data[u] for u in g.neighbors(v) if obs.present[u]], obs.data[obs.present]):
+        if len(values):
+            return float(np.mean(values))
+    return 0.0
 
 
-class RecordingMock(MockBackend):
-    """The mock backend, keeping each task it answers with its prompt and reply."""
-
-    def __init__(self, alpha):
-        super().__init__(alpha)
-        self.seen = []
-
-    def complete(self, req):
-        reply = super().complete(req)
-        self.seen.append((req.task, req.prompt, reply))
-        return reply
-
-
-def plain_task(task):
-    """A task's fields as text that tells -0.0 from 0.0."""
-    neighbors = [(e.node_id, e.value, e.freshness is FormerFreshness.CURRENT_OBSERVED)
-                 if isinstance(e, FormerNeighborValue) else e for e in task.neighbor_values]
-    return repr((task.node_id, task.time_index, task.prev_estimate, neighbors, task.units))
-
-
-def former_step(obs, prev, g, mode, units, alpha, template):
-    """Each hidden node in turn through the former build_task, render_prompt and mock_predict."""
-    seen, infeasible = [], 0
+def former_messenger_step(obs, values, g, case, answer, stats, records):
+    """Each hidden node in turn: the former task, its prompt and ``answer``, the full-scan parse or the fallback."""
+    t = obs.time_index
+    proposals = []
     for v in np.flatnonzero(~obs.present).tolist():
-        task = former_build_task(v, obs, prev, g, mode, units)
-        if task.prev_estimate is None and not task.neighbor_values:
-            infeasible += 1
-            continue
-        seen.append((plain_task(task), former_render_prompt(task, template), former_mock_predict(task, alpha)))
-    return seen, infeasible
-
-
-def predictor_step(obs, prev, g, mode, units, alpha, template):
-    """One step of the messenger predictor, as the online loop runs it."""
-    backend = RecordingMock(alpha)
-    predictor = MessengerPredictor(backend, template=template, neighbor_mode=mode, units=units,
-                                   keep_prompts=True)
-    run = predictor.reset(g, SamplingMask(obs.present))
-    state = EstimateState(g.num_nodes, 1)
-    if prev is not None:
-        state.append(prev, np.array([], dtype=np.intp), np.array([]))
-    proposals = run.predict_missing(obs.time_index, obs, state)
-    seen = [(plain_task(task), prompt, reply) for task, prompt, reply in backend.seen]
-    return seen, run.stats["infeasible_tasks"], proposals, run.prompt_log
-
-
-@settings(deadline=None, max_examples=300)
-@given(messenger_steps())
-def test_messenger_step_matches_former_code_node_by_node(case):
-    obs, prev, g, mode, units, alpha = case
-    if not (~obs.present).any():
-        return  # nothing hidden, nothing to ask
-    template = PromptTemplate.default()
-    want = outcome(former_step, obs, prev, g, mode, units, alpha, template)
-    got = outcome(predictor_step, obs, prev, g, mode, units, alpha, template)
-    if isinstance(want[0], type):  # the former code raised; the predictor must raise the same
-        assert got == want
-        return
-    seen, infeasible, proposals, prompt_log = got
-    assert (seen, infeasible) == want
-    assert [entry["prompt"] for entry in prompt_log] == [prompt for _, prompt, _ in seen]
-    # each answered node's proposal is its reply read back, in node order
-    answered = iter(float(reply) for _, _, reply in seen)
-    hidden = np.flatnonzero(~obs.present).tolist()
-    former_tasks = [former_build_task(v, obs, prev, g, mode, units) for v in hidden]
-    for proposal, task in zip(proposals.tolist(), former_tasks):
+        task = former_build_task(v, obs, values[:, t - 1] if t else None, g, case.mode, case.units)
+        reason = "infeasible_tasks"
         if task.prev_estimate is not None or task.neighbor_values:
-            assert repr(proposal) == repr(next(answered))
+            prompt = former_render_prompt(task, TEMPLATE)
+            text = answer(task, prompt)
+            reason = "backend_failures"
+            if text is not FAILED:
+                records.append((prompt, text))
+                value = _scan_response(text).value
+                reason = None if value is not None else "parse_failures"
+        if reason:
+            stats[reason] += 1
+            stats["fallback_uses"] += 1
+            value = former_fallback(v, values[v, :t], obs, g)
+        proposals.append(value)
+    return proposals
+
+
+def bandwidth(case):
+    """The filter bandwidth of the case's runs: its own, or the default round(0.3 N)."""
+    return case.bandwidth or max(1, round(0.3 * len(case.values)))
+
+
+def reference_run(case, g, name, runs, answer=None):
+    """Each run's estimates, mask and stats, and the replies in request order, of the predictor ``name``:
+    the messenger over the backend ``answer(task, prompt)``, or else a filter kind or zero."""
+    kind, *spec = case.mask
+    estimates, masks, per_run_stats, records = [], [], [], []
+    for r in range(runs):
+        observed = (np.array(spec[0]) if kind == "explicit"
+                    else generate_mask(g.num_nodes, spec[0], spec[1] + r * (kind == "per-run")).observed)
+        stats = {} if answer is None else dict.fromkeys(
+            ("fallback_uses", "parse_failures", "backend_failures", "infeasible_tasks"), 0)
+        propose = (former_proposals(None if name == "zero" else name, case.mu, bandwidth(case), g, observed)
+                   if answer is None else
+                   lambda obs, values: former_messenger_step(obs, values, g, case, answer, stats, records))
+        refusal, values = former_loop(case.values, observed, propose)
+        assert refusal is None  # |values| <= 1e300 and mu <= 2 never overflow
+        estimates.append(values)
+        masks.append(SamplingMask(observed))
+        per_run_stats.append(stats)
+    return estimates, masks, per_run_stats, records
+
+
+def reference_files(case, g, name, backend, run):
+    """The JSON, per-step CSV and MSE-curve bytes of ``run``, by file name; ``backend`` names the messenger's."""
+    estimates, masks, per_run_stats, _ = run
+    truth, runs = case.values, len(estimates)
+    n, steps = truth.shape
+    kind, *spec = case.mask
+    flags = " ".join("1" if o else "0" for o in masks[0].observed)
+    policy = ({"mode": kind, "observed_sha256": hashlib.sha256(flags.encode()).hexdigest()} if kind == "explicit"
+              else {"mode": kind, "fraction": spec[0], "seed": spec[1]})
+    if backend:
+        snapshot = {"backend": backend, "neighbor_mode": case.mode, "units": case.units, "model": "gpt-3.5-turbo",
+                    "temperature": 0.0, "max_tokens": 16, "batch": case.path == "batch",
+                    "template_sha256": TEMPLATE.sha256, **({"mock_alpha": case.alpha} if "mock" in backend else {})}
+    else:
+        snapshot = {} if name == "zero" else {"kind": name, "mu": case.mu, "bandwidth": bandwidth(case),
+                                              "init": "zeros"}
+    sums, missing = [], []
+    for est, mask in zip(estimates, masks):
+        hidden = mask.missing
+        sums.append(float(np.sum((truth - est) ** 2)))
+        hidden_sum = float(np.sum((truth[hidden] - est[hidden]) ** 2))
+        missing.append(hidden_sum / (len(hidden) * steps) if len(hidden) else 0.0)
+    context = {"graph_sha256": graph_sha256(g), "signal_sha256": signal_sha256(SignalSeries(truth, case.units)),
+               "num_nodes": n, "num_steps": steps, "units": case.units, "mask_policy": policy}
+    result = SimpleNamespace(
+        name=name, config={"predictor": name, "runs": runs, "mask": policy, **snapshot}, context=context,
+        estimates=estimates, masks=masks, per_run_stats=per_run_stats,
+        per_run_mse=[{"all_nodes": total / (n * steps), "missing_only": m} for total, m in zip(sums, missing)],
+        mse_all=sum(sums) / (runs * n * steps), mse_missing=float(np.mean(missing)),
+        fallback_uses=sum(stats.get("fallback_uses", 0) for stats in per_run_stats))
+    curve = ["t,mse_all,mse_missing"]
+    for t in range(steps):
+        every = hidden_only = 0.0
+        for est, mask in zip(estimates, masks):
+            squares = ((truth[:, t] - est[:, t]) ** 2).tolist()
+            every += sum(squares) / n  # a mean down a column adds the rows in order
+            hidden = [squares[v] for v in mask.missing]
+            hidden_only += sum(hidden) / len(hidden) if hidden else 0.0
+        curve.append(f"{t},{every / runs!r},{hidden_only / runs!r}")
+    return {f"{name}.json": former_json(result).encode(), f"{name}_per_step.csv": former_per_step_csv(result, truth),
+            f"{name}_mse_over_time.csv": ("\n".join(curve) + "\n").encode()}
+
+
+def reference_outputs(case, g):
+    """Every file the case's commands write, by its path in the case's folder."""
+    def files(folder, name, backend, run):
+        return {f"{folder}/{file}": data for file, data in reference_files(case, g, name, backend, run).items()}
+
+    def replay_file(records):
+        return {"replay.jsonl": "".join(json.dumps({"prompt_sha256": prompt_sha256(prompt), "response_text": text,
+                                                    "model": "gpt-3.5-turbo", "temperature": 0.0}, sort_keys=True)
+                                        + "\n" for prompt, text in records).encode()}
+
+    mock = lambda task, prompt: former_mock_predict(task, case.alpha)
+    if case.path in ("zero", *FILTER_KINDS):
+        return files("out", case.path, None, reference_run(case, g, case.path, case.runs))
+    if case.path in ("mock", "batch"):
+        return files("out", "mock", "mock", reference_run(case, g, "mock", case.runs, mock))
+    if case.path == "llm":
+        run = reference_run(case, g, "llm", case.runs, lambda task, prompt: remote_reply(prompt))
+        if not case.record:
+            return files("out", "llm", "remote", run)
+        return {**files("out", "llm", "record+remote", run), **replay_file(run[3])}
+    recorded = reference_run(case, g, "mock", 1, mock)  # a 1-run recording of the mock, replayed in every run
+    replies = {prompt_sha256(prompt): text for prompt, text in recorded[3]}
+    replayed = reference_run(case, g, "llm", case.runs, lambda task, prompt: replies.get(prompt_sha256(prompt), FAILED))
+    return {**files("rec", "mock", "record+mock", recorded), **replay_file(recorded[3]),
+            **files("out", "llm", "replay", replayed)}
+
+
+def cli_outputs(case, folder):
+    """Write the case's bundle into ``folder``, run its commands through ``cli.main``, read back what they wrote."""
+    bundle = folder / "bundle"
+    bundle.mkdir()
+    rows = [[f"t{t}" for t in range(case.values.shape[1])], *([repr(x) for x in row] for row in case.values.tolist())]
+    (bundle / "signal.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+    manifest = ["signal = signal.csv", *([f"units = {case.units}"] if case.units else [])]
+    if case.graph[0] == "edges":
+        (bundle / "edges.txt").write_text("".join(f"{u} {v} {w!r}\n" for u, v, w in case.graph[1]))
+        manifest.append("edges = edges.txt")
+    else:
+        _, points, k, weights = case.graph
+        (bundle / "coords.csv").write_text("node_id,x,y\n" + "".join(f"{i},{x!r},{y!r}\n"
+                                                                   for i, (x, y) in enumerate(points)))
+        manifest += ["coordinates = coords.csv", f"knn_k = {k}", f"knn_weights = {weights}"]
+    (bundle / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    args = ["--manifest", str(bundle / "manifest.txt"), "--runs", str(case.runs), "--neighbor-mode", case.mode,
+            "--mock-alpha", repr(case.alpha), "--mu", repr(case.mu)]
+    args += ["--bandwidth", str(case.bandwidth)] if case.bandwidth else []
+    kind, *spec = case.mask
+    if kind == "explicit":
+        (bundle / "mask.txt").write_text(" ".join("1" if o else "0" for o in spec[0]) + "\n")
+        args += ["--mask-file", str(bundle / "mask.txt")]
+    else:
+        args += ["--fraction", repr(spec[0]), "--seed", str(spec[1])] + (["--fixed-mask"] if kind == "fixed" else [])
+    replay, out = ["--replay-out", str(folder / "replay.jsonl")], ["--out", str(folder / "out")]
+    remote = ["--predictor", "llm", "--backend", "remote", "--credential-env", CREDENTIAL]
+    commands = {
+        "mock": [["run", *args, "--predictor", "mock", *out]],
+        "batch": [["run", *args, "--predictor", "mock", "--batch", *out]],
+        "replay": [["replay-record", *args, "--runs", "1", "--predictor", "mock", *replay, "--out", f"{folder}/rec"],
+                   ["run", *args, "--predictor", "llm", "--backend", "replay", "--replay-file", replay[1], *out]],
+        "llm": [["replay-record", *args, *remote, *replay, *out] if case.record else ["run", *args, *remote, *out]],
+    }.get(case.path, [["run", *args, "--predictor", case.path, *out]])
+    for argv in commands:
+        assert cli.main(argv) == 0
+    return {str(p.relative_to(folder)): p.read_bytes()
+            for p in folder.rglob("*") if p.is_file() and bundle not in p.parents}
+
+
+@st.composite
+def e2e_cases(draw):
+    """A bundle of 3-25 nodes and 2-12 steps, from an edge list (at times with a hub) or coordinates, and its run."""
+    n, steps = draw(st.integers(3, 25)), draw(st.integers(2, 12))
+    # Drawn values at random places among uniform ones: a few draws, not one per cell.
+    pool = np.array(draw(st.lists(signal_values, min_size=1, max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.where(rng.random((n, steps)) < 0.5, rng.choice(pool, (n, steps)), rng.uniform(-1e3, 1e3, (n, steps)))
+    if draw(st.booleans()):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = set(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)))
+        if draw(st.booleans()):  # a hub: numpy sums 8 or more values pairwise
+            chosen.update((0, v) for v in range(1, n))
+        weight = st.sampled_from([1.0, 0.0, 5e-324, 1e16]) | st.floats(0.0, 10.0)
+        graph = ("edges", [(u, v, draw(weight)) for u, v in sorted(chosen)])
+    else:
+        point = st.tuples(*[st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0)] * 2)
+        graph = ("coordinates", draw(st.lists(point, min_size=n, max_size=n)),
+                 draw(st.integers(1, min(n - 1, 6))), draw(st.sampled_from(["unit", "gaussian"])))
+    mask = draw(st.one_of(
+        st.tuples(st.sampled_from(["per-run", "fixed"]), st.sampled_from([0.0, 0.3, 0.99]) | st.floats(0.0, 0.99),
+                  st.integers(0, 2**16)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda flags: ("explicit", tuple(flags))),
+    ))
+    path = draw(st.sampled_from([*FILTER_KINDS, "zero", "mock", "batch", "replay", "llm"]))
+    return E2ECase(values, graph, mask, path, draw(st.integers(1, 3)), draw(st.booleans()),
+                   draw(st.sampled_from(NEIGHBOR_MODES)), draw(st.sampled_from(["", "m/s"])),
+                   draw(st.sampled_from([0.5, 1.0]) | st.floats(1e-3, 2.0)), draw(st.none() | st.integers(1, n)),
+                   draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)))
+
+
+def chain(n):
+    return "edges", [(v, v + 1, 1.0) for v in range(n - 1)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(e2e_cases())
+# a 300-step history, past numpy's 128-element pairwise-sum block
+@example(E2ECase(np.random.default_rng(0).standard_normal((3, 300)) * 1e300, chain(3),
+                 ("explicit", (False, True, True)), "llm", record=True))
+@example(E2ECase(np.arange(-6.0, 6.0).reshape(4, 3) / 3, chain(4), ("explicit", (False,) * 4), "batch", runs=2))
+@example(E2ECase(np.arange(-6.0, 6.0).reshape(4, 3) / 3, chain(4), ("explicit", (True,) * 4), "glms"))
+@example(E2ECase(np.array([[-0.0, 0.0, -0.0], [1e300, -1e300, 0.0], [0.0, -0.0, 1e300]]), chain(3),
+                 ("per-run", 0.3, 2), "zero", runs=3))
+# zero and far-apart edge weights: a degree summed in another order rounds differently
+@example(E2ECase(np.arange(-7.0, 8.0).reshape(5, 3) / 7, ("edges", [(0, 1, 0.0), (0, 2, 1.0), (1, 2, 1.0),
+                                                                    (2, 3, 1e16), (3, 4, 5e-324)]),
+                 ("per-run", 0.4, 0), "glms", runs=2, mu=0.3))
+# a hidden hub with six observed and three stale neighbors, whose mean numpy sums pairwise
+@example(E2ECase(np.random.default_rng(1).standard_normal((10, 3)), ("edges", [(0, v, 1.0) for v in range(1, 10)]),
+                 ("explicit", (False,) * 4 + (True,) * 6), "mock", alpha=0.0))
+@example(E2ECase(np.random.default_rng(2).standard_normal((12, 4)),
+                 ("coordinates", np.random.default_rng(3).random((12, 2)).tolist(), 3, "unit"),
+                 ("per-run", 0.3, 0), "gsign", mu=0.3, bandwidth=5))
+# whole numbers and stale neighbors in the prompts of a recording, replayed with misses in its second run
+@example(E2ECase(np.arange(-4.0, 14.0).reshape(6, 3), chain(6), ("per-run", 0.5, 1), "replay", runs=2, alpha=0.3))
+@example(E2ECase(np.arange(-6.0, 6.0).reshape(4, 3) / 7, chain(4), ("explicit", (False, False, True, True)), "mock",
+                 mode="observed-only", alpha=0.3))
+def test_every_file_a_run_writes_matches_the_reference_run(case):
+    g = (Graph(len(case.values), case.graph[1]) if case.graph[0] == "edges"
+         else knn_graph_oracle(np.array(case.graph[1]), *case.graph[2:]))
+    remote = lambda cfg: backends.make_backend(cfg, transport=fault_transport(), sleep=lambda s: None)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {CREDENTIAL: "k"}), \
+            mock.patch.object(cli, "make_backend", remote), np.errstate(over="ignore", invalid="ignore"):
+        got = cli_outputs(case, Path(tmp))
+        want = reference_outputs(case, g)
+    assert sorted(got) == sorted(want)
+    for name, data in want.items():
+        assert got[name] == data, name
 
 
 @settings(max_examples=500)
