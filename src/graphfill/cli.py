@@ -287,6 +287,13 @@ def cmd_run(args) -> int:
                                   or any("\ud800" <= c <= "\udfff" for c in args.name)):
         raise UsageError(f"--name must be a plain file name, got {args.name!r}")
     _check_output("--out", args.out, directory=True)
+    # A replay file that is --out, a folder above it or a file the run writes there is refused too.
+    name = args.name or args.predictor  # each predictor is named after its kind
+    out = Path(args.out).resolve()
+    written = [f"{name}.json", f"{name}_per_step.csv", f"{name}_mse_over_time.csv", *[f"{name}.svg"] * args.svg]
+    for flag, path in (("--replay-out", getattr(args, "replay_out", None)), ("--replay-file", args.replay_file)):
+        if path and Path(path).resolve() in (out, *out.parents, *(out / file for file in written)):
+            raise UsageError(f"{flag} {path!r} is --out, a folder above it or a file the run writes there")
     # Backend and template come next, after the output paths: a missing credential, broken replay
     # file or bad template must surface before any data is loaded or decomposed or a request is made.
     prepared = None
@@ -305,7 +312,6 @@ def cmd_run(args) -> int:
     else:
         mask = MaskSpec(fraction=args.fraction, seed=args.seed, resample=not args.fixed_mask)
     predictor = _build_predictor(args, units, prepared)
-    name = args.name or predictor.name
     if args.command == "replay-record":  # made only now, so that a refused run leaves nothing behind
         Path(args.replay_out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.replay_out).touch()  # an existing file keeps its lines

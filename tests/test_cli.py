@@ -496,6 +496,31 @@ def test_usage_error_replay_out_that_is_a_directory(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv", [
+    ["replay-record", "--replay-out", "a/b/llm.json"],
+    ["replay-record", "--replay-out", "a/b"],
+    ["replay-record", "--replay-out", "a"],  # a folder above --out
+    ["replay-record", "--replay-out", "a/b/c/../llm_per_step.csv"],  # compared resolved
+    ["replay-record", "--replay-out", "a/b/llm.svg", "--svg"],
+    ["run", "--replay-file", "a/b/x.json", "--name", "x"],
+    ["run", "--replay-file", "a/b/llm_mse_over_time.csv"],
+])
+def test_usage_error_replay_file_the_run_writes(tmp_path, monkeypatch, capsys, argv):
+    # Results written over the recording, or the recording over results: refused before the backend is built.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "make_backend", never_run)
+    if argv[0] == "run":  # a recording that stays as it is
+        Path("a/b").mkdir(parents=True)
+        Path(argv[2]).write_text("{}\n")
+    before = sorted(tmp_path.rglob("*"))
+    backend = "mock" if argv[0] == "replay-record" else "replay"
+    assert run_cli(*argv, "--manifest", TOY, "--predictor", "llm", "--backend", backend, "--out", "a/b") == 1
+    message = f"{argv[1]} {argv[2]!r} is --out, a folder above it or a file the run writes there"
+    assert capsys.readouterr().err.strip() == message
+    assert sorted(tmp_path.rglob("*")) == before
+    assert argv[0] == "replay-record" or Path(argv[2]).read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/r.jsonl", "--out", "out"],
     ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "o1/new/r.jsonl", "--out", "out"],
     ["replay-record", "--manifest", TOY, "--predictor", "mock", "--replay-out", "", "--out", "out"],

@@ -1,8 +1,13 @@
 """Graph structure, Laplacian, eigendecomposition, and k-NN construction."""
 
+import itertools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from graphfill import graphs
 from graphfill.graphs import (
     Graph,
     eigendecompose,
@@ -72,6 +77,12 @@ def test_graph_keeps_integral_floats_and_numpy_ids():
     assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
     same = Graph(3, [(1, 2), (0, 2, 0.5)])
     assert (g.num_nodes, g.edges) == (same.num_nodes, same.edges)
+    # No run builds from other numpy id types, an int or float32 weight, or -0.0, 5e-324 and 1e300 weights.
+    g = Graph(4, [(np.intp(2), 1.0, 2), (np.float64(0.0), np.int64(1), -0.0), (np.uint8(3), np.int32(0), 5e-324),
+                  (3, 2.0, np.float32(0.25)), (1, 3, 1e300)])
+    assert repr(g.edges) == "((0, 1, -0.0), (0, 3, 5e-324), (1, 2, 2.0), (1, 3, 1e+300), (2, 3, 0.25))"
+    assert [g.neighbors(v) for v in range(4)] == [(1, 3), (0, 2, 3), (1, 3), (0, 1, 2)]
+    assert repr(Graph(2, [(0, 1, 2)]).edges) == "((0, 1, 2.0),)"
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -85,6 +96,16 @@ def test_graph_keeps_integral_floats_and_numpy_ids():
     ([(0, 3), ("a", 1)], "edge (0, 3) references a node outside [0, 3)"),  # before the bad id
     ([(0, 1), ("a", 1)], "invalid literal for int() with base 10: 'a'"),
     ([(0, 1), (0, 1, 2, 3)], "edge must be (u, v) or (u, v, w), got (0, 1, 2, 3)"),
+    # No run names numpy and float ids, -5e-324 and inf weights, an id past int64 or an empty edge.
+    ([(0, 1), (np.int64(2), np.float64(2.0))], "explicit self-loop on node 2 is not allowed"),
+    ([(2, 0, 1.0), (0.0, np.int64(2))], "duplicate edge (0, 2)"),
+    ([(np.intp(1), 0, np.float32(-0.5))], "edge (1, 0) has invalid weight -0.5"),
+    ([(0, 1, -5e-324)], "edge (0, 1) has invalid weight -5e-324"),
+    ([(0, 1), (1, 2, math.inf)], "edge (1, 2) has invalid weight inf"),
+    ([(1, 2), (0, -(2**70))], "edge (0, -1180591620717411303424) references a node outside [0, 3)"),
+    ([(0, 1), (1, 2, 3.0), (-0.25, 1)], "edge (-0.25, 1) has a non-integer node id"),
+    ([(0, 1), (2, 1, math.nan), (1,)], "edge (2, 1) has invalid weight nan"),
+    ([()], "edge must be (u, v) or (u, v, w), got ()"),
 ])
 def test_graph_names_the_first_faulty_edge(edges, message):
     with pytest.raises(ValueError) as caught:
@@ -229,6 +250,9 @@ def test_knn_tie_break_prefers_lower_id():
     # node 0 is equidistant from 1 and 2; the tie goes to node 1.
     g = knn_graph([[0.0], [1.0], [-1.0], [10.0]], 1)
     assert 1 in g.neighbors(0)
+    # Squared distances past the float max are all inf, and still go to the lower id; never to the point itself.
+    g = knn_graph([[1e300], [0.0], [-1e300]], 1)
+    assert g.edges == ((0, 1, 1.0), (0, 2, 1.0))
 
 
 def test_knn_ties_beyond_k_take_the_lower_ids():
@@ -238,6 +262,9 @@ def test_knn_ties_beyond_k_take_the_lower_ids():
     private = [(x * r, y * r) for x, y in ring for r in (1.1, 1.2)]
     g = knn_graph([(0.0, 0.0), *ring, *private], 2)
     assert g.neighbors(0) == (1, 2)
+    # Five coincident points, k = 2: each point takes the two lowest other ids.
+    g = knn_graph([[0.5, -1.0]] * 5, 2)
+    assert g.edges == ((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (0, 4, 1.0), (1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0))
 
 
 # The benchmark's bundles: default_rng(0).random((N, 2)), 5 neighbors, Gaussian weights.
@@ -275,6 +302,29 @@ def test_knn_matches_brute_force():
             for _, j in dists[:k]:
                 expect.add((min(i, j), max(i, j)))
         assert {(u, v) for u, v, _ in g.edges} == expect
+
+    # What no run builds, against the former full-tensor build: ties at the k-th distance on an integer
+    # grid, coincident points, ±1e200 and ±1e300 (inf squared distances, which still tie-break by id;
+    # Gaussian weights are refused), 3-D Gaussian weights, whose bits follow the einsum's order of sums,
+    # and row chunks of one and of a few rows, the last one shorter. The 1000-point fingerprint splits rows
+    # at the default size.
+    from test_properties import knn_graph_oracle
+
+    grid = np.array([(x, y) for x in range(-2, 3) for y in range(-1, 2)], dtype=float)
+    huge = np.array([[1e300, 0.0], [-1e300, 1.0], [0.0, 1e300], [0.0, 0.0], [1.0, -1.0], [1e200, -1e200],
+                     [-1e200, 0.0]])
+    for pts in (np.roll(grid, 7, axis=0), np.array([[0.5, -1.0]] * 4 + [[2.0, 0.5]] * 3), huge, huge[:, 0],
+                np.random.default_rng(0).random((12, 3))):
+        rows = itertools.product((1, 2, 4, len(pts) - 1), ("unit", "gaussian"), (1, 64, 1 << 18))
+        for k, weight_mode, chunk in rows:
+            built = []
+            for build in (knn_graph_oracle, knn_graph):
+                try:
+                    with mock.patch.object(graphs, "_KNN_CHUNK_ELEMENTS", chunk), np.errstate(invalid="ignore"):
+                        built.append(build(pts, k, weight_mode).canonical_text())
+                except ValueError:  # inf distances: NaN Gaussian weights
+                    built.append(None)
+            assert built[0] == built[1], (pts, k, weight_mode, chunk)
 
 
 def test_knn_gaussian_weights():
@@ -340,6 +390,7 @@ def test_coordinates_allow_a_byte_order_mark(tmp_path):
     (np.array([0.5, -1.25, 3.0]), "node_id,x"),  # 1-D: one coordinate per node
     (np.array([[0.5, 1.0, -2.0], [3.0, 4.25, 5.0]]), "node_id,x,y,z"),
     (np.arange(15.0).reshape(3, 5) / 7, "node_id,x,y,z,c3,c4"),
+    (np.array([[5e-324, -0.0, 1.7976931348623157e308, -1e-7], [1e16, 0.1, -123456789.0, 2.0]]), "node_id,x,y,z,c3"),
 ])
 def test_coordinates_round_trip_in_any_dimension(tmp_path, coords, header):
     path = tmp_path / "coords.csv"
@@ -348,6 +399,12 @@ def test_coordinates_round_trip_in_any_dimension(tmp_path, coords, header):
     back = read_coordinates(path)
     assert back.shape == (len(coords), len(header.split(",")) - 1)
     assert back.tobytes() == coords.tobytes()
+    # No run reads rows reversed and ended by a lone "\r", or quoted cells behind a byte order mark.
+    _, *rows = path.read_text().splitlines()
+    quoted = ['"' + row.replace(",", '","') + '"' for row in rows]
+    for text in ("\r".join([header, *rows[::-1]]), "\ufeff" + "\n".join([header, *quoted[::-1]])):
+        path.write_bytes(text.encode())
+        assert read_coordinates(path).tobytes() == coords.tobytes()
 
 
 def test_coordinates_keep_the_sign_of_a_negative_zero(tmp_path):
@@ -381,6 +438,10 @@ HEADER_FAULT = "header must be 'node_id' and one or more coordinate names"
     pytest.param("node_id,x\n0,0.5\n1,inf\n", "row 3, column 2: non-finite cell 'inf'", id="non-finite"),
     pytest.param("node_id,x\n", "header but no data rows", id="no-rows"),
     pytest.param("", "empty coordinates file", id="empty"),
+    # No run names faults behind a quoted comma, lone "\r" line ends or a byte order mark.
+    pytest.param('node_id,x\n"0",0.5\n1,"1,5"\n', "row 3, column 2: not a number: '1,5'", id="quoted-comma"),
+    pytest.param("node_id,x\r0,0.5\r1,1.5,2\r", "row 3 has 3 columns, expected 2", id="lone-carriage-return"),
+    pytest.param("\ufeffnode_id,x\n0,0.5\n0,1\n", "node id 0 appears more than once", id="byte-order-mark"),
 ])
 def test_coordinate_faults_are_named_with_the_file(tmp_path, text, message):
     path = tmp_path / "coords.csv"

@@ -477,21 +477,30 @@ def test_signal_sha256_is_kept_on_the_series(monkeypatch):
 
 
 class ConstantPredictor(Predictor):
+    """Proposes -1.5 at each hidden node before ``step``, then ``values``; keeps the states it is given."""
+
     name = "constant"
 
-    def __init__(self, values):
-        self.values = values
+    def __init__(self, values, step=0):
+        self.values, self.step, self.states = values, step, []
 
     def predict_missing(self, t, obs, state):
-        return np.array(self.values)
+        self.states.append(state)
+        return np.array(self.values) if t >= self.step else np.full(self._mask.num_missing, -1.5)
 
 
+# The last row is what only this proposes, as no run does: a NaN after two steps were stored.
 @pytest.mark.parametrize("values", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, np.nan],
-                                    [0.0, 0.0, 0.0], [[0.0, 0.0]]])
+                                    [0.0, 0.0, 0.0], [[0.0, 0.0]], pytest.param((2, [0.5, np.nan]), id="step-2")])
 def test_non_finite_or_miscounted_proposals_are_refused(values):
-    mask = SamplingMask(np.array([True, False, False]))
+    step, values = values if isinstance(values, tuple) else (0, values)
+    mask, predictor = SamplingMask(np.array([True, False, False])), ConstantPredictor(values, step)
     with pytest.raises(ValueError, match="non-finite|one value per missing node"):
-        run_online(ConstantPredictor(values), path3(), toy_series(), mask)
+        run_online(predictor, path3(), toy_series(), mask)
+    # The refused step's column is not stored; the columns before it are, clamped.
+    stored = toy_series().values[:, :step].copy()
+    stored[1:] = -1.5
+    assert predictor.states[-1].matrix().tobytes() == stored.tobytes()
 
 
 @pytest.mark.parametrize("observed", [[True, False, True], [False, False, True]])

@@ -243,6 +243,14 @@ def test_signal_csv_headerless(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\n")
     s = read_signal_csv(path)
     assert np.array_equal(s.values, [[1.0, 2.0], [3.0, 4.0]])
+    # No run reads rows ended by a lone "\r", "\r\n" or "\n", a blank row or a row of blank cells; a quoted
+    # first row, which is data once csv unquotes it; or rows over csv's 131,072-character field limit.
+    path.write_bytes(b"1,2\r3,4\r\n\n , \t\n-5,.5e1\n")
+    assert read_signal_csv(path).values.tolist() == [[1, 2], [3, 4], [-5, 5]]
+    path.write_text('"1",2\n3,"4"\n')
+    assert read_signal_csv(path).values.tolist() == [[1, 2], [3, 4]]
+    path.write_text(("1.5," * 39_999 + "1.5\n") * 2)
+    assert read_signal_csv(path).values.tolist() == [[1.5] * 40_000] * 2
 
 
 def test_signal_csv_byte_order_mark_keeps_node_0(tmp_path):
@@ -251,6 +259,8 @@ def test_signal_csv_byte_order_mark_keeps_node_0(tmp_path):
     assert np.array_equal(read_signal_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
     path.write_bytes(b"\xef\xbb\xbft0,t1\r\n1.0,2.0\r\n")
     assert np.array_equal(read_signal_csv(path).values, [[1.0, 2.0]])
+    path.write_bytes(b'\xef\xbb\xbf"1",2\r3,4')  # quoted: csv reads it
+    assert np.array_equal(read_signal_csv(path).values, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_signal_csv_error_names_row_and_column(tmp_path):
@@ -260,6 +270,12 @@ def test_signal_csv_error_names_row_and_column(tmp_path):
         read_signal_csv(path)
     path.write_text('1.0,"inf"\n')
     with pytest.raises(ValueError, match=r"row 1, column 2: non-finite cell 'inf'"):
+        read_signal_csv(path)
+    path.write_text('"t0","t1"\n"1,5",2\n3,4\n')  # a quoted cell that holds a comma
+    with pytest.raises(ValueError, match=r"row 2, column 1: not a number: '1,5'"):
+        read_signal_csv(path)
+    path.write_text("1,9\r,2\n")  # a lone "\r" ends a row: csv reads "1,9" and ",2"
+    with pytest.raises(ValueError, match=r"row 2, column 1: not a number: ''"):
         read_signal_csv(path)
 
 
