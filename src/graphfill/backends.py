@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._format import format_value, read_text
-from .messenger import NodeTask
+from .messenger import DEFAULT_INSTRUCTION, NodeTask
 
 logger = logging.getLogger(__name__)
 
@@ -241,17 +241,22 @@ def read_replay_file(path: str | Path) -> dict[str, tuple]:
     return records
 
 
-def append_replay_record(
-    path: str | Path, prompt: str, response_text: str, model: str, temperature: float
-) -> None:
+def _replay_line(prompt: str, response_text: str, model: str, temperature: float) -> str:
+    """One replay record as the line :func:`read_replay_file` reads."""
     record = {
         "prompt_sha256": prompt_sha256(prompt),
         "response_text": response_text,
         "model": model,
         "temperature": float(temperature),
     }
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def append_replay_record(
+    path: str | Path, prompt: str, response_text: str, model: str, temperature: float
+) -> None:
     with Path(path).open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(_replay_line(prompt, response_text, model, temperature))
 
 
 class ReplayBackend(Backend):
@@ -298,10 +303,11 @@ class RecordingBackend(Backend):
         return self._record(reqs, self.inner.complete_batch(reqs))
 
     def _record(self, reqs, outcomes):
-        """Append each reply in request order, whatever order the inner backend posted in."""
-        for req, outcome in zip(reqs, outcomes):
-            if not isinstance(outcome, BackendError):
-                append_replay_record(self.path, req.prompt, outcome, req.model, req.temperature)
+        """Append each reply in request order, whatever order the inner backend posted in, through one handle."""
+        with self.path.open("a", encoding="utf-8") as fh:
+            for req, outcome in zip(reqs, outcomes):
+                if not isinstance(outcome, BackendError):
+                    fh.write(_replay_line(req.prompt, outcome, req.model, req.temperature))
         return outcomes
 
 
@@ -450,17 +456,25 @@ class RemoteBackend(Backend):
         self._sleep(delay)
 
     def _batch_replies(self, reqs):
-        """Single call carrying every prompt, and no task; replies are split on lines."""
-        joined = [f"Task {i + 1} of {len(reqs)}:\n{req.prompt}" for i, req in enumerate(reqs)]
-        joined.append(f"Reply with exactly {len(reqs)} lines, one decimal number per line, in task order.")
+        """Single call carrying every prompt under one header stating the reply format, and no task; replies
+        are split on lines. Each task's own instruction (a single number) is left out of the joined text
+        only: the requests keep their whole prompts, which replay files hash."""
+        n = len(reqs)
+        joined = [f"Reply with exactly {n} lines, one decimal number per line, in task order: your best estimate "
+                  "for each task's station and time step only, from this message alone, not chat memory."]
+        for i, req in enumerate(reqs):
+            text, task = req.prompt, req.task
+            if task is not None:
+                text = text.replace(DEFAULT_INSTRUCTION.format(node_id=task.node_id, time_index=task.time_index), "")
+            joined.append(f"Task {i + 1} of {n}:\n{text.rstrip()}")
         combined = "\n\n".join(joined)
         first = reqs[0]
         batch_req = CompletionRequest(
             prompt=combined,
             model=first.model,
             temperature=first.temperature,
-            max_tokens=first.max_tokens * len(reqs),
-            request_id=f"batch[{first.request_id}+{len(reqs) - 1}]",
+            max_tokens=first.max_tokens * n,
+            request_id=f"batch[{first.request_id}+{n - 1}]",
         )
         text = self.complete(batch_req) or ""  # a reply with no text is no lines
         return [line for line in (ln.strip() for ln in text.splitlines()) if line]

@@ -291,9 +291,12 @@ def cmd_run(args) -> int:
     name = args.name or args.predictor  # each predictor is named after its kind
     out = Path(args.out).resolve()
     written = [f"{name}.json", f"{name}_per_step.csv", f"{name}_mse_over_time.csv", *[f"{name}.svg"] * args.svg]
-    for flag, path in (("--replay-out", getattr(args, "replay_out", None)), ("--replay-file", args.replay_file)):
+    replay_out = getattr(args, "replay_out", None)
+    for flag, path in (("--replay-out", replay_out), ("--replay-file", args.replay_file)):
         if path and Path(path).resolve() in (out, *out.parents, *(out / file for file in written)):
             raise UsageError(f"{flag} {path!r} is --out, a folder above it or a file the run writes there")
+    if replay_out and args.replay_file and Path(replay_out).resolve() == Path(args.replay_file).resolve():
+        raise UsageError(f"--replay-out {replay_out!r} is the --replay-file it would append every reply to again")
     # Backend and template come next, after the output paths: a missing credential, broken replay
     # file or bad template must surface before any data is loaded or decomposed or a request is made.
     prepared = None

@@ -17,7 +17,6 @@ import json
 import math
 import numbers
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence, TextIO
@@ -386,8 +385,8 @@ def evaluate_mse(
 class RunResult:
     """Everything one experiment produced, repeatable from the config snapshot.
 
-    The canonical JSON document (``to_json`` and ``save``), built only by
-    :meth:`_payload`, deliberately excludes volatile data (wall clock, access
+    The canonical JSON document (``to_json`` and ``save``), written only by
+    :meth:`_write_json`, deliberately excludes volatile data (wall clock, access
     logs, prompt logs) so identical seeded runs serialize byte-identically;
     the excluded pieces stay available on the in-memory object. Each estimate
     is formatted once: both writers read each run's N×T ``repr`` text from
@@ -415,33 +414,6 @@ class RunResult:
     @property
     def runs(self) -> int:
         return len(self.estimates)
-
-    def _payload(self) -> dict:
-        """The one JSON document: a finite float64 estimate of the truth's shape is its rows' lazy texts
-        (:meth:`_json_rows`), any other its ``tolist()``, whose floats json writes as the same ``repr``."""
-        truth = self.truth
-        per_run = []
-        for r, (mask, mse, stats) in enumerate(zip(self.masks, self.per_run_mse, self.per_run_stats)):
-            mat = np.asarray(self.estimates[r])
-            rows = (truth is not None and mat.dtype == np.float64 and mat.shape == truth.values.shape
-                    and np.isfinite(mat).all())
-            per_run.append(
-                {
-                    "mask_observed": [1 if o else 0 for o in mask.observed],
-                    "estimates": self._json_rows(r) if rows else mat.tolist(),
-                    "mse": mse,
-                    "stats": stats,
-                }
-            )
-        return {
-            "name": self.name,
-            "config": self.config,
-            "context": self.context,
-            "runs": per_run,
-            "mse_all": self.mse_all,
-            "mse_missing": self.mse_missing,
-            "fallback_uses": self.fallback_uses,
-        }
 
     def _truth_cells(self) -> tuple | None:
         """``(values, text)``: the truth and its ``repr`` texts as N×T objects, built once per truth."""
@@ -473,18 +445,35 @@ class RunResult:
         out[differ] = cells
         return out
 
-    def _json_rows(self, r: int):
-        """Run ``r``'s estimates as row texts, formatted when the JSON writer reaches them."""
-        yield from self._estimate_cells(r).tolist()
-
     def _write_json(self, fh: TextIO) -> None:
-        """Write the document as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, and a newline.
+        """Write ``json.dumps(document, sort_keys=True, indent=2)`` and a newline, streaming the estimate rows.
 
-        The estimate matrices are streamed row by row instead of being built
-        as one nested list and one string, one run's text alive at a time.
+        Every other byte is ``json.dumps``'s own text, indented to its depth
+        (json escapes every line break inside a string, so each one is layout).
+        ``"runs"`` sorts last among the document's keys and ``"estimates"``
+        first among a run's, so each run's estimates go between the text before
+        them and the rest of the run. A finite float64 estimate of the truth's
+        shape is written one row at a time from :meth:`_estimate_cells` (json's
+        float text is ``repr``), so one row's text is alive at a time; any
+        other is ``json.dumps`` of its ``tolist()``.
         """
-        _write_json_value(fh, self._payload(), 0)
-        fh.write("\n")
+        head = {"name": self.name, "config": self.config, "context": self.context, "runs": [],
+                "mse_all": self.mse_all, "mse_missing": self.mse_missing, "fallback_uses": self.fallback_uses}
+        fh.write(json.dumps(head, sort_keys=True, indent=2)[:-4])  # all but the runs' "[]\n}"
+        for r, (mask, mse, stats) in enumerate(zip(self.masks, self.per_run_mse, self.per_run_stats)):
+            fh.write(("[" if r == 0 else ",") + '\n    {\n      "estimates": ')
+            mat = np.asarray(self.estimates[r])
+            if (self.truth is not None and mat.dtype == np.float64 and mat.shape == self.truth.values.shape
+                    and np.isfinite(mat).all()):
+                for i, cells in enumerate(self._estimate_cells(r).tolist()):
+                    fh.write(("[" if i == 0 else ",") + "\n        [\n          " + ",\n          ".join(cells)
+                             + "\n        ]")
+                fh.write("\n      ]")
+            else:
+                fh.write(json.dumps(mat.tolist(), indent=2).replace("\n", "\n      "))
+            rest = {"mask_observed": [1 if o else 0 for o in mask.observed], "mse": mse, "stats": stats}
+            fh.write("," + json.dumps(rest, sort_keys=True, indent=2)[1:].replace("\n", "\n    "))
+        fh.write(("\n  ]" if self.masks else "[]") + "\n}\n")
 
     def to_json(self) -> str:
         buf = io.StringIO()
@@ -548,34 +537,6 @@ class RunResult:
                     pieces[2::6] = truth_cells
                     pieces[4::6] = cells
                     fh.write("".join(pieces))
-
-
-def _write_json_value(fh: TextIO, value, level: int) -> None:
-    """Write ``value`` as ``json.dumps(sort_keys=True, indent=2)`` lays it out at depth ``level``.
-
-    Dicts and lists are walked here so that an estimate matrix, given as an
-    iterator of its rows' ``repr`` texts (json's own float text, see
-    :meth:`RunResult._json_rows`), can be written row by row; every other
-    value and every key is rendered by ``json.dumps``.
-    """
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(value, Iterator):
-        cell = inner + "  "
-        for i, cells in enumerate(value):
-            fh.write(("[" if i == 0 else ",") + inner + "[" + cell + ("," + cell).join(cells) + inner + "]")
-    elif isinstance(value, dict) and value:
-        for i, key in enumerate(sorted(value)):
-            # json's own text for the key, quoted even when it is not a string
-            fh.write(("{" if i == 0 else ",") + inner + json.dumps({key: 0})[1:-4] + ": ")
-            _write_json_value(fh, value[key], level + 1)
-    elif isinstance(value, (list, tuple)) and value:
-        for i, item in enumerate(value):
-            fh.write(("[" if i == 0 else ",") + inner)
-            _write_json_value(fh, item, level + 1)
-    else:
-        fh.write(json.dumps(value))
-        return
-    fh.write(inner[:-2] + ("}" if isinstance(value, dict) else "]"))
 
 
 def run_online(

@@ -30,6 +30,7 @@ from graphfill.backends import (
     ReplayMissError,
     TransportFailure,
     _urllib_transport,
+    append_replay_record,
     make_backend,
     mock_predict,
     prompt_sha256,
@@ -134,6 +135,20 @@ def test_replay_file_format(tmp_path):
     assert set(record) == {"prompt_sha256", "response_text", "model", "temperature"}
     assert record["prompt_sha256"] == prompt_sha256("prompt-b")
     assert record["response_text"] == "2"
+
+
+@pytest.mark.parametrize("method", ["complete_each", "complete_batch"])
+def test_recording_opens_its_file_once_per_step(tmp_path, monkeypatch, method):
+    path, expected = tmp_path / "replay.jsonl", tmp_path / "expected.jsonl"
+    reqs = [req(f"prompt {i}", task=task_with(float(i), [1.0])) for i in range(3)]
+    opened, real_open = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda self, *args, **kw: opened.append(self) or real_open(self, *args, **kw))
+    getattr(RecordingBackend(MockBackend(0.5), path), method)(reqs)
+    assert opened == [path]
+    monkeypatch.undo()
+    for r in reqs:  # the same lines, record by record
+        append_replay_record(expected, r.prompt, MockBackend(0.5).complete(r), r.model, r.temperature)
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_read_replay_file_rejects_garbage(tmp_path):

@@ -308,6 +308,21 @@ def test_replay_record_and_replay_back(tmp_path):
         assert run_a["estimates"] == run_b["estimates"]
 
 
+def test_replay_record_refuses_to_append_to_the_file_it_replays(tmp_path, capsys):
+    replay = tmp_path / "r.jsonl"
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "mock", "--runs", "1",
+                   "--out", str(tmp_path / "record"), "--replay-out", str(replay)) == 0
+    before = replay.read_bytes()
+    capsys.readouterr()
+    same = str(tmp_path / "record" / ".." / "r.jsonl")  # compared resolved
+    assert run_cli("replay-record", "--manifest", TOY, "--predictor", "llm", "--backend", "replay",
+                   "--replay-file", str(replay), "--runs", "1", "--out", str(tmp_path / "again"),
+                   "--replay-out", same) == 1
+    message = f"--replay-out {same!r} is the --replay-file it would append every reply to again"
+    assert capsys.readouterr().err.strip() == message
+    assert replay.read_bytes() == before and not (tmp_path / "again").exists()
+
+
 @pytest.mark.parametrize("replay_args", [["--model", "B"], ["--model", "A"], ["--temperature", "0.5"]])
 def test_replay_answers_only_the_model_and_temperature_it_recorded(tmp_path, capsys, replay_args):
     replay = tmp_path / "r.jsonl"

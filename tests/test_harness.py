@@ -1,6 +1,7 @@
 """Online loop, causality guard, MSE evaluation, result serialization, comparison."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -409,6 +410,31 @@ def test_a_batched_reply_with_no_text_fails_the_whole_batch(monkeypatch):
     assert stats["parse_failures"] == stats["infeasible_tasks"] == 0
     assert stats["fallback_uses"] == stats["backend_failures"]
     assert np.isfinite(result.estimates).all()
+
+
+def test_a_batched_request_states_the_reply_format_once(monkeypatch):
+    # Each request's prompt ends in the single-number instruction; the joined text leaves it out for one header.
+    monkeypatch.setenv("OPENAI_API_KEY", "sk-test-123")
+    sent = []
+
+    def transport(url, headers, payload, timeout):
+        sent.append(payload["messages"][0]["content"])
+        tasks = len(re.findall(r"^Task \d+ of \d+:$", sent[-1], re.M))
+        return 200, {"choices": [{"message": {"content": "1.5\n" * tasks}}]}
+
+    backend = RemoteBackend(BackendConfig(kind="remote"), transport=transport, sleep=lambda s: None)
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    series = SignalSeries(np.arange(30.0).reshape(5, 6))
+    mask = SamplingMask(np.array([True, False, True, False, True]))
+    result = run_online(MessengerPredictor(backend, batch=True, keep_prompts=True), g, series, mask, runs=1)
+    assert result.per_run_stats[0]["fallback_uses"] == 0 and len(sent) == series.num_steps
+    single = "Reply with a single decimal number and nothing else"
+    prompts = [entry["prompt"] for entry in result.prompt_logs[0]]
+    assert len(prompts) == 2 * series.num_steps and all(prompt.count(single) == 1 for prompt in prompts)
+    for joined in sent:
+        assert joined.count(single) == 0
+        assert joined.count("Reply with exactly 2 lines, one decimal number per line, in task order") == 1
+    assert all(f":\n{prompt[: prompt.index(single)].rstrip()}" in "".join(sent) for prompt in prompts)
 
 
 def test_a_recorded_run_with_non_text_replies_replays_to_the_same_failures(tmp_path, monkeypatch):

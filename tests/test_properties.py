@@ -391,6 +391,25 @@ def test_each_cell_is_formatted_once_by_both_writers(tmp_path, monkeypatch, csv_
         assert len(calls) == truth.size + differing
 
 
+def test_json_writer_writes_each_estimate_row_on_its_own():
+    # One write per row, so that a run's whole text is never built: the same bytes in one string cost peak memory.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    for result in clamped_runs():
+        writes.clear()
+        fh = Recorder()
+        result._write_json(fh)
+        assert fh.getvalue() == former_json(result)
+        rows = {("," if v else "[") + "\n        [\n          " + ",\n          ".join(map(repr, row)) + "\n        ]"
+                for est in result.estimates for v, row in enumerate(est.tolist())}
+        assert len(rows) > result.truth.num_nodes and rows <= set(writes)
+
+
 # Only this writes what no run makes: estimate matrices with no rows or no steps; NaN and inf estimates,
 # which json writes as NaN and Infinity and the CSV as nan and inf; estimates of -0.0 where the truth
 # is 0.0 and the reverse; and nested configs with non-string and non-ASCII keys, which json quotes and escapes.
@@ -417,6 +436,57 @@ def test_to_json_matches_former_json_for_empty_estimate_matrices(tmp_path):
     result.write_per_step_csv(tmp_path / "out.csv")
     assert (tmp_path / "out.json").read_bytes() == result.to_json().encode() == former_json(result).encode()
     assert (tmp_path / "out.csv").read_bytes() == former_per_step_csv(result, truth)
+
+
+# The writer splices its streamed estimate rows into json.dumps's own text for everything else.
+texts = st.sampled_from(["", "é ", '"\\\n\t\x00\x1f', "퟿\U0001f600"]) | st.text(max_size=4)
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | texts
+
+
+def dicts(values):
+    """Dicts of one key kind, so that their keys sort: text, numbers (int, float and bool) or None."""
+    numbers = st.integers(-3, 3) | st.booleans() | st.floats(-2, 2)
+    return (st.dictionaries(texts, values, max_size=3) | st.dictionaries(numbers, values, max_size=3)
+            | st.dictionaries(st.none(), values, max_size=1))
+
+
+json_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3) | dicts(inner), max_leaves=8)
+
+
+@st.composite
+def written_results(draw):
+    """A result with drawn head values and 0-2 runs, each on the streamed row path or the ``tolist`` path."""
+    n, steps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    truth = np.array(draw(st.lists(signal_values, min_size=n * steps, max_size=n * steps))).reshape(n, steps)
+    has_truth = draw(st.booleans())
+    estimates = []
+    for _ in range(draw(st.integers(0, 2))):
+        if has_truth and draw(st.booleans()):  # rows: finite, of the truth's shape, some cells the truth's own
+            cells = st.sampled_from(truth.ravel().tolist()) | signal_values
+            est = np.array(draw(st.lists(cells, min_size=n * steps, max_size=n * steps))).reshape(n, steps)
+        else:  # tolist: a non-finite cell, or another shape
+            shape = draw(st.sampled_from([(n, steps), (steps, n + 1), (0, steps), (n, 0)]))
+            size = shape[0] * shape[1]
+            est = np.array(draw(st.lists(st.floats(), min_size=size, max_size=size)), dtype=float).reshape(shape)
+            if shape == (n, steps):
+                est[draw(st.integers(0, n - 1)), draw(st.integers(0, steps - 1))] = draw(
+                    st.sampled_from([np.nan, np.inf, -np.inf]))
+        estimates.append(est)
+    runs = len(estimates)
+    return RunResult(
+        name=draw(texts), config=draw(dicts(json_values)), context=draw(dicts(json_values)), estimates=estimates,
+        masks=[SamplingMask(draw(st.lists(st.booleans(), min_size=n, max_size=n))) for _ in range(runs)],
+        per_run_mse=[draw(dicts(json_values)) for _ in range(runs)], mse_all=draw(st.floats()),
+        mse_missing=draw(st.floats()), fallback_uses=draw(st.integers(0, 10**6)),
+        per_run_stats=[draw(dicts(json_values)) for _ in range(runs)],
+        truth=SignalSeries(truth) if has_truth else None,
+    )
+
+
+@settings(deadline=None, max_examples=100)
+@given(written_results())
+def test_to_json_is_json_dumps_of_the_document(result):
+    assert result.to_json() == former_json(result)
 
 
 # ---------------------------------------------------------------- the former messenger step
